@@ -52,6 +52,7 @@ from .statevec import (
     apply_1q,
     apply_2q,
     apply_controlled,
+    apply_unitary,
     basis_state,
     extract_pure,
     fidelity_mixed,

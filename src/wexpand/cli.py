@@ -358,6 +358,9 @@ class RunConfig:
 
     def validate(self) -> None:
         opts = self.options
+        for key, value in opts.items():
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
         if self.command == "prepare":
             DoublingPlan(opts["n"], opts["mode"], opts["schedule"])
         elif self.command == "fidelity-sweep":
@@ -411,14 +414,17 @@ def cmd_prepare(args) -> int:
 
     rows = []
 
+    full = args.full
+    labels = str.maketrans({"0": role.zero_label, "1": role.one_label})
+
     def add_rows(stage: str, state) -> None:
         nbits = state.num_qubits
-        for idx, amp in enumerate(state.amplitudes):
-            if abs(amp) <= 1e-12 and not args.full:
-                continue
+        amps = state.amplitudes
+        kept = range(amps.size) if full else np.flatnonzero(np.abs(amps) > 1e-12).tolist()
+        for idx in kept:
+            amp = amps[idx]
             bits = format(idx, f"0{nbits}b")
-            label = "".join(role.one_label if c == "1" else role.zero_label for c in bits)
-            rows.append([stage, idx, bits, label, amp.real, amp.imag])
+            rows.append([stage, idx, bits, bits.translate(labels), amp.real, amp.imag])
 
     if args.trace:
         grown = build_w_state(plan.n)
@@ -560,6 +566,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(key: str, value, default):
+    """A config-file value checked against the type of the option's default.
+
+    An int stands in for a float; a bool never stands in for a number.
+    """
+    expected = type(default)
+    if expected is float and type(value) is int:
+        return float(value)
+    if type(value) is not expected:
+        raise ValueError(
+            f"config key {key!r} must be of type {expected.__name__}, "
+            f"got {type(value).__name__} {value!r}"
+        )
+    return value
+
+
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     """Fill unset options from the JSON config file, then from defaults."""
     config = {}
@@ -568,6 +590,13 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ValueError("config file must hold a JSON object")
+        unknown = sorted(set(config) - set(args.defaults))
+        if unknown:
+            raise ValueError(
+                f"unknown config key(s) for {args.command}: {', '.join(unknown)}; "
+                f"expected some of {', '.join(sorted(args.defaults))}"
+            )
+        config = {k: _config_value(k, v, args.defaults[k]) for k, v in config.items()}
     options = {}
     for key, default in args.defaults.items():
         flag_value = getattr(args, key, None)

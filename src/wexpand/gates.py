@@ -38,7 +38,7 @@ class Gate:
         dim = 2 if self.arity == 1 else 4
         if m.shape != (dim, dim):
             raise ValueError(f"arity-{self.arity} gate needs a {dim}x{dim} matrix")
-        if np.max(np.abs(m.conj().T @ m - np.eye(dim))) > ATOL_ALGEBRA:
+        if not np.max(np.abs(m.conj().T @ m - np.eye(dim))) <= ATOL_ALGEBRA:
             raise ValueError(f"gate {self.label!r} is not unitary")
         object.__setattr__(self, "matrix", _readonly(m))
 

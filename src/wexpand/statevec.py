@@ -63,7 +63,7 @@ class StateVector:
                 f"amplitude array of length {amps.size} is not a power of two >= 2"
             )
         norm2 = float(np.vdot(amps, amps).real)
-        if abs(norm2 - 1.0) > ATOL_ALGEBRA:
+        if not abs(norm2 - 1.0) <= ATOL_ALGEBRA:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm2!r}")
         object.__setattr__(self, "amplitudes", _readonly(amps))
 
@@ -78,10 +78,10 @@ class StateVector:
     def terms(self, tol: float = 1e-10) -> list[tuple[str, complex]]:
         """Nonzero basis terms as (bit string, amplitude) pairs."""
         n = self.num_qubits
+        amps = self.amplitudes
         return [
-            (format(i, f"0{n}b"), complex(a))
-            for i, a in enumerate(self.amplitudes)
-            if abs(a) > tol
+            (format(i, f"0{n}b"), complex(amps[i]))
+            for i in np.flatnonzero(np.abs(amps) > tol).tolist()
         ]
 
     def __repr__(self) -> str:
@@ -107,17 +107,17 @@ class DensityMatrix:
         n = dim.bit_length() - 1
         if dim != (1 << n):
             raise ValueError(f"density-matrix dimension {dim} is not a power of two")
-        if np.max(np.abs(rho - rho.conj().T)) > ATOL_ALGEBRA:
+        if not np.max(np.abs(rho - rho.conj().T)) <= ATOL_ALGEBRA:
             raise ValueError("density matrix is not Hermitian")
         tr = complex(np.trace(rho))
-        if abs(tr - 1.0) > ATOL_ALGEBRA:
+        if not abs(tr - 1.0) <= ATOL_ALGEBRA:
             raise ValueError(f"density matrix trace {tr!r} differs from 1")
         pur = float(np.vdot(rho, rho).real)
         if not (1.0 / dim - 1e-10 <= pur <= 1.0 + 1e-10):
             raise ValueError(f"purity {pur!r} outside [{1.0 / dim}, 1]")
         if dim <= _EIG_CHECK_MAX_DIM:
             lo = float(np.linalg.eigvalsh(rho)[0])
-            if lo < -1e-10:
+            if not lo >= -1e-10:
                 raise ValueError(f"density matrix has negative eigenvalue {lo!r}")
         object.__setattr__(self, "entries", _readonly(rho))
 
@@ -205,7 +205,7 @@ def _as_matrix(gate) -> np.ndarray:
 def _require_unitary(m: np.ndarray, dim: int) -> None:
     if m.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
-    if np.max(np.abs(m.conj().T @ m - np.eye(dim))) > ATOL_ALGEBRA:
+    if not np.max(np.abs(m.conj().T @ m - np.eye(dim))) <= ATOL_ALGEBRA:
         raise ValueError("gate matrix is not unitary")
 
 
@@ -213,33 +213,38 @@ def _require_unitary(m: np.ndarray, dim: int) -> None:
 # Gate application kernels
 # ---------------------------------------------------------------------------
 
+def apply_unitary(state: StateVector, matrix, qubits: Iterable[int]) -> StateVector:
+    """Apply a k-qubit unitary to the register qubits ``qubits``.
+
+    ``qubits[0]`` is the most significant slot of ``matrix``, so a
+    three-qubit operator in the basis |q1 anc q2> is applied with
+    ``qubits=(q1, anc, q2)``.  One contraction touches the register once,
+    however many gates were composed into ``matrix``.
+    """
+    qubits = tuple(int(q) for q in qubits)
+    k = len(qubits)
+    m = _as_matrix(matrix)
+    _require_unitary(m, 1 << k)
+    n = state.num_qubits
+    if len(set(qubits)) != k:
+        raise ValueError(f"a {k}-qubit gate needs {k} distinct qubits, got {qubits}")
+    for q in qubits:
+        if not 0 <= q < n:
+            raise ValueError(f"qubit {q} out of range for {n} qubits")
+    psi = state.tensor_view()
+    out = np.tensordot(m.reshape((2,) * (2 * k)), psi, axes=(list(range(k, 2 * k)), list(qubits)))
+    out = np.moveaxis(out, list(range(k)), list(qubits))
+    return StateVector(out.reshape(-1))
+
+
 def apply_1q(state: StateVector, gate, target: int) -> StateVector:
     """Apply a single-qubit unitary to ``target``."""
-    m = _as_matrix(gate)
-    _require_unitary(m, 2)
-    n = state.num_qubits
-    if not 0 <= target < n:
-        raise ValueError(f"target {target} out of range for {n} qubits")
-    psi = state.tensor_view()
-    out = np.tensordot(m, psi, axes=([1], [target]))
-    out = np.moveaxis(out, 0, target)
-    return StateVector(out.reshape(-1))
+    return apply_unitary(state, gate, (target,))
 
 
 def apply_2q(state: StateVector, gate, qubit_a: int, qubit_b: int) -> StateVector:
     """Apply a two-qubit unitary; ``qubit_a`` is the more significant slot."""
-    m = _as_matrix(gate)
-    _require_unitary(m, 4)
-    n = state.num_qubits
-    if qubit_a == qubit_b:
-        raise ValueError("two-qubit gate needs two distinct qubits")
-    for q in (qubit_a, qubit_b):
-        if not 0 <= q < n:
-            raise ValueError(f"qubit {q} out of range for {n} qubits")
-    psi = state.tensor_view()
-    out = np.tensordot(m.reshape(2, 2, 2, 2), psi, axes=([2, 3], [qubit_a, qubit_b]))
-    out = np.moveaxis(out, [0, 1], [qubit_a, qubit_b])
-    return StateVector(out.reshape(-1))
+    return apply_unitary(state, gate, (qubit_a, qubit_b))
 
 
 def apply_controlled(state: StateVector, gate, control: int, target: int) -> StateVector:

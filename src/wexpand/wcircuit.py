@@ -14,6 +14,7 @@ every qubit of |W_n> doubles the state to |W_2n> in one round.
 """
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -25,6 +26,7 @@ from .statevec import (
     StateVector,
     apply_1q,
     apply_2q,
+    apply_unitary,
     basis_state,
     extract_pure,
     fidelity_pure,
@@ -178,22 +180,20 @@ def standard_expansion_circuit(noise: NoiseParams | None = None) -> ExpansionCir
     T'(beta) and every CZ the controlled phase e^{i(pi-gamma)}.
     """
     p = noise if noise is not None else NoiseParams()
-    h = lambda: hadamard(p.alpha)
-    tp = lambda: t_prime(p.beta)
-    cp = lambda: controlled_phase(p.gamma)
+    h, tp, cp = hadamard(p.alpha), t_prime(p.beta), controlled_phase(p.gamma)
     layout = [
-        (tp(), (1,)),
-        (cp(), (0, 1)),
-        (tp(), (1,)),
-        (h(), (0,)),
-        (cp(), (0, 1)),
-        (h(), (0,)),
-        (h(), (2,)),
-        (cp(), (1, 2)),
-        (h(), (2,)),
-        (h(), (1,)),
-        (cp(), (1, 2)),
-        (h(), (1,)),
+        (tp, (1,)),
+        (cp, (0, 1)),
+        (tp, (1,)),
+        (h, (0,)),
+        (cp, (0, 1)),
+        (h, (0,)),
+        (h, (2,)),
+        (cp, (1, 2)),
+        (h, (2,)),
+        (h, (1,)),
+        (cp, (1, 2)),
+        (h, (1,)),
     ]
     circuit = ExpansionCircuit(
         tuple(CircuitStep(g, t, k + 1) for k, (g, t) in enumerate(layout))
@@ -203,6 +203,18 @@ def standard_expansion_circuit(noise: NoiseParams | None = None) -> ExpansionCir
         if dev > 1e-12:
             raise RuntimeError(f"ideal circuit drifted from the expansion matrix by {dev!r}")
     return circuit
+
+
+@functools.lru_cache(maxsize=4)
+def _expansion_unitary(noise: NoiseParams) -> np.ndarray:
+    """Composed 8x8 of the 12-gate circuit under ``noise``, shared read-only.
+
+    A sweep visits each noise point once and a doubling run reuses one, so a
+    few entries suffice.
+    """
+    u = standard_expansion_circuit(noise).matrix()
+    u.setflags(write=False)
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +251,8 @@ def apply_O(
 
     ``anc`` and ``q2`` must hold |0> (their reduced states are verified
     unless ``check`` is disabled); ``q1`` carries the qubit whose excitation
-    is being split.
+    is being split.  The 12 gates act as their composed 8x8 matrix in one
+    contraction; ``ExpansionCircuit.apply`` runs them one by one.
     """
     n = state.num_qubits
     if len({q1, anc, q2}) != 3:
@@ -250,7 +263,8 @@ def apply_O(
     if check:
         _require_zero_slot(state, anc, "ancilla")
         _require_zero_slot(state, q2, "second input")
-    return standard_expansion_circuit(noise).apply(state, q1, anc, q2)
+    u = _expansion_unitary(noise if noise is not None else NoiseParams())
+    return apply_unitary(state, u, (q1, anc, q2))
 
 
 def create_epr() -> StateVector:
@@ -271,8 +285,8 @@ def create_epr() -> StateVector:
 def _weight_one_support(state: StateVector, tol: float = 1e-10) -> None:
     bad = [
         format(i, f"0{state.num_qubits}b")
-        for i, a in enumerate(state.amplitudes)
-        if abs(a) > tol and bin(i).count("1") != 1
+        for i in np.flatnonzero(np.abs(state.amplitudes) > tol).tolist()
+        if bin(i).count("1") != 1
     ]
     if bad:
         raise ValueError(f"state has support outside weight-one strings: {bad}")

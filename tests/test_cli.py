@@ -103,6 +103,25 @@ def test_prepare_trace_includes_growth_rounds(tmp_path):
     assert {"round_0", "round_1", "round_2", "final"} <= stages
 
 
+def test_prepare_full_dumps_every_final_amplitude(tmp_path):
+    out = tmp_path / "full.csv"
+    assert main(["prepare", "--n", "3", "--full", "--out", str(out)]) == 0
+    final = [r for r in read_csv(str(out)) if r["stage"] == "final"]
+    assert [int(r["index"]) for r in final] == list(range(1 << 6))
+    assert all(r["basis"] == format(int(r["index"]), "06b") for r in final)
+
+
+@pytest.mark.parametrize("mode", ["block", "sequential"])
+def test_prepare_default_dump_is_the_weight_one_indices_ascending(tmp_path, mode):
+    out = tmp_path / "w.csv"
+    assert main(["prepare", "--n", "3", "--mode", mode, "--role", "spin", "--out", str(out)]) == 0
+    rows = read_csv(str(out))
+    assert [int(r["index"]) for r in rows] == [1 << k for k in range(6)]
+    for r in rows:
+        assert r["label"] == r["basis"].replace("0", "+").replace("1", "-")
+        assert abs(float(r["re"]) - 1 / np.sqrt(6)) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # fidelity-sweep
 # ---------------------------------------------------------------------------
@@ -190,6 +209,51 @@ def test_flags_win_over_config(tmp_path):
     ]) == 0
     assert len(read_csv(str(out))) == 3
     assert not (tmp_path / "ignored.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["fidelity-sweep", "--theta-max", "nan"], "theta_max"),
+        (["fidelity-sweep", "--theta-max", "inf"], "theta_max"),
+        (["cavity-sweep", "--g-max", "inf"], "g_max"),
+        (["cavity-sweep", "--detuning-min=-inf"], "detuning_min"),
+        (["cavity-sweep", "--gamma-decay", "nan"], "gamma_decay"),
+    ],
+)
+def test_non_finite_float_options_exit_2_and_name_the_option(tmp_path, capsys, argv, option):
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert option in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"n": "3"}, "'n'"),
+        ({"steps": 2.5}, "'steps'"),
+        ({"n": True}, "'n'"),
+        ({"theta_max": False}, "'theta_max'"),
+        ({"nn": 3}, "nn"),
+    ],
+)
+def test_bad_config_values_exit_2_with_a_message(tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "fid.csv"
+    cfg.write_text(json.dumps(dict(config, out=str(out))))
+    assert main(["fidelity-sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
+def test_config_accepts_an_int_for_a_float_option(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "cav.csv"
+    cfg.write_text(json.dumps({"g_max": 4, "g_steps": 5, "gamma_decay": 2, "out": str(out)}))
+    assert main(["cavity-sweep", "--config", str(cfg)]) == 0
+    assert [r["g_ratio"] for r in read_csv(str(out))] == ["0", "1", "2", "3", "4"]
 
 
 def test_unwritable_output_path_reports_error(tmp_path, capsys):

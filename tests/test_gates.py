@@ -103,6 +103,8 @@ def test_gate_rejects_non_unitary_matrix():
         Gate(np.array([[1, 1], [0, 1]], dtype=complex), 1, "bad")
     with pytest.raises(ValueError):
         Gate(np.eye(4, dtype=complex), 1, "wrong arity")
+    with pytest.raises(ValueError):
+        rotation_gate(float("nan"))  # every comparison with NaN is False
 
 
 def test_holonomic_zero_detuning_phase_is_pi():

@@ -10,6 +10,7 @@ from wexpand.statevec import (
     apply_1q,
     apply_2q,
     apply_controlled,
+    apply_unitary,
     basis_state,
     extract_pure,
     fidelity_mixed,
@@ -109,6 +110,41 @@ def test_apply_2q_matches_kron_oracle():
     np.testing.assert_allclose(
         apply_2q(state, cz4, 1, 2).amplitudes, full @ state.amplitudes, atol=1e-15
     )
+
+
+def test_apply_unitary_on_unordered_qubits_matches_kron_oracle():
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    state = random_state(4, rng)
+    # Move (2, 0, 3) to the front in that order, apply q there, move back.
+    perm = QubitPermutation((1, 3, 0, 2))
+    moved = permute(state, perm).amplitudes
+    expected = permute(StateVector(np.kron(q, np.eye(2)) @ moved), perm.inverse())
+    out = apply_unitary(state, q, (2, 0, 3))
+    np.testing.assert_allclose(out.amplitudes, expected.amplitudes, atol=1e-14)
+    with pytest.raises(ValueError):
+        apply_unitary(state, q, (2, 0, 2))
+    with pytest.raises(ValueError):
+        apply_unitary(state, q, (2, 0, 4))
+    with pytest.raises(ValueError):
+        apply_unitary(state, q[:, ::-1] * 2, (0, 1, 2))
+
+
+def test_terms_lists_the_amplitudes_above_tolerance_in_index_order():
+    rng = np.random.default_rng(5)
+    for n in (1, 3, 6):
+        v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        v[rng.random(1 << n) < 0.5] = 0.0
+        v[0] = 1.0
+        v[-1] = 1e-11  # below the default tolerance
+        state = StateVector(v / np.linalg.norm(v))
+        for tol in (1e-10, 0.1):
+            expected = [
+                (format(i, f"0{n}b"), complex(a))
+                for i, a in enumerate(state.amplitudes)
+                if abs(a) > tol
+            ]
+            assert state.terms(tol) == expected
 
 
 def test_partial_trace_bell_pair_from_three_qubits():
@@ -275,6 +311,8 @@ def test_postselect_zero_extracts_component():
 def test_statevector_rejects_unnormalized_input():
     with pytest.raises(ValueError):
         StateVector(np.array([1.0, 1.0], dtype=complex))
+    with pytest.raises(ValueError):
+        StateVector(np.array([np.nan, 0.0], dtype=complex))
 
 
 def test_density_matrix_validation():
@@ -282,5 +320,7 @@ def test_density_matrix_validation():
         DensityMatrix(np.array([[0.5, 0.5j], [0.5j, 0.5]]))  # not Hermitian
     with pytest.raises(ValueError):
         DensityMatrix(np.eye(2, dtype=complex))  # trace 2
+    with pytest.raises(ValueError):
+        DensityMatrix(np.array([[np.nan, 0.0], [0.0, 0.5]]))
     ok = DensityMatrix(np.eye(4, dtype=complex) / 4)
     assert abs(ok.purity() - 0.25) < 1e-12

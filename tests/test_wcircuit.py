@@ -1,6 +1,8 @@
 """Expansion circuit, W-state growth and the doubling protocol."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wexpand.gates import NoiseParams, controlled_phase, hadamard, t_prime
 from wexpand.statevec import (
@@ -28,6 +30,7 @@ from wexpand.wcircuit import (
     double_w,
     expand_by_one,
     interleave_permutation,
+    _expansion_unitary,
     relabel,
     standard_expansion_circuit,
 )
@@ -197,6 +200,38 @@ def test_apply_O_order_does_not_matter_on_disjoint_triples():
     forward = apply_O(apply_O(reg, 0, 1, 2), 3, 4, 5)
     backward = apply_O(apply_O(reg, 3, 4, 5), 0, 1, 2)
     assert np.max(np.abs(forward.amplitudes - backward.amplitudes)) < 1e-14
+
+
+_ANGLE = st.floats(-np.pi, np.pi, allow_nan=False)
+
+
+@st.composite
+def _register_and_slots(draw):
+    n = draw(st.integers(3, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    slots = draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True))
+    return StateVector(v / np.linalg.norm(v)), tuple(slots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_register_and_slots(), _ANGLE, _ANGLE, _ANGLE)
+def test_fused_apply_O_matches_the_12_gate_circuit(reg_slots, alpha, beta, gamma):
+    state, (q1, anc, q2) = reg_slots
+    noise = NoiseParams(alpha, beta, gamma)
+    fused = apply_O(state, q1, anc, q2, noise, check=False)
+    stepwise = standard_expansion_circuit(noise).apply(state, q1, anc, q2)
+    assert np.max(np.abs(fused.amplitudes - stepwise.amplitudes)) < 1e-14
+
+
+def test_cached_expansion_unitary_is_the_read_only_operator():
+    for noise in (NoiseParams(), NoiseParams(0.01, -0.02, 0.03)):
+        u = _expansion_unitary(noise)
+        assert u is _expansion_unitary(noise)
+        assert not u.flags.writeable
+        with pytest.raises(ValueError):
+            u[0, 0] = 0.0
+    assert np.max(np.abs(_expansion_unitary(NoiseParams()) - EXPANSION_MATRIX)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
