@@ -36,6 +36,7 @@ from .noise import (
     POST_SELECTED_OVERLAP,
     REDUCED_DENSITY,
     FidelityRecord,
+    doubling_overlap_fidelity,
     fidelity_closed_form,
     fidelity_combined,
     fidelity_controlled_phase,
@@ -67,6 +68,7 @@ from .statevec import (
 from .wcircuit import (
     AncillaStateError,
     BLOCK_MODE_MAX_N,
+    EXPANSION_LAYOUT,
     EXPANSION_MATRIX,
     PHOTON,
     SEQUENTIAL_MODE_MAX_N,
@@ -82,6 +84,8 @@ from .wcircuit import (
     create_epr,
     double_w,
     expand_by_one,
+    expansion_circuit_from_gates,
+    expansion_unitaries,
     interleave_permutation,
     relabel,
     standard_expansion_circuit,

@@ -23,6 +23,7 @@ Only frequency differences and rate ratios matter; any shared unit works.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,16 @@ class CavityParams:
     gamma_decay: float
 
     def __post_init__(self):
+        # cavity-sweep builds one instance per grid point, so the common case
+        # costs one sum: it is finite whenever every field is, unless it
+        # overflows, and only then does the per-field loop run.
+        if not math.isfinite(
+            self.omega_p + self.omega_c + self.omega_0 + self.g + self.kappa + self.gamma_decay
+        ):
+            for name in ("omega_p", "omega_c", "omega_0", "g", "kappa", "gamma_decay"):
+                value = getattr(self, name)
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value!r}")
         if self.kappa <= 0.0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
         if self.gamma_decay <= 0.0:

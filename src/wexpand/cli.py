@@ -46,15 +46,14 @@ from .wcircuit import (
     EXPANSION_MATRIX,
     PHOTON,
     SPIN,
-    CircuitStep,
     DoublingPlan,
-    ExpansionCircuit,
     QubitRole,
     apply_O,
     build_w_state,
     create_epr,
     double_w,
     expand_by_one,
+    expansion_circuit_from_gates,
     interleave_permutation,
     relabel,
 )
@@ -93,25 +92,6 @@ class CheckResult:
     detail: str = ""
 
 
-def _circuit_with_t_prime_angle(tp_angle: float) -> ExpansionCircuit:
-    """Expansion circuit with an adjustable T' rotation angle.
-
-    Built step by step (bypassing the self-validating constructor path) so
-    the verification suite can demonstrate that a miscalibrated angle is
-    caught by the matrix check.
-    """
-    h = lambda: hadamard()
-    tp = lambda: rotation_gate(tp_angle, "T'*")
-    cp = lambda: controlled_phase()
-    layout = [
-        (tp(), (1,)), (cp(), (0, 1)), (tp(), (1,)),
-        (h(), (0,)), (cp(), (0, 1)), (h(), (0,)),
-        (h(), (2,)), (cp(), (1, 2)), (h(), (2,)),
-        (h(), (1,)), (cp(), (1, 2)), (h(), (1,)),
-    ]
-    return ExpansionCircuit(tuple(CircuitStep(g, t, k + 1) for k, (g, t) in enumerate(layout)))
-
-
 def _vec(entries: dict[int, complex], num_qubits: int) -> np.ndarray:
     v = np.zeros(1 << num_qubits, dtype=complex)
     for idx, amp in entries.items():
@@ -128,7 +108,11 @@ def run_verification(tp_angle: float = T_PRIME_ANGLE, seed: int = 0) -> list[Che
     def check(name: str, deviation: float, tol: float, detail: str = "") -> None:
         results.append(CheckResult(name, float(deviation), tol, float(deviation) < tol, detail))
 
-    circuit = _circuit_with_t_prime_angle(tp_angle)
+    # Laid out directly, past the self-check of standard_expansion_circuit, so
+    # that a miscalibrated T' angle is left for check 1 to catch.
+    circuit = expansion_circuit_from_gates(
+        hadamard(), rotation_gate(tp_angle, "T'*"), controlled_phase()
+    )
 
     # 1. The composed 12-gate circuit equals the expansion operator.
     check(

@@ -13,6 +13,7 @@ The whole protocol runs on three gate families:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,12 @@ class NoiseParams:
     alpha: float = 0.0
     beta: float = 0.0
     gamma: float = 0.0
+
+    def __post_init__(self):
+        for name in ("alpha", "beta", "gamma"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
     @property
     def is_ideal(self) -> bool:

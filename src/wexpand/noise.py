@@ -31,6 +31,7 @@ from .wcircuit import (
     BLOCK_MODE_MAX_N,
     apply_O,
     build_w_state,
+    expansion_unitaries,
     interleave_permutation,
 )
 
@@ -142,31 +143,62 @@ def simulate_noisy_fidelity(
     )
 
 
+def doubling_overlap_fidelity(u: np.ndarray, n: int) -> np.ndarray:
+    """Post-selected overlap fidelity of |W_n> -> |W_2n> from the noisy 8x8s.
+
+    ``u`` holds 8x8 expansion unitaries along its leading axes (for example
+    the (k, 8, 8) stack of ``expansion_unitaries``); the result has the
+    leading shape.  It equals ``simulate_noisy_fidelity(n, ...)`` without
+    building the 3n-qubit register: the final state is
+    (1/sqrt n) sum_i U|100>_i (x) prod_{j != i} U|000>_j, a sum of n product
+    states, so its overlap with |W_2n>|0..0>_anc needs only
+    a = U[0,0], b = U[4,0] + U[1,0], c = U[0,4] and d = U[4,4] + U[1,4]:
+
+        amplitude = (n d a^(n-1) + n(n-1) c b a^(n-2)) / (n sqrt 2).
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    u = np.asarray(u)
+    if u.shape[-2:] != (8, 8):
+        raise ValueError(f"expected 8x8 unitaries along the last two axes, got {u.shape}")
+    a = u[..., 0, 0]
+    d = u[..., 4, 4] + u[..., 1, 4]
+    amp = n * d * a ** (n - 1)
+    if n > 1:
+        b = u[..., 4, 0] + u[..., 1, 0]
+        c = u[..., 0, 4]
+        amp = amp + n * (n - 1) * c * b * a ** (n - 2)
+    return np.abs(amp / (n * np.sqrt(2.0))) ** 2
+
+
 def sweep(theta_max: float, steps: int, n: int = 2) -> list[FidelityRecord]:
     """Evaluate all fidelity series on the shared grid theta_k = k*theta_max/(steps-1).
 
     The three single-imperfection series each set the other two angles to
     zero; the combined series (closed-form and simulated) drives all three
-    with the same theta.
+    with the same theta.  The simulated series composes the noisy 8x8 at
+    every grid point in one batch and reads each fidelity from two of its
+    columns (``doubling_overlap_fidelity``); ``simulate_noisy_fidelity``
+    is its dense oracle.
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
-    records = []
-    for theta in np.linspace(0.0, theta_max, steps):
-        theta = float(theta)
-        joint = NoiseParams(theta, theta, theta)
-        records.append(
-            FidelityRecord(
-                theta=theta,
-                f_h=fidelity_hadamard(theta),
-                f_tp=fidelity_t_prime(theta),
-                f_cp=fidelity_controlled_phase(theta),
-                f_combined=fidelity_combined(theta, theta, theta),
-                f_simulated=simulate_noisy_fidelity(n, joint),
-                n=n,
-            )
+    if not 1 <= n <= BLOCK_MODE_MAX_N:
+        raise ValueError(f"n must be in 1..{BLOCK_MODE_MAX_N}, got {n}")
+    thetas = np.linspace(0.0, theta_max, steps)
+    simulated = doubling_overlap_fidelity(expansion_unitaries(thetas, thetas, thetas), n)
+    return [
+        FidelityRecord(
+            theta=theta,
+            f_h=fidelity_hadamard(theta),
+            f_tp=fidelity_t_prime(theta),
+            f_cp=fidelity_controlled_phase(theta),
+            f_combined=fidelity_combined(theta, theta, theta),
+            f_simulated=f_sim,
+            n=n,
         )
-    return records
+        for theta, f_sim in zip(thetas.tolist(), simulated.tolist())
+    ]
 
 
 __all__ = [
@@ -176,6 +208,7 @@ __all__ = [
     "NoiseParams",
     "POST_SELECTED_OVERLAP",
     "REDUCED_DENSITY",
+    "doubling_overlap_fidelity",
     "fidelity_closed_form",
     "fidelity_combined",
     "fidelity_controlled_phase",

@@ -20,7 +20,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import Gate, NoiseParams, controlled_phase, hadamard, t_prime
+from .gates import (
+    HADAMARD_ANGLE,
+    T_PRIME_ANGLE,
+    Gate,
+    NoiseParams,
+    controlled_phase,
+    hadamard,
+    t_prime,
+)
 from .statevec import (
     QubitPermutation,
     StateVector,
@@ -169,6 +177,42 @@ class ExpansionCircuit:
         return states
 
 
+# The 12 steps of the expansion circuit as (gate kind, slots), in order, with
+# slots 0 = input1, 1 = ancilla, 2 = input2 and kinds "h" (Hadamard), "tp"
+# (T') and "cp" (controlled phase).  Every composition of the circuit reads
+# this one table.
+EXPANSION_LAYOUT: tuple[tuple[str, tuple[int, ...]], ...] = (
+    ("tp", (1,)),
+    ("cp", (0, 1)),
+    ("tp", (1,)),
+    ("h", (0,)),
+    ("cp", (0, 1)),
+    ("h", (0,)),
+    ("h", (2,)),
+    ("cp", (1, 2)),
+    ("h", (2,)),
+    ("h", (1,)),
+    ("cp", (1, 2)),
+    ("h", (1,)),
+)
+
+
+def expansion_circuit_from_gates(h: Gate, tp: Gate, cp: Gate) -> ExpansionCircuit:
+    """The 12-step expansion circuit with the given gates at the H, T' and CP steps.
+
+    Unlike ``standard_expansion_circuit`` it does not check the result
+    against ``EXPANSION_MATRIX``, so a miscalibrated gate can be laid out
+    and left for a later check to catch.
+    """
+    gates = {"h": h, "tp": tp, "cp": cp}
+    return ExpansionCircuit(
+        tuple(
+            CircuitStep(gates[kind], targets, k + 1)
+            for k, (kind, targets) in enumerate(EXPANSION_LAYOUT)
+        )
+    )
+
+
 def standard_expansion_circuit(noise: NoiseParams | None = None) -> ExpansionCircuit:
     """The 12-gate realization of the expansion operation.
 
@@ -180,29 +224,50 @@ def standard_expansion_circuit(noise: NoiseParams | None = None) -> ExpansionCir
     T'(beta) and every CZ the controlled phase e^{i(pi-gamma)}.
     """
     p = noise if noise is not None else NoiseParams()
-    h, tp, cp = hadamard(p.alpha), t_prime(p.beta), controlled_phase(p.gamma)
-    layout = [
-        (tp, (1,)),
-        (cp, (0, 1)),
-        (tp, (1,)),
-        (h, (0,)),
-        (cp, (0, 1)),
-        (h, (0,)),
-        (h, (2,)),
-        (cp, (1, 2)),
-        (h, (2,)),
-        (h, (1,)),
-        (cp, (1, 2)),
-        (h, (1,)),
-    ]
-    circuit = ExpansionCircuit(
-        tuple(CircuitStep(g, t, k + 1) for k, (g, t) in enumerate(layout))
+    circuit = expansion_circuit_from_gates(
+        hadamard(p.alpha), t_prime(p.beta), controlled_phase(p.gamma)
     )
     if p.is_ideal:
         dev = float(np.max(np.abs(circuit.matrix() - EXPANSION_MATRIX)))
         if dev > 1e-12:
             raise RuntimeError(f"ideal circuit drifted from the expansion matrix by {dev!r}")
     return circuit
+
+
+def expansion_unitaries(alpha, beta, gamma) -> np.ndarray:
+    """Composed 8x8s of the 12-gate circuit at k noise points, shape (k, 8, 8).
+
+    ``alpha``, ``beta`` and ``gamma`` broadcast to one length-k axis; point
+    j is ``standard_expansion_circuit(NoiseParams(alpha[j], beta[j],
+    gamma[j])).matrix()`` up to rounding (within 1e-15).  No gate or 8x8
+    embedding is built: the partial products are held as an (8, 8, k)
+    stack, a rotation [[cos, sin], [sin, -cos]] on slot t mixes the two
+    halves of that slot's row axis, and a controlled phase scales the rows
+    where both of its slots are |1>.
+    """
+    alpha, beta, gamma = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (alpha, beta, gamma))
+    )
+    if alpha.ndim != 1:
+        raise ValueError(f"noise angles must broadcast to one axis, got shape {alpha.shape}")
+    k = alpha.shape[0]
+    cos_sin = {
+        kind: (np.cos(theta), np.sin(theta))
+        for kind, theta in (("h", HADAMARD_ANGLE - alpha), ("tp", T_PRIME_ANGLE - beta))
+    }
+    phase = -np.exp(-1j * gamma)
+    u = np.eye(8, dtype=complex)[:, :, None] * np.ones(k)
+    for kind, targets in EXPANSION_LAYOUT:
+        if kind == "cp":
+            # Slot t is bit 2 - t of the row index.
+            rows = [i for i in range(8) if all((i >> (2 - t)) & 1 for t in targets)]
+            u[rows] *= phase
+        else:
+            c, s = cos_sin[kind]
+            halves = u.reshape(1 << targets[0], 2, -1, k)
+            u0, u1 = halves[:, 0], halves[:, 1]
+            u = np.stack([c * u0 + s * u1, s * u0 - c * u1], axis=1).reshape(8, 8, k)
+    return np.ascontiguousarray(np.moveaxis(u, -1, 0))
 
 
 @functools.lru_cache(maxsize=4)
@@ -234,8 +299,15 @@ def build_w_state(n: int) -> StateVector:
 
 
 def _require_zero_slot(state: StateVector, qubit: int, slot: str) -> None:
-    rho = partial_trace(state, {qubit}).entries
-    if float(np.max(np.abs(rho - np.array([[1.0, 0.0], [0.0, 0.0]])))) > 1e-10:
+    # The qubit's reduced 2x2, read straight from the |0> and |1> slices of
+    # its axis: rho = [[p0, c], [c*, p1]] with c = sum psi0 psi1*.
+    view = state.amplitudes.reshape(1 << qubit, 2, -1)
+    psi0, psi1 = view[:, 0], view[:, 1]
+    p0 = np.vdot(psi0, psi0).real
+    p1 = np.vdot(psi1, psi1).real
+    c = np.vdot(psi1, psi0)
+    rho = np.array([[p0, c], [np.conj(c), p1]], dtype=complex)
+    if not float(np.max(np.abs(rho - np.array([[1.0, 0.0], [0.0, 0.0]])))) <= 1e-10:
         raise AncillaStateError(slot, rho)
 
 

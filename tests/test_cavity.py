@@ -116,3 +116,11 @@ def test_params_validation():
         CavityParams(0, 0, 0, 1.0, 1.0, -1.0)
     with pytest.raises(ValueError):
         CavityParams(0, 0, 0, -0.1, 1.0, 1.0)
+    CavityParams(1e308, 1e308, 0.0, 1.0, 1.0, 1.0)  # finite, though the sum overflows
+    fields = ("omega_p", "omega_c", "omega_0", "g", "kappa", "gamma_decay")
+    for i, field in enumerate(fields):
+        for bad in (np.nan, np.inf, -np.inf):
+            values = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+            values[i] = bad
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                CavityParams(*values)

@@ -1,12 +1,15 @@
 """Closed-form fidelities, noisy end-to-end simulation and sweeps."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wexpand.gates import NoiseParams
 from wexpand.noise import (
     CALIBRATED_DEFINITION,
     POST_SELECTED_OVERLAP,
     REDUCED_DENSITY,
+    doubling_overlap_fidelity,
     fidelity_closed_form,
     fidelity_combined,
     fidelity_controlled_phase,
@@ -15,6 +18,7 @@ from wexpand.noise import (
     simulate_noisy_fidelity,
     sweep,
 )
+from wexpand.wcircuit import expansion_unitaries
 
 THETA_MAX = np.pi / 60.0
 
@@ -147,6 +151,10 @@ def test_simulation_rejects_bad_inputs():
         simulate_noisy_fidelity(7, NoiseParams())
     with pytest.raises(ValueError):
         simulate_noisy_fidelity(2, NoiseParams(), "made-up")
+    for field in ("alpha", "beta", "gamma"):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                NoiseParams(**{field: bad})
 
 
 def test_sweep_grid_and_endpoints():
@@ -166,6 +174,50 @@ def test_sweep_grid_and_endpoints():
 def test_sweep_rejects_single_step():
     with pytest.raises(ValueError):
         sweep(THETA_MAX, 1)
+    for n in (0, 7):
+        with pytest.raises(ValueError):
+            sweep(THETA_MAX, 5, n=n)
+
+
+def test_sweep_closed_form_columns_are_the_scalar_calls():
+    for r in sweep(THETA_MAX, 37, n=3):
+        t = r.theta
+        assert r.f_h == fidelity_hadamard(t)
+        assert r.f_tp == fidelity_t_prime(t)
+        assert r.f_cp == fidelity_controlled_phase(t)
+        assert r.f_combined == fidelity_combined(t, t, t)
+        assert type(r.f_simulated) is float and r.n == 3
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.lists(
+        st.tuples(*(st.floats(-0.5, 0.5, allow_nan=False) for _ in range(3))),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_structured_overlap_matches_the_dense_simulation(n, points):
+    alpha, beta, gamma = (np.array(x) for x in zip(*points))
+    structured = doubling_overlap_fidelity(expansion_unitaries(alpha, beta, gamma), n)
+    for f, p in zip(structured, points):
+        assert abs(f - simulate_noisy_fidelity(n, NoiseParams(*p))) < 1e-13
+
+
+def test_structured_overlap_serves_sizes_past_the_dense_cap():
+    u = expansion_unitaries(0.0, 0.0, 0.0)
+    for n in (1, 7, 1000):
+        assert abs(doubling_overlap_fidelity(u, n)[0] - 1.0) < 1e-12
+    p = NoiseParams(0.02, 0.015, 0.03)
+    noisy = expansion_unitaries(p.alpha, p.beta, p.gamma)
+    assert abs(
+        doubling_overlap_fidelity(noisy, 50)[0] - fidelity_combined(p.alpha, p.beta, p.gamma)
+    ) < 1e-12
+    with pytest.raises(ValueError):
+        doubling_overlap_fidelity(u, 0)
+    with pytest.raises(ValueError):
+        doubling_overlap_fidelity(np.eye(4), 2)
 
 
 def test_each_series_is_monotone_non_increasing_on_the_window():

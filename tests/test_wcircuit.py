@@ -29,6 +29,7 @@ from wexpand.wcircuit import (
     create_epr,
     double_w,
     expand_by_one,
+    expansion_unitaries,
     interleave_permutation,
     _expansion_unitary,
     relabel,
@@ -192,6 +193,14 @@ def test_apply_O_rejects_duplicate_slots_and_bad_ancilla():
         apply_O(basis_state("110"), 0, 1, 2)  # ancilla in |1>
     with pytest.raises(AncillaStateError):
         apply_O(basis_state("101"), 0, 1, 2)  # second input in |1>
+    # The error carries the slot's reduced state, as a partial trace gives it.
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    state = StateVector(v / np.linalg.norm(v))
+    with pytest.raises(AncillaStateError) as err:
+        apply_O(state, 0, 2, 4)
+    assert err.value.slot == "ancilla"
+    assert np.max(np.abs(err.value.reduced - partial_trace(state, {2}).entries)) < 1e-15
 
 
 def test_apply_O_order_does_not_matter_on_disjoint_triples():
@@ -222,6 +231,31 @@ def test_fused_apply_O_matches_the_12_gate_circuit(reg_slots, alpha, beta, gamma
     fused = apply_O(state, q1, anc, q2, noise, check=False)
     stepwise = standard_expansion_circuit(noise).apply(state, q1, anc, q2)
     assert np.max(np.abs(fused.amplitudes - stepwise.amplitudes)) < 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(*(st.floats(-0.5, 0.5, allow_nan=False) for _ in range(3))),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_batched_expansion_unitaries_match_the_circuit_matrix(points):
+    alpha, beta, gamma = (np.array(x) for x in zip(*points))
+    stack = expansion_unitaries(alpha, beta, gamma)
+    assert stack.shape == (len(points), 8, 8)
+    for u, p in zip(stack, points):
+        dense = standard_expansion_circuit(NoiseParams(*p)).matrix()
+        assert np.max(np.abs(u - dense)) < 1e-14
+
+
+def test_batched_expansion_unitaries_broadcast_scalars_and_reject_grids():
+    u = expansion_unitaries(0.0, [0.0, 0.01], 0.0)
+    assert u.shape == (2, 8, 8)
+    assert np.max(np.abs(u[0] - EXPANSION_MATRIX)) < 1e-14
+    with pytest.raises(ValueError):
+        expansion_unitaries(np.zeros((2, 2)), 0.0, 0.0)
 
 
 def test_cached_expansion_unitary_is_the_read_only_operator():
