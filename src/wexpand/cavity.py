@@ -20,6 +20,11 @@ phase shifter on the output path, the reflection implements a controlled-Z
 between spin and photon.
 
 Only frequency differences and rate ratios matter; any shared unit works.
+
+`reflection_grid` evaluates both coefficients, their phases and the CZ
+judgment over a whole (detuning, g) grid at once; `phase_pair` and
+`cz_quality` read it at a single point.  `reflection_coupled` and
+`reflection_uncoupled` stay as its scalar oracle.
 """
 from __future__ import annotations
 
@@ -41,16 +46,10 @@ class CavityParams:
     gamma_decay: float
 
     def __post_init__(self):
-        # cavity-sweep builds one instance per grid point, so the common case
-        # costs one sum: it is finite whenever every field is, unless it
-        # overflows, and only then does the per-field loop run.
-        if not math.isfinite(
-            self.omega_p + self.omega_c + self.omega_0 + self.g + self.kappa + self.gamma_decay
-        ):
-            for name in ("omega_p", "omega_c", "omega_0", "g", "kappa", "gamma_decay"):
-                value = getattr(self, name)
-                if not math.isfinite(value):
-                    raise ValueError(f"{name} must be finite, got {value!r}")
+        for name in ("omega_p", "omega_c", "omega_0", "g", "kappa", "gamma_decay"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.kappa <= 0.0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
         if self.gamma_decay <= 0.0:
@@ -88,7 +87,10 @@ class CzQuality:
 
 
 def reflection_coupled(p: CavityParams) -> complex:
-    """Reflection coefficient with the emitter coupled to the cavity."""
+    """Reflection coefficient with the emitter coupled to the cavity.
+
+    The scalar oracle of `reflection_grid`, which reproduces it bit for bit.
+    """
     dc = 1j * (p.omega_c - p.omega_p)
     de = 1j * (p.omega_0 - p.omega_p)
     num = (dc - p.kappa / 2.0) * (de + p.gamma_decay / 2.0) + p.g**2
@@ -99,7 +101,10 @@ def reflection_coupled(p: CavityParams) -> complex:
 
 
 def reflection_uncoupled(p: CavityParams) -> complex:
-    """Bare-cavity reflection coefficient; unit modulus at any detuning."""
+    """Bare-cavity reflection coefficient; unit modulus at any detuning.
+
+    The scalar oracle of `reflection_grid`, which reproduces it bit for bit.
+    """
     dc = 1j * (p.omega_c - p.omega_p)
     den = dc + p.kappa / 2.0
     if abs(den) < 1e-300:
@@ -107,16 +112,174 @@ def reflection_uncoupled(p: CavityParams) -> complex:
     return complex((dc - p.kappa / 2.0) / den)
 
 
-def phase_pair(p: CavityParams) -> PhasePair:
-    """Arguments of the coupled and uncoupled reflection coefficients."""
-    return PhasePair(
-        phi=float(np.angle(reflection_coupled(p))),
-        phi_0=float(np.angle(reflection_uncoupled(p))),
+@dataclass(frozen=True)
+class ReflectionGrid:
+    """Reflection coefficients, phases and CZ judgment at every grid point.
+
+    Every field has the broadcast shape of the grid's inputs.  The errors
+    are how far phi is from 0, phi_0 from pi and |r| from 1; `cz_pass`
+    holds where all three stay under their thresholds.
+    """
+
+    r: np.ndarray
+    r_0: np.ndarray
+    phi: np.ndarray
+    phi_0: np.ndarray
+    phi_error: np.ndarray
+    phi0_error: np.ndarray
+    modulus_error: np.ndarray
+    cz_pass: np.ndarray
+
+
+def _complex_quotient(a_re, a_im, b_re, b_im):
+    """(a_re + i a_im) / (b_re + i b_im) with CPython's `_Py_c_quot`.
+
+    Smith's algorithm: divide through by whichever of b's parts is larger
+    in magnitude; a NaN in b gives NaN.  numpy's complex division rounds
+    differently, so the grid does its own.
+    """
+    real_larger = np.abs(b_re) >= np.abs(b_im)
+    imag_larger = np.abs(b_im) >= np.abs(b_re)
+    ratio = b_im / b_re
+    denom = b_re + b_im * ratio
+    re_1 = (a_re + a_im * ratio) / denom
+    im_1 = (a_im - a_re * ratio) / denom
+    ratio = b_re / b_im
+    denom = b_re * ratio + b_im
+    re_2 = (a_re * ratio + a_im) / denom
+    im_2 = (a_im * ratio - a_re) / denom
+    return (
+        np.where(real_larger, re_1, np.where(imag_larger, re_2, np.nan)),
+        np.where(real_larger, im_1, np.where(imag_larger, im_2, np.nan)),
     )
 
 
-def _wrap(angle: float) -> float:
-    return float((angle + np.pi) % (2.0 * np.pi) - np.pi)
+def _square(v: float) -> float:
+    # A Python float's pow raises where numpy's scalar pow returns inf.
+    try:
+        return v**2
+    except OverflowError:
+        return math.inf
+
+
+def _wrap(angle):
+    return (angle + np.pi) % (2.0 * np.pi) - np.pi
+
+
+def reflection_grid(
+    detuning,
+    g,
+    gamma_decay: float,
+    *,
+    kappa: float = 1.0,
+    emitter_detuning=None,
+    phase_tol: float = 0.01,
+    modulus_tol: float = 0.02,
+) -> ReflectionGrid:
+    """Coupled and uncoupled reflection, phases and CZ judgment over a grid.
+
+    `detuning` is w_C - w_p and `emitter_detuning` is w_0 - w_p (by
+    default equal to `detuning`: emitter and cavity co-resonant); they
+    broadcast against the coupling `g`.  Each point equals
+    `reflection_coupled`, `reflection_uncoupled` and their `np.angle` at
+    the same parameters bit for bit: the complex arithmetic is written out
+    on real and imaginary parts in CPython's order of operations (a float
+    operand promoted to complex, so signed zeros survive), and g^2 uses
+    the same libm `pow` as the scalar `p.g**2`, which differs from `g * g`
+    in the last bit for some g.
+
+    Raises ValueError, naming the first offending grid point, for
+    non-finite or negative inputs, a vanishing denominator, or a
+    reflection that overflows to a non-finite value.
+    """
+    for name, rate in (("kappa", kappa), ("gamma_decay", gamma_decay)):
+        if not math.isfinite(rate):
+            raise ValueError(f"{name} must be finite, got {rate!r}")
+        if rate <= 0.0:
+            raise ValueError(f"{name} must be positive, got {rate}")
+    coresonant = emitter_detuning is None
+    g = np.asarray(g, dtype=float)
+    values = g.ravel().tolist()
+    try:
+        squares = [v**2 for v in values]
+    except OverflowError:
+        squares = [_square(v) for v in values]
+    x_c, x_e, g, g2 = np.broadcast_arrays(
+        np.asarray(detuning, dtype=float),
+        np.asarray(detuning if coresonant else emitter_detuning, dtype=float),
+        g,
+        np.array(squares).reshape(g.shape),
+    )
+
+    def fail(message: str, bad: np.ndarray):
+        k = int(np.argmax(bad))
+        point = f"detuning {float(x_c.flat[k])!r}, g {float(g.flat[k])!r}"
+        if not coresonant:
+            point += f", emitter detuning {float(x_e.flat[k])!r}"
+        raise ValueError(f"{message} at the grid point with {point}")
+
+    for name, values in (("detuning", x_c), ("emitter detuning", x_e), ("g", g)):
+        finite = np.isfinite(values)
+        if not finite.all():
+            fail(f"{name} must be finite", ~finite)
+    if (g < 0.0).any():
+        fail("g must be nonnegative", g < 0.0)
+
+    k2 = kappa / 2.0
+    with np.errstate(all="ignore"):
+        # 1j * x as complex(0, 1) * complex(x, 0); then dc -+ kappa/2 and
+        # de + gamma_decay/2, each float promoted to complex.
+        dc_re, dc_im = 0.0 * x_c - 0.0, 0.0 + x_c
+        a_re, a_im = dc_re - k2, dc_im - 0.0
+        c_re, c_im = dc_re + k2, dc_im + 0.0
+        b_re, b_im = (0.0 * x_e - 0.0) + gamma_decay / 2.0, (0.0 + x_e) + 0.0
+        num_re, num_im = (a_re * b_re - a_im * b_im) + g2, (a_re * b_im + a_im * b_re) + 0.0
+        den_re, den_im = (c_re * b_re - c_im * b_im) + g2, (c_re * b_im + c_im * b_re) + 0.0
+        for re, im in ((den_re, den_im), (c_re, c_im)):
+            vanished = np.hypot(re, im) < 1e-300
+            if vanished.any():
+                fail("reflection denominator vanished (unphysical parameters)", vanished)
+        r_re, r_im = _complex_quotient(num_re, num_im, den_re, den_im)
+        r0_re, r0_im = _complex_quotient(a_re, a_im, c_re, c_im)
+        finite = np.isfinite(r_re) & np.isfinite(r_im) & np.isfinite(r0_re) & np.isfinite(r0_im)
+        if not finite.all():
+            fail("reflection is not finite", ~finite)
+        phi = np.arctan2(r_im, r_re)
+        phi_0 = np.arctan2(r0_im, r0_re)
+        phi_error = np.abs(_wrap(phi))
+        phi0_error = np.abs(_wrap(phi_0 - np.pi))
+        modulus_error = np.abs(np.hypot(r_re, r_im) - 1.0)
+    r = np.empty(g.shape, dtype=complex)
+    r.real, r.imag = r_re, r_im
+    r_0 = np.empty(g.shape, dtype=complex)
+    r_0.real, r_0.imag = r0_re, r0_im
+    return ReflectionGrid(
+        r=r,
+        r_0=r_0,
+        phi=phi,
+        phi_0=phi_0,
+        phi_error=phi_error,
+        phi0_error=phi0_error,
+        modulus_error=modulus_error,
+        cz_pass=(phi_error < phase_tol) & (phi0_error < phase_tol) & (modulus_error < modulus_tol),
+    )
+
+
+def _reflection_at(p: CavityParams, **thresholds) -> ReflectionGrid:
+    return reflection_grid(
+        p.omega_c - p.omega_p,
+        p.g,
+        p.gamma_decay,
+        kappa=p.kappa,
+        emitter_detuning=p.omega_0 - p.omega_p,
+        **thresholds,
+    )
+
+
+def phase_pair(p: CavityParams) -> PhasePair:
+    """Arguments of the coupled and uncoupled reflection coefficients."""
+    grid = _reflection_at(p)
+    return PhasePair(phi=float(grid.phi), phi_0=float(grid.phi_0))
 
 
 def cz_quality(
@@ -130,20 +293,13 @@ def cz_quality(
     point g = 5 sqrt(kappa * gamma_decay) pass marginally on resonance.
     Also reports whether g exceeds that strong-coupling bound.
     """
-    r = reflection_coupled(p)
-    r0 = reflection_uncoupled(p)
-    phi_error = abs(_wrap(float(np.angle(r))))
-    phi0_error = abs(_wrap(float(np.angle(r0)) - np.pi))
-    modulus_error = abs(abs(r) - 1.0)
-    passed = (
-        phi_error < phase_tol and phi0_error < phase_tol and modulus_error < modulus_tol
-    )
+    grid = _reflection_at(p, phase_tol=phase_tol, modulus_tol=modulus_tol)
     return CzQuality(
-        phi_error=phi_error,
-        phi0_error=phi0_error,
-        modulus_error=modulus_error,
+        phi_error=float(grid.phi_error),
+        phi0_error=float(grid.phi0_error),
+        modulus_error=float(grid.modulus_error),
         strong_coupling=p.g > 5.0 * np.sqrt(p.kappa * p.gamma_decay),
-        passed=passed,
+        passed=bool(grid.cz_pass),
         phase_tol=phase_tol,
         modulus_tol=modulus_tol,
     )

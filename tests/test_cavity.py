@@ -1,14 +1,23 @@
 """Cavity reflection coefficients, phases and CZ-quality judgments."""
+import struct
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wexpand.cavity import (
     CavityParams,
     cz_quality,
     phase_pair,
     reflection_coupled,
+    reflection_grid,
     reflection_uncoupled,
 )
+
+# libm pow(g, 2) differs from g * g in the last bit at this g.
+POW_DIFFERS_FROM_PRODUCT = 2.3306818516602865
 
 
 def test_resonant_coupled_formula_across_g_grid():
@@ -124,3 +133,113 @@ def test_params_validation():
             values[i] = bad
             with pytest.raises(ValueError, match=f"^{field} must be finite"):
                 CavityParams(*values)
+
+
+# ---------------------------------------------------------------------------
+# reflection_grid: the vectorised kernel against the scalar oracle
+# ---------------------------------------------------------------------------
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _wrap(angle: float) -> float:
+    return float((angle + np.pi) % (2.0 * np.pi) - np.pi)
+
+
+def _scalar_cz_pass(r: complex, r0: complex, phase_tol=0.01, modulus_tol=0.02) -> bool:
+    """The CZ judgment written on Python scalars, as the kernel must reproduce it."""
+    return (
+        abs(_wrap(float(np.angle(r)))) < phase_tol
+        and abs(_wrap(float(np.angle(r0)) - np.pi)) < phase_tol
+        and abs(abs(r) - 1.0) < modulus_tol
+    )
+
+
+_detunings = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+_couplings = st.one_of(
+    st.sampled_from([0.0, 5.0, POW_DIFFERS_FROM_PRODUCT]),
+    st.floats(0.0, 50.0, allow_nan=False),
+)
+_rates = st.one_of(st.just(1.0), st.floats(1e-3, 1e3))
+
+
+@settings(max_examples=60, deadline=None)
+@example([0.0, -0.0, 1.5], [0.0, POW_DIFFERS_FROM_PRODUCT], 1.0, 1.0, None)
+@given(
+    st.lists(_detunings, min_size=1, max_size=6),
+    st.lists(_couplings, min_size=1, max_size=6),
+    _rates,
+    _rates,
+    st.one_of(st.none(), _detunings),
+)
+def test_reflection_grid_equals_the_scalar_oracle_bit_for_bit(
+    detunings, couplings, gamma_decay, kappa, emitter_detuning
+):
+    grid = reflection_grid(
+        np.array(detunings)[:, None],
+        np.array(couplings)[None, :],
+        gamma_decay,
+        kappa=kappa,
+        emitter_detuning=emitter_detuning,
+    )
+    assert grid.r.shape == grid.cz_pass.shape == (len(detunings), len(couplings))
+    for i, d in enumerate(detunings):
+        for j, g in enumerate(couplings):
+            e = d if emitter_detuning is None else emitter_detuning
+            p = CavityParams(0.0, d, e, g, kappa, gamma_decay)
+            r, r0 = reflection_coupled(p), reflection_uncoupled(p)
+            pair = phase_pair(p)
+            expected = [r.real, r.imag, r0.real, r0.imag, float(np.angle(r)), float(np.angle(r0))]
+            got = [
+                grid.r[i, j].real, grid.r[i, j].imag, grid.r_0[i, j].real,
+                grid.r_0[i, j].imag, grid.phi[i, j], grid.phi_0[i, j],
+            ]
+            assert [_bits(x) for x in got] == [_bits(x) for x in expected]
+            assert [_bits(pair.phi), _bits(pair.phi_0)] == [_bits(x) for x in expected[4:]]
+            assert bool(grid.cz_pass[i, j]) == _scalar_cz_pass(r, r0)
+            assert cz_quality(p).passed == _scalar_cz_pass(r, r0)
+
+
+def test_cz_quality_reports_the_scalar_errors():
+    for d, g in ((0.0, 5.0), (0.3, 7.0), (-2.0, 0.4), (0.0, 0.0)):
+        p = CavityParams(0.0, d, d, g, 1.0, 1.0)
+        r, r0 = reflection_coupled(p), reflection_uncoupled(p)
+        q = cz_quality(p, phase_tol=0.05, modulus_tol=0.1)
+        assert q.phi_error == abs(_wrap(float(np.angle(r))))
+        assert q.phi0_error == abs(_wrap(float(np.angle(r0)) - np.pi))
+        assert q.modulus_error == abs(abs(r) - 1.0)
+        assert q.passed == _scalar_cz_pass(r, r0, 0.05, 0.1)
+        assert (q.phase_tol, q.modulus_tol) == (0.05, 0.1)
+
+
+def test_reflection_grid_at_a_single_point_is_zero_dimensional():
+    grid = reflection_grid(0.0, 5.0, 1.0)
+    assert grid.r.shape == grid.cz_pass.shape == ()
+    assert grid.r == 99.0 / 101.0 and bool(grid.cz_pass)
+
+
+@pytest.mark.parametrize(
+    "detuning, g, gamma_decay, kwargs, message",
+    [
+        ([0.0, np.nan], [1.0], 1.0, {}, r"^detuning must be finite.*detuning nan"),
+        ([0.0], [1.0, np.inf], 1.0, {}, r"^g must be finite.*g inf"),
+        ([0.0], [0.0], 1.0, {"emitter_detuning": -np.inf}, r"^emitter detuning must be finite"),
+        ([0.0], [0.5, -1.0], 1.0, {}, r"^g must be nonnegative.*g -1\.0"),
+        ([0.0], [1.0], 0.0, {}, r"^gamma_decay must be positive"),
+        ([0.0], [1.0], np.nan, {}, r"^gamma_decay must be finite"),
+        ([0.0], [1.0], 1.0, {"kappa": -1.0}, r"^kappa must be positive"),
+        ([0.0], [0.0], 1e-310, {}, r"^reflection denominator vanished.*detuning 0\.0, g 0\.0"),
+        ([2.0], [0.0, 1e200], 1.0, {}, r"^reflection is not finite.*detuning 2\.0, g 1e\+200"),
+    ],
+)
+def test_reflection_grid_rejects_bad_points_by_name_without_warnings(
+    detuning, g, gamma_decay, kwargs, message
+):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            reflection_grid(np.array(detuning)[:, None], np.array(g)[None, :], gamma_decay, **kwargs)

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, CSV contracts, determinism."""
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +186,31 @@ def test_cavity_sweep_header(tmp_path):
     main(["cavity-sweep", "--g-steps", "3", "--out", str(out)])
     with open(out) as fh:
         assert fh.readline().strip() == "detuning,g_ratio,re_r,im_r,phi,phi_0,cz_pass"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # g^2 overflows, so r = inf/inf: the parent wrote two NaN rows.
+        (["--g-min=0", "--g-max=1e200", "--g-steps", "3"],
+         "reflection is not finite at the grid point with detuning 0.0, g 5e+199"),
+        (["--g-min=-1"], "g must be nonnegative"),
+        # The linspace step overflows although both ends are finite.
+        (["--g-min=-1e308", "--g-max=1e308", "--g-steps", "3"], "g must be finite"),
+        (["--detuning-min=-1e308", "--detuning-max=1e308", "--detuning-steps", "3"],
+         "detuning must be finite"),
+    ],
+)
+def test_cavity_sweep_rejects_bad_grid_points_with_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "cav.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["cavity-sweep", *argv, "--out", str(out)]) == 2
+    assert not caught
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Warning" not in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
