@@ -90,11 +90,16 @@ def reflection_coupled(p: CavityParams) -> complex:
     """Reflection coefficient with the emitter coupled to the cavity.
 
     The scalar oracle of `reflection_grid`, which reproduces it bit for bit.
+    Every real operand is made complex first (`complex(x)` is x + 0j), so
+    the rounding and the sign of each zero are the same on every CPython:
+    3.14 combines a float with a complex number by the C99 mixed-mode
+    rules, where earlier versions promote the float to complex.
     """
-    dc = 1j * (p.omega_c - p.omega_p)
-    de = 1j * (p.omega_0 - p.omega_p)
-    num = (dc - p.kappa / 2.0) * (de + p.gamma_decay / 2.0) + p.g**2
-    den = (dc + p.kappa / 2.0) * (de + p.gamma_decay / 2.0) + p.g**2
+    dc = 1j * complex(p.omega_c - p.omega_p)
+    de = 1j * complex(p.omega_0 - p.omega_p)
+    b = de + complex(p.gamma_decay / 2.0)
+    num = (dc - complex(p.kappa / 2.0)) * b + complex(p.g**2)
+    den = (dc + complex(p.kappa / 2.0)) * b + complex(p.g**2)
     if abs(den) < 1e-300:
         raise ValueError("reflection denominator vanished (unphysical parameters)")
     return complex(num / den)
@@ -103,13 +108,14 @@ def reflection_coupled(p: CavityParams) -> complex:
 def reflection_uncoupled(p: CavityParams) -> complex:
     """Bare-cavity reflection coefficient; unit modulus at any detuning.
 
-    The scalar oracle of `reflection_grid`, which reproduces it bit for bit.
+    The scalar oracle of `reflection_grid`, which reproduces it bit for bit;
+    real operands are made complex first, as in `reflection_coupled`.
     """
-    dc = 1j * (p.omega_c - p.omega_p)
-    den = dc + p.kappa / 2.0
+    dc = 1j * complex(p.omega_c - p.omega_p)
+    den = dc + complex(p.kappa / 2.0)
     if abs(den) < 1e-300:
         raise ValueError("reflection denominator vanished (unphysical parameters)")
-    return complex((dc - p.kappa / 2.0) / den)
+    return complex((dc - complex(p.kappa / 2.0)) / den)
 
 
 @dataclass(frozen=True)
@@ -129,6 +135,19 @@ class ReflectionGrid:
     phi0_error: np.ndarray
     modulus_error: np.ndarray
     cz_pass: np.ndarray
+
+
+class GridPointError(ValueError):
+    """A point of a `reflection_grid` grid cannot be evaluated.
+
+    `reason` says what is wrong and `index` is the point's index in the
+    broadcast grid, so a caller can name the point in its own terms.
+    """
+
+    def __init__(self, reason: str, index: tuple[int, ...], point: str):
+        super().__init__(f"{reason} at the grid point with {point}")
+        self.reason = reason
+        self.index = index
 
 
 def _complex_quotient(a_re, a_im, b_re, b_im):
@@ -155,7 +174,7 @@ def _complex_quotient(a_re, a_im, b_re, b_im):
 
 
 def _square(v: float) -> float:
-    # A Python float's pow raises where numpy's scalar pow returns inf.
+    # The oracle's libm `p.g**2`; a Python float raises on overflow.
     try:
         return v**2
     except OverflowError:
@@ -183,14 +202,15 @@ def reflection_grid(
     broadcast against the coupling `g`.  Each point equals
     `reflection_coupled`, `reflection_uncoupled` and their `np.angle` at
     the same parameters bit for bit: the complex arithmetic is written out
-    on real and imaginary parts in CPython's order of operations (a float
-    operand promoted to complex, so signed zeros survive), and g^2 uses
-    the same libm `pow` as the scalar `p.g**2`, which differs from `g * g`
-    in the last bit for some g.
+    on real and imaginary parts in their order of operations (each real
+    operand made complex, so signed zeros survive), and g^2 uses the same
+    libm `pow` as the scalar `p.g**2`, which differs from `g * g` in the
+    last bit for some g.
 
-    Raises ValueError, naming the first offending grid point, for
-    non-finite or negative inputs, a vanishing denominator, or a
-    reflection that overflows to a non-finite value.
+    Raises ValueError for non-finite rates; and GridPointError (a
+    ValueError), naming the first offending grid point, for non-finite
+    or negative grid inputs, a vanishing denominator, or a reflection
+    that overflows to a non-finite value.
     """
     for name, rate in (("kappa", kappa), ("gamma_decay", gamma_decay)):
         if not math.isfinite(rate):
@@ -199,24 +219,20 @@ def reflection_grid(
             raise ValueError(f"{name} must be positive, got {rate}")
     coresonant = emitter_detuning is None
     g = np.asarray(g, dtype=float)
-    values = g.ravel().tolist()
-    try:
-        squares = [v**2 for v in values]
-    except OverflowError:
-        squares = [_square(v) for v in values]
     x_c, x_e, g, g2 = np.broadcast_arrays(
         np.asarray(detuning, dtype=float),
         np.asarray(detuning if coresonant else emitter_detuning, dtype=float),
         g,
-        np.array(squares).reshape(g.shape),
+        np.array([_square(v) for v in g.ravel().tolist()]).reshape(g.shape),
     )
 
-    def fail(message: str, bad: np.ndarray):
+    def fail(reason: str, bad: np.ndarray):
         k = int(np.argmax(bad))
         point = f"detuning {float(x_c.flat[k])!r}, g {float(g.flat[k])!r}"
         if not coresonant:
             point += f", emitter detuning {float(x_e.flat[k])!r}"
-        raise ValueError(f"{message} at the grid point with {point}")
+        index = tuple(int(i) for i in np.unravel_index(k, g.shape))
+        raise GridPointError(reason, index, point)
 
     for name, values in (("detuning", x_c), ("emitter detuning", x_e), ("g", g)):
         finite = np.isfinite(values)
@@ -227,8 +243,8 @@ def reflection_grid(
 
     k2 = kappa / 2.0
     with np.errstate(all="ignore"):
-        # 1j * x as complex(0, 1) * complex(x, 0); then dc -+ kappa/2 and
-        # de + gamma_decay/2, each float promoted to complex.
+        # 1j * complex(x) as complex(0, 1) * complex(x, 0); then dc -+ kappa/2
+        # and de + gamma_decay/2, each real made complex as in the oracle.
         dc_re, dc_im = 0.0 * x_c - 0.0, 0.0 + x_c
         a_re, a_im = dc_re - k2, dc_im - 0.0
         c_re, c_im = dc_re + k2, dc_im + 0.0

@@ -8,7 +8,6 @@ config file passed via --config; flags win on conflict.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -71,18 +70,11 @@ def _fmt(x) -> str:
     return _FLOAT_FMT.format(float(x))
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
-
-
 def _write_rows(path: str, header: list[str], row_format: str, rows) -> None:
-    """Write a CSV of numeric rows with one %-format string per row.
+    """Write a CSV with one %-format string per row.
 
-    `%.17g` and `%d` give the bytes `_fmt` gives a float and an int or bool.
+    `%.17g` and `%d` give the bytes `_fmt` gives a float and an int or bool;
+    a `%s` cell must be a string that needs no CSV quoting.
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
@@ -418,7 +410,7 @@ def cmd_prepare(args) -> int:
         for idx in kept:
             amp = amps[idx]
             bits = format(idx, f"0{nbits}b")
-            rows.append([stage, idx, bits, bits.translate(labels), amp.real, amp.imag])
+            rows.append((stage, idx, bits, bits.translate(labels), amp.real, amp.imag))
 
     if args.trace:
         grown = build_w_state(plan.n)
@@ -427,7 +419,12 @@ def cmd_prepare(args) -> int:
             grown = expand_by_one(grown, 2 * i)
             add_rows(f"round_{i + 1}", grown)
     add_rows("final", out_state)
-    _write_csv(args.out, ["stage", "index", "basis", "label", "re", "im"], rows)
+    _write_rows(
+        args.out,
+        ["stage", "index", "basis", "label", "re", "im"],
+        "%s,%d,%s,%s,%.17g,%.17g\n",
+        rows,
+    )
 
     rendering = relabel(out_state, role)
     print(rendering.text)
@@ -468,7 +465,14 @@ def cmd_cavity_sweep(args) -> int:
         g = g_ratios * np.sqrt(args.gamma_decay)
     # Detuning is w_C - w_p in units of kappa; cavity and emitter stay
     # co-resonant.  Rows run detuning-major.
-    grid = cav.reflection_grid(detunings[:, None], g[None, :], args.gamma_decay)
+    try:
+        grid = cav.reflection_grid(detunings[:, None], g[None, :], args.gamma_decay)
+    except cav.GridPointError as err:
+        i, j = err.index
+        raise ValueError(
+            f"{err.reason} at the grid point with detuning {float(detunings[i])!r}, "
+            f"g_ratio {float(g_ratios[j])!r} (g = {float(g[j])!r})"
+        ) from None
     # The detuning, g_ratio and phi_0 cells repeat along an axis (the
     # uncoupled phase depends on the detuning alone): format each once.
     n_g = g_ratios.size

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from wexpand.cavity import (
     CavityParams,
+    GridPointError,
     cz_quality,
     phase_pair,
     reflection_coupled,
@@ -243,3 +244,13 @@ def test_reflection_grid_rejects_bad_points_by_name_without_warnings(
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
             reflection_grid(np.array(detuning)[:, None], np.array(g)[None, :], gamma_decay, **kwargs)
+
+
+def test_reflection_grid_error_gives_the_reason_and_index_of_the_point():
+    with pytest.raises(GridPointError) as info:
+        reflection_grid(np.array([0.0, 2.0])[:, None], np.array([1.0, 1e200])[None, :], 1.0)
+    assert info.value.reason == "reflection is not finite"
+    assert info.value.index == (0, 1)
+    assert str(info.value) == (
+        "reflection is not finite at the grid point with detuning 0.0, g 1e+200"
+    )

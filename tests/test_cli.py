@@ -193,7 +193,13 @@ def test_cavity_sweep_header(tmp_path):
     [
         # g^2 overflows, so r = inf/inf: the parent wrote two NaN rows.
         (["--g-min=0", "--g-max=1e200", "--g-steps", "3"],
-         "reflection is not finite at the grid point with detuning 0.0, g 5e+199"),
+         "reflection is not finite at the grid point with detuning 0.0, g_ratio 5e+199 (g = 5e+199)"),
+        # The point is named by the g_ratio given on the command line; g is
+        # g_ratio * sqrt(gamma_decay).
+        (["--g-min=0", "--g-max=1e200", "--g-steps", "3", "--gamma-decay", "4"],
+         "reflection is not finite at the grid point with detuning 0.0, g_ratio 5e+199 (g = 1e+200)"),
+        (["--g-min=0", "--g-max=1e200", "--g-steps", "2", "--gamma-decay", "1e300"],
+         "g must be finite at the grid point with detuning 0.0, g_ratio 1e+200 (g = inf)"),
         (["--g-min=-1"], "g must be nonnegative"),
         # The linspace step overflows although both ends are finite.
         (["--g-min=-1e308", "--g-max=1e308", "--g-steps", "3"], "g must be finite"),
