@@ -94,15 +94,22 @@ def reflection_coupled(p: CavityParams) -> complex:
     the rounding and the sign of each zero are the same on every CPython:
     3.14 combines a float with a complex number by the C99 mixed-mode
     rules, where earlier versions promote the float to complex.
+
+    Raises ValueError if the denominator vanishes or the reflection is not
+    finite (g^2 overflows past g ~ 1.34e154, whatever the type of g).
     """
     dc = 1j * complex(p.omega_c - p.omega_p)
     de = 1j * complex(p.omega_0 - p.omega_p)
     b = de + complex(p.gamma_decay / 2.0)
-    num = (dc - complex(p.kappa / 2.0)) * b + complex(p.g**2)
-    den = (dc + complex(p.kappa / 2.0)) * b + complex(p.g**2)
+    g2 = complex(_square(float(p.g)))
+    num = (dc - complex(p.kappa / 2.0)) * b + g2
+    den = (dc + complex(p.kappa / 2.0)) * b + g2
     if abs(den) < 1e-300:
         raise ValueError("reflection denominator vanished (unphysical parameters)")
-    return complex(num / den)
+    r = complex(num / den)
+    if not (math.isfinite(r.real) and math.isfinite(r.imag)):
+        raise ValueError("reflection is not finite")
+    return r
 
 
 def reflection_uncoupled(p: CavityParams) -> complex:
@@ -174,7 +181,8 @@ def _complex_quotient(a_re, a_im, b_re, b_im):
 
 
 def _square(v: float) -> float:
-    # The oracle's libm `p.g**2`; a Python float raises on overflow.
+    # libm pow(v, 2), which a Python float's `**` calls; inf on overflow,
+    # where a Python float raises.
     try:
         return v**2
     except OverflowError:
@@ -203,9 +211,9 @@ def reflection_grid(
     `reflection_coupled`, `reflection_uncoupled` and their `np.angle` at
     the same parameters bit for bit: the complex arithmetic is written out
     on real and imaginary parts in their order of operations (each real
-    operand made complex, so signed zeros survive), and g^2 uses the same
-    libm `pow` as the scalar `p.g**2`, which differs from `g * g` in the
-    last bit for some g.
+    operand made complex, so signed zeros survive), and g^2 is the same
+    libm `pow` (`_square`) as in the scalar code, which differs from
+    `g * g` in the last bit for some g.
 
     Raises ValueError for non-finite rates; and GridPointError (a
     ValueError), naming the first offending grid point, for non-finite

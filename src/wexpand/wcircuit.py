@@ -128,15 +128,20 @@ class ExpansionCircuit:
             )
         object.__setattr__(self, "steps", steps)
 
+    def _run(self, state: StateVector, slots: tuple[int, int, int]):
+        """Yield the state after each step, the slots on register qubits `slots`."""
+        for step in self.steps:
+            where = [slots[t] for t in step.targets]
+            if step.gate.arity == 1:
+                state = apply_1q(state, step.gate, *where)
+            else:
+                state = apply_2q(state, step.gate, *where)
+            yield state
+
     def apply(self, state: StateVector, q1: int, anc: int, q2: int) -> StateVector:
         """Run the circuit with register qubits (q1, anc, q2) in the three slots."""
-        slots = (q1, anc, q2)
-        for step in self.steps:
-            where = tuple(slots[t] for t in step.targets)
-            if step.gate.arity == 1:
-                state = apply_1q(state, step.gate, where[0])
-            else:
-                state = apply_2q(state, step.gate, where[0], where[1])
+        for state in self._run(state, (q1, anc, q2)):
+            pass
         return state
 
     def matrix(self) -> np.ndarray:
@@ -166,15 +171,7 @@ class ExpansionCircuit:
         """States of a standalone three-qubit register after each of the 12 steps."""
         if initial.num_qubits != 3:
             raise ValueError("stepwise evaluation runs on a three-qubit register")
-        states = []
-        state = initial
-        for step in self.steps:
-            if step.gate.arity == 1:
-                state = apply_1q(state, step.gate, step.targets[0])
-            else:
-                state = apply_2q(state, step.gate, step.targets[0], step.targets[1])
-            states.append(state)
-        return states
+        return list(self._run(initial, (0, 1, 2)))
 
 
 # The 12 steps of the expansion circuit as (gate kind, slots), in order, with

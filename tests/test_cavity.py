@@ -235,6 +235,10 @@ def test_reflection_grid_at_a_single_point_is_zero_dimensional():
         ([0.0], [1.0], 1.0, {"kappa": -1.0}, r"^kappa must be positive"),
         ([0.0], [0.0], 1e-310, {}, r"^reflection denominator vanished.*detuning 0\.0, g 0\.0"),
         ([2.0], [0.0, 1e200], 1.0, {}, r"^reflection is not finite.*detuning 2\.0, g 1e\+200"),
+        # A single point: the scalar oracle rejects it too, whatever the type
+        # of g (a Python float's g**2 raises, an np.float64's warns).
+        (0.0, 1e200, 1.0, {}, r"^reflection is not finite"),
+        (0.0, np.float64(1e200), 1.0, {}, r"^reflection is not finite"),
     ],
 )
 def test_reflection_grid_rejects_bad_points_by_name_without_warnings(
@@ -242,8 +246,16 @@ def test_reflection_grid_rejects_bad_points_by_name_without_warnings(
 ):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=message):
-            reflection_grid(np.array(detuning)[:, None], np.array(g)[None, :], gamma_decay, **kwargs)
+        if np.ndim(g) == 0:
+            with pytest.raises(ValueError, match=message):
+                reflection_coupled(CavityParams(0.0, detuning, detuning, g, 1.0, gamma_decay))
+            with pytest.raises(ValueError, match=message):
+                reflection_grid(detuning, g, gamma_decay, **kwargs)
+        else:
+            with pytest.raises(ValueError, match=message):
+                reflection_grid(
+                    np.array(detuning)[:, None], np.array(g)[None, :], gamma_decay, **kwargs
+                )
 
 
 def test_reflection_grid_error_gives_the_reason_and_index_of_the_point():

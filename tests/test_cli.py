@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wexpand.cli import main, run_verification
+from wexpand.cli import CHECKS, main, run_verification
 
 PI = np.pi
 
@@ -22,9 +22,12 @@ def read_csv(path):
 
 def test_verify_exits_zero_on_fresh_build(capsys):
     assert main(["verify"]) == 0
-    out = capsys.readouterr().out
-    assert "0 failures" not in out  # summary uses passed/total form
-    assert "FAIL" not in out
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL" not in "\n".join(lines)
+    # One verdict line per registry check, in order, then the passed/total count.
+    n = len(CHECKS)
+    assert [line.split(":")[0] for line in lines[:-1]] == [f"[PASS] {c.name}" for c in CHECKS]
+    assert lines[-1] == f"{n}/{n} checks passed"
 
 
 def test_verify_report_includes_w6_doubling_check(capsys):
