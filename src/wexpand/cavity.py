@@ -117,12 +117,18 @@ def reflection_uncoupled(p: CavityParams) -> complex:
 
     The scalar oracle of `reflection_grid`, which reproduces it bit for bit;
     real operands are made complex first, as in `reflection_coupled`.
+
+    Raises ValueError if the denominator vanishes or the reflection is not
+    finite (w_C - w_p overflows for finite frequencies near 1.8e308).
     """
     dc = 1j * complex(p.omega_c - p.omega_p)
     den = dc + complex(p.kappa / 2.0)
     if abs(den) < 1e-300:
         raise ValueError("reflection denominator vanished (unphysical parameters)")
-    return complex((dc - complex(p.kappa / 2.0)) / den)
+    r = complex((dc - complex(p.kappa / 2.0)) / den)
+    if not (math.isfinite(r.real) and math.isfinite(r.imag)):
+        raise ValueError("reflection is not finite")
+    return r
 
 
 @dataclass(frozen=True)

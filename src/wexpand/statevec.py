@@ -10,7 +10,13 @@ index 4.  Reshaping the amplitude array to shape (2,)*n therefore puts
 qubit k on axis k.
 
 All public values are immutable after construction; operations return new
-objects and never mutate their inputs.
+objects and never mutate their inputs.  A state's amplitude array is
+read-only.  ``StateVector`` copies the array it is given unless that array
+is sealed: read-only, and viewing only read-only arrays down to the one
+that owns its memory.  Every kernel here (``apply_unitary``, ``tensor``,
+``permute``, ``postselect_zero``, ...) seals the array it has just
+allocated, which nothing else holds, so the new state adopts it without a
+copy; a caller's writable array, or a read-only view of one, is copied.
 """
 from __future__ import annotations
 
@@ -45,6 +51,27 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _seal(a: np.ndarray) -> np.ndarray:
+    """Make a freshly allocated array, and every array it views, read-only.
+
+    Only for arrays that nothing else holds: the output of a kernel.
+    """
+    b = a
+    while isinstance(b, np.ndarray):
+        b.setflags(write=False)
+        b = b.base
+    return a
+
+
+def _sealed(a: np.ndarray) -> bool:
+    """Whether ``a`` and every array it views, down to the memory's owner, are read-only."""
+    while a is not None:
+        if not isinstance(a, np.ndarray) or a.flags.writeable:
+            return False
+        a = a.base
+    return True
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized pure state over ``num_qubits`` qubits.
@@ -56,7 +83,9 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).ravel()
+        amps = np.asarray(self.amplitudes, dtype=complex)
+        if not (amps.ndim == 1 and amps.flags.c_contiguous and _sealed(amps)):
+            amps = _readonly(amps.ravel())
         n = amps.size.bit_length() - 1
         if amps.size < 2 or amps.size != (1 << n):
             raise ValueError(
@@ -65,7 +94,9 @@ class StateVector:
         norm2 = float(np.vdot(amps, amps).real)
         if not abs(norm2 - 1.0) <= ATOL_ALGEBRA:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm2!r}")
-        object.__setattr__(self, "amplitudes", _readonly(amps))
+        object.__setattr__(self, "amplitudes", amps)
+        # Kept for the single-qubit reduction of a slot whose |1> slice is zero.
+        object.__setattr__(self, "_norm2", norm2)
 
     @property
     def num_qubits(self) -> int:
@@ -185,7 +216,7 @@ def basis_state(bits: str, num_qubits: int | None = None) -> StateVector:
         raise ValueError(f"invalid bit string {bits!r} for {num_qubits} qubits")
     amps = np.zeros(1 << num_qubits, dtype=complex)
     amps[int(bits, 2)] = 1.0
-    return StateVector(amps)
+    return StateVector(_seal(amps))
 
 
 def zero_state(num_qubits: int) -> StateVector:
@@ -194,7 +225,7 @@ def zero_state(num_qubits: int) -> StateVector:
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product; qubits of ``b`` are appended after those of ``a``."""
-    return StateVector(np.kron(a.amplitudes, b.amplitudes))
+    return StateVector(_seal(np.multiply.outer(a.amplitudes, b.amplitudes).reshape(-1)))
 
 
 def _as_matrix(gate) -> np.ndarray:
@@ -234,7 +265,7 @@ def apply_unitary(state: StateVector, matrix, qubits: Iterable[int]) -> StateVec
     psi = state.tensor_view()
     out = np.tensordot(m.reshape((2,) * (2 * k)), psi, axes=(list(range(k, 2 * k)), list(qubits)))
     out = np.moveaxis(out, list(range(k)), list(qubits))
-    return StateVector(out.reshape(-1))
+    return StateVector(_seal(out.reshape(-1)))
 
 
 def apply_1q(state: StateVector, gate, target: int) -> StateVector:
@@ -264,12 +295,31 @@ def apply_controlled(state: StateVector, gate, control: int, target: int) -> Sta
     t_ax = target - 1 if target > control else target
     sub = np.moveaxis(np.tensordot(m, sub, axes=([1], [t_ax])), 0, t_ax)
     psi[tuple(sel)] = sub
-    return StateVector(psi.reshape(-1))
+    return StateVector(_seal(psi.reshape(-1)))
 
 
 # ---------------------------------------------------------------------------
 # Reduction, extraction, overlap
 # ---------------------------------------------------------------------------
+
+def _qubit_density(state: StateVector, qubit: int) -> np.ndarray:
+    """Reduced 2x2 of one qubit: [[p0, c], [c*, p1]], with c = <psi1|psi0>.
+
+    psi0 and psi1 are the |0> and |1> slices of the qubit's axis.  A |1>
+    slice that is exactly zero, as in every fresh slot, gives
+    diag(|psi|^2, 0) with no further read; otherwise both slices are
+    gathered into one contiguous array and reduced from there.
+    """
+    view = state.amplitudes.reshape(1 << qubit, 2, -1)
+    if not view[:, 1].any():
+        return np.array([[state._norm2, 0.0], [0.0, 0.0]], dtype=complex)
+    psi0, psi1 = np.ascontiguousarray(view.transpose(1, 0, 2)).reshape(2, -1)
+    c = np.vdot(psi1, psi0)
+    return np.array(
+        [[np.vdot(psi0, psi0).real, c], [np.conj(c), np.vdot(psi1, psi1).real]],
+        dtype=complex,
+    )
+
 
 def partial_trace(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
     """Reduced density matrix over ``keep`` (ascending original order)."""
@@ -279,6 +329,8 @@ def partial_trace(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
         raise ValueError("keep-set must be nonempty")
     if kept[0] < 0 or kept[-1] >= n:
         raise ValueError(f"keep-set {kept} out of range for {n} qubits")
+    if len(kept) == 1:
+        return DensityMatrix(_qubit_density(state, kept[0]))
     traced = [q for q in range(n) if q not in kept]
     a = state.tensor_view().transpose(kept + traced).reshape(1 << len(kept), -1)
     return DensityMatrix(a @ a.conj().T)
@@ -302,7 +354,7 @@ def _phase_normalized(vec: np.ndarray) -> StateVector:
     idx = int(np.argmax(np.abs(vec) > 1e-10))
     phase = vec[idx] / abs(vec[idx])
     vec = vec * phase.conjugate()
-    return StateVector(vec / np.linalg.norm(vec))
+    return StateVector(_seal(vec / np.linalg.norm(vec)))
 
 
 def fidelity_pure(a: StateVector, b: StateVector) -> float:
@@ -326,8 +378,8 @@ def permute(state: StateVector, perm: QubitPermutation) -> StateVector:
     if perm.size != n:
         raise ValueError(f"permutation size {perm.size} != {n} qubits")
     inv = perm.inverse()
-    out = state.tensor_view().transpose(inv.map)
-    return StateVector(out.reshape(-1).copy())
+    out = state.tensor_view().transpose(inv.map).copy()
+    return StateVector(_seal(out.reshape(-1)))
 
 
 def postselect_zero(state: StateVector, qubits: Iterable[int]) -> tuple[StateVector, float]:
@@ -349,7 +401,7 @@ def postselect_zero(state: StateVector, qubits: Iterable[int]) -> tuple[StateVec
     prob = float(np.vdot(sub, sub).real)
     if prob < 1e-12:
         raise ValueError(f"projection onto |0...0> has vanishing probability {prob!r}")
-    return StateVector(sub / np.sqrt(prob)), prob
+    return StateVector(_seal(sub / np.sqrt(prob))), prob
 
 
 def operation_matrix(op: Callable[[StateVector], StateVector], num_qubits: int) -> np.ndarray:

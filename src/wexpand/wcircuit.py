@@ -32,6 +32,7 @@ from .gates import (
 from .statevec import (
     QubitPermutation,
     StateVector,
+    _qubit_density,
     apply_1q,
     apply_2q,
     apply_unitary,
@@ -296,14 +297,7 @@ def build_w_state(n: int) -> StateVector:
 
 
 def _require_zero_slot(state: StateVector, qubit: int, slot: str) -> None:
-    # The qubit's reduced 2x2, read straight from the |0> and |1> slices of
-    # its axis: rho = [[p0, c], [c*, p1]] with c = sum psi0 psi1*.
-    view = state.amplitudes.reshape(1 << qubit, 2, -1)
-    psi0, psi1 = view[:, 0], view[:, 1]
-    p0 = np.vdot(psi0, psi0).real
-    p1 = np.vdot(psi1, psi1).real
-    c = np.vdot(psi1, psi0)
-    rho = np.array([[p0, c], [np.conj(c), p1]], dtype=complex)
+    rho = _qubit_density(state, qubit)
     if not float(np.max(np.abs(rho - np.array([[1.0, 0.0], [0.0, 0.0]])))) <= 1e-10:
         raise AncillaStateError(slot, rho)
 

@@ -239,16 +239,26 @@ def test_reflection_grid_at_a_single_point_is_zero_dimensional():
         # of g (a Python float's g**2 raises, an np.float64's warns).
         (0.0, 1e200, 1.0, {}, r"^reflection is not finite"),
         (0.0, np.float64(1e200), 1.0, {}, r"^reflection is not finite"),
+        # Finite frequencies whose difference w_C - w_p overflows: the scalar
+        # oracles, the bare cavity's included, see an infinite detuning.  The
+        # grid takes the detuning itself, whose square overflows instead.
+        (1e308, 1.0, 1.0, {"omega_p": -1e308}, r"^reflection is not finite"),
     ],
 )
 def test_reflection_grid_rejects_bad_points_by_name_without_warnings(
     detuning, g, gamma_decay, kwargs, message
 ):
+    kwargs = dict(kwargs)
+    omega_p = kwargs.pop("omega_p", None)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if np.ndim(g) == 0:
+            p = CavityParams(omega_p or 0.0, detuning, detuning, g, 1.0, gamma_decay)
             with pytest.raises(ValueError, match=message):
-                reflection_coupled(CavityParams(0.0, detuning, detuning, g, 1.0, gamma_decay))
+                reflection_coupled(p)
+            if omega_p is not None:
+                with pytest.raises(ValueError, match=message):
+                    reflection_uncoupled(p)
             with pytest.raises(ValueError, match=message):
                 reflection_grid(detuning, g, gamma_decay, **kwargs)
         else:

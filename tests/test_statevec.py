@@ -324,3 +324,51 @@ def test_density_matrix_validation():
         DensityMatrix(np.array([[np.nan, 0.0], [0.0, 0.5]]))
     ok = DensityMatrix(np.eye(4, dtype=complex) / 4)
     assert abs(ok.purity() - 0.25) < 1e-12
+
+
+def test_statevector_copies_a_callers_array():
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    v /= np.linalg.norm(v)
+    kept = v.copy()
+    # A writable array, and a read-only view whose base stays writable.
+    view = v.view()
+    view.setflags(write=False)
+    states = [StateVector(v), StateVector(view), StateVector(v.reshape(2, 4))]
+    v[:] = 0.0
+    for state in states:
+        assert not state.amplitudes.flags.writeable
+        assert not np.shares_memory(state.amplitudes, v)
+        assert state.amplitudes.tobytes() == kept.tobytes()
+
+
+def _kernel_outputs(state):
+    """(name, input state, output state) for every kernel that allocates a register."""
+    n = state.num_qubits
+    yield "apply_unitary", state, apply_unitary(state, H, (n - 1,))
+    yield "apply_unitary in order", state, apply_unitary(state, np.kron(H, TP), (0, 1))
+    yield "apply_controlled", state, apply_controlled(state, H, 0, n - 1)
+    fresh = zero_state(2)
+    yield "tensor (left)", state, tensor(state, fresh)
+    yield "tensor (right)", fresh, tensor(state, fresh)
+    yield "permute", state, permute(state, QubitPermutation.swap(n, 0, n - 1))
+    yield "permute (identity)", state, permute(state, QubitPermutation.identity(n))
+    yield "postselect_zero (leading qubit)", state, postselect_zero(state, [0])[0]
+    yield "postselect_zero (last qubit)", state, postselect_zero(state, [n - 1])[0]
+
+
+def test_kernel_outputs_are_read_only_and_share_no_memory_with_their_input():
+    state = random_state(4, np.random.default_rng(12))
+    for name, inp, out in _kernel_outputs(state):
+        assert not out.amplitudes.flags.writeable, name
+        assert not np.shares_memory(out.amplitudes, inp.amplitudes), name
+        # Nothing writable stands behind the adopted array either.
+        base = out.amplitudes.base
+        while base is not None:
+            assert not base.flags.writeable, name
+            base = base.base
+
+
+def test_statevector_adopts_a_sealed_array_without_a_copy():
+    state = random_state(3, np.random.default_rng(13))
+    assert StateVector(state.amplitudes).amplitudes is state.amplitudes

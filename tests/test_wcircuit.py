@@ -1,4 +1,6 @@
 """Expansion circuit, W-state growth and the doubling protocol."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from wexpand.gates import NoiseParams, controlled_phase, hadamard, t_prime
 from wexpand.statevec import (
     QubitPermutation,
     StateVector,
+    _qubit_density,
     basis_state,
     fidelity_pure,
     partial_trace,
@@ -32,6 +35,7 @@ from wexpand.wcircuit import (
     expansion_unitaries,
     interleave_permutation,
     _expansion_unitary,
+    _require_zero_slot,
     relabel,
     standard_expansion_circuit,
 )
@@ -200,7 +204,52 @@ def test_apply_O_rejects_duplicate_slots_and_bad_ancilla():
     with pytest.raises(AncillaStateError) as err:
         apply_O(state, 0, 2, 4)
     assert err.value.slot == "ancilla"
-    assert np.max(np.abs(err.value.reduced - partial_trace(state, {2}).entries)) < 1e-15
+    assert np.max(np.abs(err.value.reduced - _gram_reduced(state, 2))) < 1e-15
+
+
+def _gram_reduced(state, qubit):
+    """A qubit's reduced 2x2 the general way: move its axis first, then a @ a^dagger.
+
+    Each entry is summed with math.fsum: at 8 qubits BLAS's own zgemm
+    rounds a diagonal entry up to 1.2e-15 away from the exact sum.
+    """
+    n = state.num_qubits
+    rest = [q for q in range(n) if q != qubit]
+    a = state.tensor_view().transpose([qubit] + rest).reshape(2, -1)
+    products = a[:, None, :] * a.conj()[None, :, :]
+    return np.array(
+        [[complex(math.fsum(p.real), math.fsum(p.imag)) for p in row] for row in products]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    fresh=st.sampled_from([None, "zero", "negative zero"]),
+)
+def test_single_qubit_reduction_matches_the_gram_oracle(n, seed, fresh):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    fresh_qubit = int(rng.integers(n)) if fresh else None
+    if fresh_qubit is not None:
+        # An exactly zero |1> slice on one qubit, with its zeros signed.
+        sign = -1.0 if fresh == "negative zero" else 1.0
+        v.reshape(1 << fresh_qubit, 2, -1)[:, 1] = complex(sign * 0.0, sign * 0.0)
+    state = StateVector(v / np.linalg.norm(v))
+    for q in range(n):
+        rho = _qubit_density(state, q)
+        assert np.max(np.abs(rho - _gram_reduced(state, q))) <= 1e-15
+        assert partial_trace(state, {q}).entries.tobytes() == rho.tobytes()
+        if q == fresh_qubit:
+            assert rho[1, 1] == 0 and rho[0, 1] == 0
+            _require_zero_slot(state, q, "ancilla")
+        else:
+            # A random slot is far from |0>: the error carries the same 2x2.
+            with pytest.raises(AncillaStateError) as err:
+                _require_zero_slot(state, q, "second input")
+            assert err.value.slot == "second input"
+            assert err.value.reduced.tobytes() == rho.tobytes()
 
 
 def test_apply_O_order_does_not_matter_on_disjoint_triples():
