@@ -23,7 +23,6 @@ from .gates import (
     NoiseParams,
     T_PRIME_ANGLE,
     controlled_phase,
-    cz,
     hadamard,
     holonomic_gate,
     hwp_gate,
@@ -37,7 +36,6 @@ from .noise import (
     REDUCED_DENSITY,
     FidelityRecord,
     doubling_overlap_fidelity,
-    fidelity_closed_form,
     fidelity_combined,
     fidelity_controlled_phase,
     fidelity_hadamard,
@@ -56,7 +54,6 @@ from .statevec import (
     apply_unitary,
     basis_state,
     extract_pure,
-    fidelity_mixed,
     fidelity_pure,
     operation_matrix,
     partial_trace,
@@ -73,7 +70,6 @@ from .wcircuit import (
     PHOTON,
     SEQUENTIAL_MODE_MAX_N,
     SPIN,
-    CircuitStep,
     DoublingPlan,
     ExpansionCircuit,
     LabeledState,
@@ -84,7 +80,6 @@ from .wcircuit import (
     create_epr,
     double_w,
     expand_by_one,
-    expansion_circuit_from_gates,
     expansion_unitaries,
     interleave_permutation,
     relabel,

@@ -105,10 +105,6 @@ def controlled_phase(gamma: float = 0.0) -> Gate:
     return Gate(m, 2, label)
 
 
-def cz() -> Gate:
-    return controlled_phase(0.0)
-
-
 @dataclass(frozen=True)
 class HolonomicParams:
     """Control parameters of the cyclic two-tone drive realizing a spin gate.

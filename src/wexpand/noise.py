@@ -86,24 +86,6 @@ def fidelity_combined(alpha: float, beta: float, gamma: float) -> float:
     return float(abs(amp) ** 2)
 
 
-_CLOSED_FORMS = {
-    "h": lambda p: fidelity_hadamard(p.alpha),
-    "tp": lambda p: fidelity_t_prime(p.beta),
-    "cp": lambda p: fidelity_controlled_phase(p.gamma),
-    "combined": lambda p: fidelity_combined(p.alpha, p.beta, p.gamma),
-}
-
-
-def fidelity_closed_form(which: str, params: NoiseParams) -> float:
-    """Evaluate one of the closed forms: 'h', 'tp', 'cp' or 'combined'."""
-    try:
-        return _CLOSED_FORMS[which.lower()](params)
-    except KeyError:
-        raise ValueError(
-            f"unknown closed form {which!r}; expected one of {sorted(_CLOSED_FORMS)}"
-        ) from None
-
-
 def _noisy_final_register(n: int, params: NoiseParams) -> StateVector:
     """Full 3n-qubit state after all n noisy expansion rounds, ancillas kept."""
     reg = tensor(build_w_state(n), zero_state(2 * n))
@@ -209,7 +191,6 @@ __all__ = [
     "POST_SELECTED_OVERLAP",
     "REDUCED_DENSITY",
     "doubling_overlap_fidelity",
-    "fidelity_closed_form",
     "fidelity_combined",
     "fidelity_controlled_phase",
     "fidelity_hadamard",

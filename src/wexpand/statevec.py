@@ -197,12 +197,6 @@ class QubitPermutation:
             inv[dst] = src
         return QubitPermutation(tuple(inv))
 
-    def then(self, other: "QubitPermutation") -> "QubitPermutation":
-        """Permutation equivalent to applying ``self`` first, then ``other``."""
-        if other.size != self.size:
-            raise ValueError("permutation sizes differ")
-        return QubitPermutation(tuple(other.map[d] for d in self.map))
-
 
 # ---------------------------------------------------------------------------
 # Construction helpers
@@ -362,14 +356,6 @@ def fidelity_pure(a: StateVector, b: StateVector) -> float:
     if a.num_qubits != b.num_qubits:
         raise ValueError("states have different qubit counts")
     return float(abs(np.vdot(b.amplitudes, a.amplitudes)) ** 2)
-
-
-def fidelity_mixed(rho: DensityMatrix, target: StateVector) -> float:
-    """<target|rho|target> for a mixed state against a pure target."""
-    if rho.num_qubits != target.num_qubits:
-        raise ValueError("dimension mismatch between density matrix and target")
-    t = target.amplitudes
-    return float(np.real(np.vdot(t, rho.entries @ t)))
 
 
 def permute(state: StateVector, perm: QubitPermutation) -> StateVector:

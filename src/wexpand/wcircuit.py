@@ -15,8 +15,7 @@ every qubit of |W_n> doubles the state to |W_2n> in one round.
 from __future__ import annotations
 
 import functools
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,9 +71,6 @@ EXPANSION_MATRIX.setflags(write=False)
 BLOCK_MODE_MAX_N = 6
 SEQUENTIAL_MODE_MAX_N = 8
 
-ROLE_NAMES = {0: "input1", 1: "ancilla", 2: "input2"}
-
-
 class AncillaStateError(ValueError):
     """An expansion slot that must hold |0> holds something else."""
 
@@ -84,95 +80,6 @@ class AncillaStateError(ValueError):
         super().__init__(
             f"{slot} qubit is not in |0>: reduced state\n{np.array_str(reduced, precision=6)}"
         )
-
-
-@dataclass(frozen=True)
-class CircuitStep:
-    """One gate of the expansion circuit, with its position in the order."""
-
-    gate: Gate
-    targets: tuple[int, ...]
-    order_index: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
-        if len(self.targets) != self.gate.arity:
-            raise ValueError(
-                f"gate {self.gate.label!r} has arity {self.gate.arity} "
-                f"but {len(self.targets)} targets"
-            )
-        if any(t not in (0, 1, 2) for t in self.targets):
-            raise ValueError(f"targets {self.targets} outside the three-qubit register")
-
-
-@dataclass(frozen=True, eq=False)
-class ExpansionCircuit:
-    """The 12-step gate sequence realizing the expansion operation."""
-
-    steps: tuple[CircuitStep, ...]
-    roles: dict = field(default_factory=lambda: dict(ROLE_NAMES))
-
-    def __post_init__(self):
-        steps = tuple(self.steps)
-        if len(steps) != 12:
-            raise ValueError(f"expansion circuit has 12 steps, got {len(steps)}")
-        order = [s.order_index for s in steps]
-        if any(b <= a for a, b in zip(order, order[1:])):
-            raise ValueError("order_index must be strictly increasing")
-        two_q = sum(1 for s in steps if s.gate.arity == 2)
-        h_like = sum(1 for s in steps if s.gate.arity == 1 and s.gate.label.startswith("H"))
-        t_like = sum(1 for s in steps if s.gate.arity == 1 and s.gate.label.startswith("T'"))
-        if (two_q, h_like, t_like) != (4, 6, 2):
-            raise ValueError(
-                f"expected 4 controlled-phase, 6 Hadamard-type and 2 T'-type steps, "
-                f"got ({two_q}, {h_like}, {t_like})"
-            )
-        object.__setattr__(self, "steps", steps)
-
-    def _run(self, state: StateVector, slots: tuple[int, int, int]):
-        """Yield the state after each step, the slots on register qubits `slots`."""
-        for step in self.steps:
-            where = [slots[t] for t in step.targets]
-            if step.gate.arity == 1:
-                state = apply_1q(state, step.gate, *where)
-            else:
-                state = apply_2q(state, step.gate, *where)
-            yield state
-
-    def apply(self, state: StateVector, q1: int, anc: int, q2: int) -> StateVector:
-        """Run the circuit with register qubits (q1, anc, q2) in the three slots."""
-        for state in self._run(state, (q1, anc, q2)):
-            pass
-        return state
-
-    def matrix(self) -> np.ndarray:
-        """Composed 8x8 matrix of the circuit on a standalone (q1, anc, q2) register."""
-        eye2 = np.eye(2, dtype=complex)
-        u = np.eye(8, dtype=complex)
-        for step in self.steps:
-            if step.gate.arity == 1:
-                mats = [eye2, eye2, eye2]
-                mats[step.targets[0]] = step.gate.matrix
-                embedded = np.kron(np.kron(mats[0], mats[1]), mats[2])
-            else:
-                a, b = step.targets
-                if b != a + 1:
-                    raise NotImplementedError(
-                        f"two-qubit step on non-adjacent slots {step.targets}"
-                    )
-                embedded = (
-                    np.kron(step.gate.matrix, eye2)
-                    if a == 0
-                    else np.kron(eye2, step.gate.matrix)
-                )
-            u = embedded @ u
-        return u
-
-    def stepwise_states(self, initial: StateVector) -> list[StateVector]:
-        """States of a standalone three-qubit register after each of the 12 steps."""
-        if initial.num_qubits != 3:
-            raise ValueError("stepwise evaluation runs on a three-qubit register")
-        return list(self._run(initial, (0, 1, 2)))
 
 
 # The 12 steps of the expansion circuit as (gate kind, slots), in order, with
@@ -195,20 +102,64 @@ EXPANSION_LAYOUT: tuple[tuple[str, tuple[int, ...]], ...] = (
 )
 
 
-def expansion_circuit_from_gates(h: Gate, tp: Gate, cp: Gate) -> ExpansionCircuit:
-    """The 12-step expansion circuit with the given gates at the H, T' and CP steps.
+@dataclass(frozen=True, eq=False)
+class ExpansionCircuit:
+    """The 12-step gate sequence of ``EXPANSION_LAYOUT`` with the given H, T' and CP."""
 
-    Unlike ``standard_expansion_circuit`` it does not check the result
-    against ``EXPANSION_MATRIX``, so a miscalibrated gate can be laid out
-    and left for a later check to catch.
-    """
-    gates = {"h": h, "tp": tp, "cp": cp}
-    return ExpansionCircuit(
-        tuple(
-            CircuitStep(gates[kind], targets, k + 1)
-            for k, (kind, targets) in enumerate(EXPANSION_LAYOUT)
-        )
-    )
+    h: Gate
+    tp: Gate
+    cp: Gate
+
+    def __post_init__(self):
+        for kind, arity in (("h", 1), ("tp", 1), ("cp", 2)):
+            gate = getattr(self, kind)
+            if gate.arity != arity:
+                raise ValueError(
+                    f"{kind} gate {gate.label!r} has arity {gate.arity}, expected {arity}"
+                )
+
+    @property
+    def steps(self) -> tuple[tuple[Gate, tuple[int, ...]], ...]:
+        """The 12 (gate, slots) steps in order."""
+        return tuple((getattr(self, kind), slots) for kind, slots in EXPANSION_LAYOUT)
+
+    def _run(self, state: StateVector, where: tuple[int, int, int]):
+        """Yield the state after each step, the slots on register qubits `where`."""
+        for gate, slots in self.steps:
+            qubits = [where[t] for t in slots]
+            if gate.arity == 1:
+                state = apply_1q(state, gate, *qubits)
+            else:
+                state = apply_2q(state, gate, *qubits)
+            yield state
+
+    def apply(self, state: StateVector, q1: int, anc: int, q2: int) -> StateVector:
+        """Run the circuit with register qubits (q1, anc, q2) in the three slots."""
+        for state in self._run(state, (q1, anc, q2)):
+            pass
+        return state
+
+    def matrix(self) -> np.ndarray:
+        """Composed 8x8 matrix of the circuit on a standalone (q1, anc, q2) register."""
+        eye2 = np.eye(2, dtype=complex)
+        u = np.eye(8, dtype=complex)
+        for gate, slots in self.steps:
+            if gate.arity == 1:
+                mats = [eye2, eye2, eye2]
+                mats[slots[0]] = gate.matrix
+                embedded = np.kron(np.kron(mats[0], mats[1]), mats[2])
+            elif slots[0] == 0:
+                embedded = np.kron(gate.matrix, eye2)
+            else:
+                embedded = np.kron(eye2, gate.matrix)
+            u = embedded @ u
+        return u
+
+    def stepwise_states(self, initial: StateVector) -> list[StateVector]:
+        """States of a standalone three-qubit register after each of the 12 steps."""
+        if initial.num_qubits != 3:
+            raise ValueError("stepwise evaluation runs on a three-qubit register")
+        return list(self._run(initial, (0, 1, 2)))
 
 
 def standard_expansion_circuit(noise: NoiseParams | None = None) -> ExpansionCircuit:
@@ -222,9 +173,7 @@ def standard_expansion_circuit(noise: NoiseParams | None = None) -> ExpansionCir
     T'(beta) and every CZ the controlled phase e^{i(pi-gamma)}.
     """
     p = noise if noise is not None else NoiseParams()
-    circuit = expansion_circuit_from_gates(
-        hadamard(p.alpha), t_prime(p.beta), controlled_phase(p.gamma)
-    )
+    circuit = ExpansionCircuit(hadamard(p.alpha), t_prime(p.beta), controlled_phase(p.gamma))
     if p.is_ideal:
         dev = float(np.max(np.abs(circuit.matrix() - EXPANSION_MATRIX)))
         if dev > 1e-12:
@@ -383,26 +332,21 @@ def expand_by_one(
 
 @dataclass(frozen=True)
 class DoublingPlan:
-    """Size, register strategy and ancilla schedule for |W_n> -> |W_2n>.
+    """Size and register strategy for |W_n> -> |W_2n>.
 
     ``block`` lays out all n triples in one 3n-qubit register; ``sequential``
-    applies the operation round by round on a 2n+1-qubit register, reusing a
-    single ancilla (serial) or dedicating a fresh one per round (parallel).
+    applies the operation round by round on a 2n+1-qubit register, with one
+    ancilla slot refilled with |0> each round.
     """
 
     n: int
     mode: str = "sequential"
-    schedule: str = "serial"
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.mode not in ("block", "sequential"):
             raise ValueError(f"mode must be 'block' or 'sequential', got {self.mode!r}")
-        if self.schedule not in ("serial", "parallel"):
-            raise ValueError(
-                f"schedule must be 'serial' or 'parallel', got {self.schedule!r}"
-            )
         cap = BLOCK_MODE_MAX_N if self.mode == "block" else SEQUENTIAL_MODE_MAX_N
         if self.n > cap:
             raise ValueError(f"{self.mode} mode supports n <= {cap}, got n={self.n}")
@@ -414,11 +358,9 @@ class RunReport:
 
     n: int
     mode: str
-    schedule: str
     fidelity: float
     ancilla_purities: tuple[float, ...]
     success_probability: float
-    wall_time_s: float
 
 
 def interleave_permutation(n: int) -> QubitPermutation:
@@ -446,7 +388,6 @@ def double_w(
     ideal |W_2n> accounts for the projection probability, and the report
     records each ancilla's pre-projection purity.
     """
-    t0 = time.perf_counter()
     n = plan.n
     target = build_w_state(2 * n)
 
@@ -483,11 +424,9 @@ def double_w(
     report = RunReport(
         n=n,
         mode=plan.mode,
-        schedule=plan.schedule,
         fidelity=float(fidelity),
         ancilla_purities=purities,
         success_probability=float(prob),
-        wall_time_s=time.perf_counter() - t0,
     )
     return out, report
 

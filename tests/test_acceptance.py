@@ -41,12 +41,11 @@ def test_criterion_01_matrix_anchor():
 
 
 def test_criterion_05_doubling_all_strategies():
-    # Doubling n = 1..4 in every mode and schedule takes under 5 s.
+    # Doubling n = 1..4 in both register modes takes under 5 s.
     t0 = time.perf_counter()
     for n in (1, 2, 3, 4):
         for mode in ("block", "sequential"):
-            for schedule in ("serial", "parallel"):
-                double_w(DoublingPlan(n, mode, schedule))
+            double_w(DoublingPlan(n, mode))
     elapsed = time.perf_counter() - t0
-    print(f"n=1..4 x 4 strategies in {elapsed:.2f}s (< 5s)")
+    print(f"n=1..4 x 2 modes in {elapsed:.2f}s (< 5s)")
     assert elapsed < 5.0

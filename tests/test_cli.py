@@ -1,12 +1,18 @@
 """Command-line surface: subcommands, CSV contracts, determinism."""
+import contextlib
 import csv
+import io
 import json
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wexpand.cli import CHECKS, main, run_verification
+from wexpand.cli import CHECKS, _build_parser, main, run_verification
 
 PI = np.pi
 
@@ -80,11 +86,17 @@ def test_prepare_n1_dumps_two_term_bell_pair(tmp_path):
     np.testing.assert_allclose(amps, [1 / np.sqrt(2)] * 2, atol=1e-12)
 
 
-def test_prepare_serial_and_parallel_dumps_identical(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    main(["prepare", "--n", "3", "--schedule", "serial", "--out", str(a)])
-    main(["prepare", "--n", "3", "--schedule", "parallel", "--out", str(b)])
-    assert a.read_bytes() == b.read_bytes()
+def test_prepare_schedule_flag_is_accepted_and_changes_no_byte(tmp_path):
+    plain = tmp_path / "plain.csv"
+    assert main(["prepare", "--n", "3", "--out", str(plain)]) == 0
+    for value in ("serial", "parallel"):
+        out = tmp_path / f"{value}.csv"
+        assert main(["prepare", "--n", "3", "--schedule", value, "--out", str(out)]) == 0
+        assert out.read_bytes() == plain.read_bytes()
+    cfg, out = tmp_path / "cfg.json", tmp_path / "config.csv"
+    cfg.write_text(json.dumps({"n": 3, "schedule": "parallel", "out": str(out)}))
+    assert main(["prepare", "--config", str(cfg)]) == 0
+    assert out.read_bytes() == plain.read_bytes()
 
 
 def test_prepare_rerun_is_byte_identical(tmp_path):
@@ -271,6 +283,8 @@ def test_non_finite_float_options_exit_2_and_name_the_option(tmp_path, capsys, a
         ({"n": True}, "'n'"),
         ({"theta_max": False}, "'theta_max'"),
         ({"nn": 3}, "nn"),
+        # Too large for a float: float() raises OverflowError, not ValueError.
+        ({"theta_max": 10**400}, "'theta_max'"),
     ],
 )
 def test_bad_config_values_exit_2_with_a_message(tmp_path, capsys, config, message):
@@ -281,6 +295,67 @@ def test_bad_config_values_exit_2_with_a_message(tmp_path, capsys, config, messa
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert not out.exists()
+
+
+def _rejected_config_values(default, choices):
+    """JSON values `_config_value` or `validate` must reject for an option."""
+    kind = type(default)
+    wrong = [st.none(), st.lists(st.integers(), max_size=2)]
+    if kind is not str:
+        wrong.append(st.text(max_size=8))
+    if kind is not bool:
+        wrong.append(st.booleans())
+    if kind in (str, bool):
+        wrong.append(st.integers())
+    if kind is float:
+        # Never a finite float or an int a float can hold: those are accepted.
+        wrong += [
+            st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+            st.integers(2**1024, 2**1100),
+            st.integers(-(2**1100), -(2**1024)),
+        ]
+    else:
+        wrong.append(st.floats())
+    if choices:
+        wrong.append(st.text(max_size=12).filter(lambda s: s not in choices))
+    return st.one_of(wrong)
+
+
+# (command, key, the command's defaults, the key's choices) for every option.
+_OPTIONS = [
+    (command, key, args.defaults, getattr(args, "choices", {}).get(key))
+    for command in ("verify", "prepare", "fidelity-sweep", "cavity-sweep")
+    for args in [_build_parser().parse_args([command])]
+    for key in args.defaults
+]
+
+
+@contextlib.contextmanager
+def _working_dir(path):
+    previous = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(previous)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), option=st.sampled_from(_OPTIONS))
+def test_every_rejected_config_value_exits_2_and_writes_nothing(data, option):
+    command, key, defaults, choices = option
+    value = data.draw(_rejected_config_values(defaults[key], choices), label=key)
+    with tempfile.TemporaryDirectory() as tmp, _working_dir(tmp):
+        config = {key: value}
+        if key != "out" and "out" in defaults:
+            config["out"] = "out.csv"
+        with open("cfg.json", "w") as fh:
+            json.dump(config, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main([command, "--config", "cfg.json"]) == 2
+        assert err.getvalue().startswith("error:")
+        assert os.listdir(".") == ["cfg.json"]
 
 
 def test_config_accepts_an_int_for_a_float_option(tmp_path):

@@ -7,7 +7,6 @@ from wexpand.gates import (
     HolonomicParams,
     NoiseParams,
     controlled_phase,
-    cz,
     hadamard,
     holonomic_gate,
     hwp_gate,
@@ -63,7 +62,6 @@ def test_controlled_phase_ideal_is_cz():
     np.testing.assert_allclose(
         controlled_phase(0.0).matrix, np.diag([1, 1, 1, -1]), atol=1e-15
     )
-    np.testing.assert_allclose(cz().matrix, np.diag([1, 1, 1, -1]), atol=1e-15)
 
 
 def test_controlled_phase_at_pi_is_identity():
@@ -75,7 +73,7 @@ def test_controlled_phase_composition_is_pure_phase_diagonal():
     product = (
         controlled_phase(gamma).matrix
         @ controlled_phase(-gamma).matrix
-        @ cz().matrix.conj().T
+        @ controlled_phase().matrix.conj().T
     )
     off_diag = product - np.diag(np.diag(product))
     assert np.max(np.abs(off_diag)) < 1e-14

@@ -10,7 +10,6 @@ from wexpand.noise import (
     POST_SELECTED_OVERLAP,
     REDUCED_DENSITY,
     doubling_overlap_fidelity,
-    fidelity_closed_form,
     fidelity_combined,
     fidelity_controlled_phase,
     fidelity_hadamard,
@@ -95,16 +94,6 @@ def test_single_imperfection_reductions():
         assert abs(fidelity_combined(t, 0, 0) - fidelity_hadamard(t)) < 1e-12
         assert abs(fidelity_combined(0, t, 0) - fidelity_t_prime(t)) < 1e-12
         assert abs(fidelity_combined(0, 0, t) - fidelity_controlled_phase(t)) < 1e-12
-
-
-def test_closed_form_dispatcher():
-    p = NoiseParams(0.01, 0.02, 0.03)
-    assert fidelity_closed_form("h", p) == fidelity_hadamard(0.01)
-    assert fidelity_closed_form("tp", p) == fidelity_t_prime(0.02)
-    assert fidelity_closed_form("cp", p) == fidelity_controlled_phase(0.03)
-    assert fidelity_closed_form("Combined", p) == fidelity_combined(0.01, 0.02, 0.03)
-    with pytest.raises(ValueError):
-        fidelity_closed_form("xyz", p)
 
 
 def test_simulation_is_one_for_ideal_gates_under_both_definitions():

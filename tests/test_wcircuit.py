@@ -1,4 +1,5 @@
 """Expansion circuit, W-state growth and the doubling protocol."""
+import csv
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wexpand.cli import main
 from wexpand.gates import NoiseParams, controlled_phase, hadamard, t_prime
 from wexpand.statevec import (
     QubitPermutation,
@@ -24,7 +26,6 @@ from wexpand.wcircuit import (
     PHOTON,
     SPIN,
     AncillaStateError,
-    CircuitStep,
     DoublingPlan,
     ExpansionCircuit,
     apply_O,
@@ -84,11 +85,10 @@ def test_w0_rejected():
 def test_circuit_structure():
     circ = standard_expansion_circuit()
     assert len(circ.steps) == 12
-    two_q = [s for s in circ.steps if s.gate.arity == 2]
-    assert len(two_q) == 4
-    orders = [s.order_index for s in circ.steps]
-    assert orders == sorted(orders) and len(set(orders)) == 12
-    assert circ.roles == {0: "input1", 1: "ancilla", 2: "input2"}
+    two_q = [slots for gate, slots in circ.steps if gate.arity == 2]
+    assert two_q == [(0, 1), (0, 1), (1, 2), (1, 2)]
+    labels = [gate.label for gate, _ in circ.steps]
+    assert (labels.count("H"), labels.count("T'"), labels.count("CZ")) == (6, 2, 4)
 
 
 def test_composed_matrix_equals_expansion_operator():
@@ -147,12 +147,11 @@ def test_circuit_fixes_all_zero_input():
     np.testing.assert_allclose(out.amplitudes, vec({0: 1}, 3), atol=1e-12)
 
 
-def test_circuit_constructor_rejects_wrong_step_count():
-    steps = tuple(
-        CircuitStep(hadamard(), (0,), k + 1) for k in range(6)
-    )
-    with pytest.raises(ValueError):
-        ExpansionCircuit(steps)
+def test_circuit_constructor_rejects_wrong_gate_arity():
+    with pytest.raises(ValueError, match="cp gate"):
+        ExpansionCircuit(hadamard(), t_prime(), hadamard())
+    with pytest.raises(ValueError, match="h gate"):
+        ExpansionCircuit(controlled_phase(), t_prime(), controlled_phase())
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +398,19 @@ def test_expansion_order_invariance_under_ideal_gates():
 @pytest.mark.parametrize("mode", ["block", "sequential"])
 @pytest.mark.parametrize("schedule", ["serial", "parallel"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_doubling_reaches_w2n(n, mode, schedule):
-    out, report = double_w(DoublingPlan(n, mode, schedule))
+def test_doubling_reaches_w2n(n, mode, schedule, tmp_path):
+    # ``prepare --schedule`` is still accepted and must not change the state.
+    csv_path = tmp_path / "prepare.csv"
+    argv = ["prepare", "--n", str(n), "--mode", mode, "--schedule", schedule]
+    assert main(argv + ["--out", str(csv_path)]) == 0
+    with open(csv_path, newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["stage"] == "final"]
+    dumped = np.zeros(1 << (2 * n), dtype=complex)
+    for r in rows:
+        dumped[int(r["index"])] = complex(float(r["re"]), float(r["im"]))
+    np.testing.assert_allclose(dumped, build_w_state(2 * n).amplitudes, atol=1e-12)
+
+    out, report = double_w(DoublingPlan(n, mode))
     assert abs(1.0 - report.fidelity) < 1e-10
     assert abs(1.0 - fidelity_pure(out, build_w_state(2 * n))) < 1e-10
     assert all(abs(p - 1.0) < 1e-12 for p in report.ancilla_purities)
@@ -408,14 +418,14 @@ def test_doubling_reaches_w2n(n, mode, schedule):
 
 
 def test_doubling_n1_equals_epr():
-    out, _ = double_w(DoublingPlan(1, "block", "serial"))
+    out, _ = double_w(DoublingPlan(1, "block"))
     np.testing.assert_allclose(out.amplitudes, create_epr().amplitudes, atol=1e-12)
 
 
 def test_block_and_sequential_agree_under_noise():
     noise = NoiseParams(0.03, 0.02, 0.05)
-    out_b, rep_b = double_w(DoublingPlan(2, "block", "serial"), noise)
-    out_s, rep_s = double_w(DoublingPlan(2, "sequential", "parallel"), noise)
+    out_b, rep_b = double_w(DoublingPlan(2, "block"), noise)
+    out_s, rep_s = double_w(DoublingPlan(2, "sequential"), noise)
     rho_b = np.outer(out_b.amplitudes, out_b.amplitudes.conj())
     rho_s = np.outer(out_s.amplitudes, out_s.amplitudes.conj())
     assert np.max(np.abs(rho_b - rho_s)) < 1e-10
@@ -423,20 +433,20 @@ def test_block_and_sequential_agree_under_noise():
 
 
 def test_noisy_ancilla_purity_below_one_is_recorded():
-    _, report = double_w(DoublingPlan(2, "sequential", "serial"), NoiseParams(0.1, 0.1, 0.2))
+    _, report = double_w(DoublingPlan(2, "sequential"), NoiseParams(0.1, 0.1, 0.2))
     assert all(p < 1.0 - 1e-6 for p in report.ancilla_purities)
     assert report.success_probability < 1.0
 
 
 def test_doubling_plan_caps():
     with pytest.raises(ValueError):
-        DoublingPlan(7, "block", "serial")
+        DoublingPlan(7, "block")
     with pytest.raises(ValueError):
-        DoublingPlan(9, "sequential", "serial")
+        DoublingPlan(9, "sequential")
     with pytest.raises(ValueError):
-        DoublingPlan(2, "giant", "serial")
+        DoublingPlan(2, "giant")
     with pytest.raises(ValueError):
-        DoublingPlan(0, "block", "serial")
+        DoublingPlan(0, "block")
 
 
 def test_interleave_matches_pairwise_swap_list_on_doubling_input():
@@ -450,8 +460,8 @@ def test_interleave_matches_pairwise_swap_list_on_doubling_input():
 
 
 def test_doubling_is_deterministic():
-    a, _ = double_w(DoublingPlan(3, "sequential", "serial"))
-    b, _ = double_w(DoublingPlan(3, "sequential", "serial"))
+    a, _ = double_w(DoublingPlan(3, "sequential"))
+    b, _ = double_w(DoublingPlan(3, "sequential"))
     assert np.array_equal(a.amplitudes, b.amplitudes)
 
 
