@@ -19,7 +19,6 @@ from .gates import (
     Gate,
     HADAMARD_ANGLE,
     HolonomicParams,
-    IDEAL,
     NoiseParams,
     T_PRIME_ANGLE,
     controlled_phase,
@@ -31,21 +30,16 @@ from .gates import (
     t_prime,
 )
 from .noise import (
-    CALIBRATED_DEFINITION,
-    POST_SELECTED_OVERLAP,
-    REDUCED_DENSITY,
     FidelityRecord,
     doubling_overlap_fidelity,
     fidelity_combined,
     fidelity_controlled_phase,
     fidelity_hadamard,
     fidelity_t_prime,
-    simulate_noisy_fidelity,
     sweep,
 )
 from .statevec import (
     DensityMatrix,
-    MixedStateError,
     QubitPermutation,
     StateVector,
     apply_1q,
@@ -53,7 +47,6 @@ from .statevec import (
     apply_controlled,
     apply_unitary,
     basis_state,
-    extract_pure,
     fidelity_pure,
     operation_matrix,
     partial_trace,

@@ -43,7 +43,6 @@ from .statevec import (
     zero_state,
 )
 from .wcircuit import (
-    BLOCK_MODE_MAX_N,
     EXPANSION_MATRIX,
     PHOTON,
     SPIN,
@@ -265,13 +264,17 @@ def _closed_forms(circuit, rng) -> float:
     return dev
 
 
+def _noisy_doubling_fidelity(n: int, p: NoiseParams) -> float:
+    return double_w(DoublingPlan(n, "block"), p)[1].fidelity
+
+
 def _noisy_agreement(circuit, rng) -> float:
     points = [
         NoiseParams(*(float(x) for x in rng.uniform(0.0, _THETA_MAX, size=3))) for _ in range(10)
     ]
     seeded = [(p, n) for p in points for n in (1, 2, 3)]
     return max(
-        abs(noi.fidelity_combined(p.alpha, p.beta, p.gamma) - noi.simulate_noisy_fidelity(n, p))
+        abs(noi.fidelity_combined(p.alpha, p.beta, p.gamma) - _noisy_doubling_fidelity(n, p))
         for p, n in seeded + _fixed_noise_sample()[0]
     )
 
@@ -279,7 +282,7 @@ def _noisy_agreement(circuit, rng) -> float:
 def _size_independence(circuit, rng) -> float:
     spreads = []
     for p in (NoiseParams(0.02, 0.015, 0.03), NoiseParams(0.025, 0.018, 0.033)):
-        sims = [noi.simulate_noisy_fidelity(n, p) for n in (1, 2, 3, 4)]
+        sims = [_noisy_doubling_fidelity(n, p) for n in (1, 2, 3, 4)]
         spreads.append(max(sims) - min(sims))
     return max(spreads)
 
@@ -393,23 +396,15 @@ def run_verification(tp_angle: float = T_PRIME_ANGLE, seed: int = 0) -> list[Che
 
 
 def validate(command: str, opts: argparse.Namespace) -> None:
-    """Check the resolved options of `command`: finite floats, caps, steps
-    and a writable output path."""
+    """Check what no callee checks before output is written: finite floats,
+    the cavity grid's step counts and a writable output path.  Every other
+    range is checked once, by the callee."""
     for key, value in vars(opts).items():
         if isinstance(value, float) and not np.isfinite(value):
             raise ValueError(f"{key} must be finite, got {value!r}")
-    if command == "prepare":
-        DoublingPlan(opts.n, opts.mode)
-    elif command == "fidelity-sweep":
-        if not 1 <= opts.n <= BLOCK_MODE_MAX_N:
-            raise ValueError(f"n must be in 1..{BLOCK_MODE_MAX_N}, got {opts.n}")
-        if opts.steps < 2:
-            raise ValueError(f"steps must be >= 2, got {opts.steps}")
-    elif command == "cavity-sweep":
-        if opts.detuning_steps < 1 or opts.g_steps < 1:
-            raise ValueError("grid step counts must be >= 1")
-        if opts.gamma_decay <= 0.0:
-            raise ValueError(f"gamma_decay must be positive, got {opts.gamma_decay}")
+    # linspace(..., 0) is empty, which would write a header-only CSV.
+    if command == "cavity-sweep" and (opts.detuning_steps < 1 or opts.g_steps < 1):
+        raise ValueError("grid step counts must be >= 1")
     out = getattr(opts, "out", None)
     if out is not None:
         parent = os.path.dirname(os.path.abspath(out)) or "."

@@ -70,9 +70,6 @@ class NoiseParams:
         return self.alpha == 0.0 and self.beta == 0.0 and self.gamma == 0.0
 
 
-IDEAL = NoiseParams()
-
-
 def rotation_gate(theta: float, label: str | None = None) -> Gate:
     """Real reflection rotation [[cos t, sin t], [sin t, -cos t]].
 

@@ -1,8 +1,9 @@
 """Dense state-vector and density-matrix engine.
 
 Gate application, tensoring, qubit permutation, partial trace and fidelity
-for small registers (the protocols here never exceed 24 qubits, so dense
-complex128 storage is used throughout).
+for small registers (doubling peaks at 3n <= 18 qubits in block mode and
+2n+1 <= 17 in sequential mode, so dense complex128 storage is used
+throughout).
 
 Index convention: qubit 0 is the *most significant* bit of the basis index.
 For a three-qubit register ordered |q0 q1 q2>, the string |100> sits at
@@ -31,18 +32,6 @@ ATOL_ALGEBRA = 1e-12
 # O(d^3) eigensolve is skipped for larger matrices (hermiticity, trace and
 # purity are always checked).
 _EIG_CHECK_MAX_DIM = 256
-
-
-class MixedStateError(ValueError):
-    """A pure state was requested from a significantly mixed density matrix."""
-
-    def __init__(self, purity: float, threshold: float):
-        self.purity = float(purity)
-        self.threshold = float(threshold)
-        super().__init__(
-            f"cannot extract a pure state: purity {self.purity:.12g} "
-            f"is below the required {self.threshold:.12g}"
-        )
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -293,7 +282,7 @@ def apply_controlled(state: StateVector, gate, control: int, target: int) -> Sta
 
 
 # ---------------------------------------------------------------------------
-# Reduction, extraction, overlap
+# Reduction and overlap
 # ---------------------------------------------------------------------------
 
 def _qubit_density(state: StateVector, qubit: int) -> np.ndarray:
@@ -328,27 +317,6 @@ def partial_trace(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
     traced = [q for q in range(n) if q not in kept]
     a = state.tensor_view().transpose(kept + traced).reshape(1 << len(kept), -1)
     return DensityMatrix(a @ a.conj().T)
-
-
-def extract_pure(rho: DensityMatrix, tol: float = 1e-9) -> StateVector:
-    """Dominant eigenvector of an (almost) pure density matrix.
-
-    The global phase is fixed by making the first nonzero amplitude real
-    and positive.  Raises :class:`MixedStateError` when tr(rho^2) <= 1-tol.
-    """
-    pur = rho.purity()
-    if pur <= 1.0 - tol:
-        raise MixedStateError(pur, 1.0 - tol)
-    evals, evecs = np.linalg.eigh(rho.entries)
-    vec = evecs[:, -1]
-    return _phase_normalized(vec)
-
-
-def _phase_normalized(vec: np.ndarray) -> StateVector:
-    idx = int(np.argmax(np.abs(vec) > 1e-10))
-    phase = vec[idx] / abs(vec[idx])
-    vec = vec * phase.conjugate()
-    return StateVector(_seal(vec / np.linalg.norm(vec)))
 
 
 def fidelity_pure(a: StateVector, b: StateVector) -> float:

@@ -36,7 +36,6 @@ from .statevec import (
     apply_2q,
     apply_unitary,
     basis_state,
-    extract_pure,
     fidelity_pure,
     partial_trace,
     permute,
@@ -282,16 +281,16 @@ def apply_O(
 def create_epr() -> StateVector:
     """Entangle two never-interacting qubits into (|10> + |01>)/sqrt(2).
 
-    Runs the expansion operation on |1>|0>|0>, checks the ancilla came back
-    to |0>, traces it out, and extracts the pure two-qubit state left on
-    the logical pair.
+    The n = 1 case of doubling: runs the expansion operation on |1>|0>|0>,
+    checks the ancilla came back to |0>, and projects it out, leaving the
+    pure two-qubit state on the logical pair.
     """
     out = apply_O(basis_state("100"), 0, 1, 2)
     anc = partial_trace(out, {1}).entries
     dev = float(np.max(np.abs(anc - np.array([[1.0, 0.0], [0.0, 0.0]]))))
     if dev > 1e-12:
         raise AncillaStateError("ancilla (after the operation)", anc)
-    return extract_pure(partial_trace(out, {0, 2}))
+    return postselect_zero(out, [1])[0]
 
 
 def _weight_one_support(state: StateVector, tol: float = 1e-10) -> None:

@@ -234,6 +234,30 @@ def test_cavity_sweep_rejects_bad_grid_points_with_exit_2(tmp_path, capsys, argv
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # Each range is checked once, by the callee: DoublingPlan, noise.sweep
+        # or cavity.reflection_grid, all before anything is written.
+        (["prepare", "--n", "0"], "n must be >= 1, got 0"),
+        (["prepare", "--n", "7", "--mode", "block"], "block mode supports n <= 6, got n=7"),
+        (["prepare", "--n", "9"], "sequential mode supports n <= 8, got n=9"),
+        (["fidelity-sweep", "--n", "0"], "n must be in 1..6, got 0"),
+        (["fidelity-sweep", "--n", "7"], "n must be in 1..6, got 7"),
+        (["fidelity-sweep", "--steps", "1"], "steps must be >= 2, got 1"),
+        (["cavity-sweep", "--gamma-decay", "0"], "gamma_decay must be positive, got 0.0"),
+        (["cavity-sweep", "--gamma-decay", "-1"], "gamma_decay must be positive, got -1.0"),
+        (["cavity-sweep", "--detuning-steps", "0"], "grid step counts must be >= 1"),
+        (["cavity-sweep", "--g-steps", "0"], "grid step counts must be >= 1"),
+    ],
+)
+def test_out_of_range_options_exit_2_with_the_callee_message(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # config file
 # ---------------------------------------------------------------------------

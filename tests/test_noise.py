@@ -1,4 +1,8 @@
-"""Closed-form fidelities, noisy end-to-end simulation and sweeps."""
+"""Closed-form fidelities, noisy end-to-end simulation and sweeps.
+
+The dense end-to-end simulation is ``double_w`` under noise: its report's
+fidelity is the post-selected overlap the closed forms describe.
+"""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,20 +10,22 @@ from hypothesis import strategies as st
 
 from wexpand.gates import NoiseParams
 from wexpand.noise import (
-    CALIBRATED_DEFINITION,
-    POST_SELECTED_OVERLAP,
-    REDUCED_DENSITY,
     doubling_overlap_fidelity,
     fidelity_combined,
     fidelity_controlled_phase,
     fidelity_hadamard,
     fidelity_t_prime,
-    simulate_noisy_fidelity,
     sweep,
 )
-from wexpand.wcircuit import expansion_unitaries
+from wexpand.statevec import fidelity_pure
+from wexpand.wcircuit import DoublingPlan, build_w_state, double_w, expansion_unitaries
 
 THETA_MAX = np.pi / 60.0
+
+
+def _simulated(n, params, mode="block"):
+    """Post-selected overlap fidelity of the dense noisy doubling run."""
+    return double_w(DoublingPlan(n, mode), params)[1].fidelity
 
 
 def _noisy_operator(alpha, beta, gamma):
@@ -97,20 +103,24 @@ def test_single_imperfection_reductions():
 
 
 def test_simulation_is_one_for_ideal_gates_under_both_definitions():
+    # The report's post-selected overlap (success probability times the
+    # kept state's overlap) and the kept state's own overlap with |W_2n>.
     for n in (1, 2, 3):
-        for definition in (POST_SELECTED_OVERLAP, REDUCED_DENSITY):
-            assert abs(simulate_noisy_fidelity(n, NoiseParams(), definition) - 1.0) < 1e-12
+        for mode in ("block", "sequential"):
+            out, report = double_w(DoublingPlan(n, mode), NoiseParams())
+            assert abs(report.fidelity - 1.0) < 1e-12
+            assert abs(fidelity_pure(out, build_w_state(2 * n)) - 1.0) < 1e-12
 
 
 def test_simulated_fidelity_independent_of_size():
     p = NoiseParams(0.02, 0.015, 0.03)
-    values = [simulate_noisy_fidelity(n, p) for n in (1, 2, 3, 4)]
+    values = [_simulated(n, p) for n in (1, 2, 3, 4)]
     assert max(values) - min(values) < 1e-9
 
 
 def test_n1_equals_n3_at_same_parameters():
     p = NoiseParams(0.04, 0.01, 0.02)
-    assert abs(simulate_noisy_fidelity(1, p) - simulate_noisy_fidelity(3, p)) < 1e-9
+    assert abs(_simulated(1, p) - _simulated(3, p)) < 1e-9
 
 
 def test_closed_form_matches_simulation_at_50_random_points():
@@ -119,27 +129,16 @@ def test_closed_form_matches_simulation_at_50_random_points():
         a, b, g = (float(x) for x in rng.uniform(0.0, THETA_MAX, size=3))
         p = NoiseParams(a, b, g)
         n = int(rng.integers(1, 4))
-        sim = simulate_noisy_fidelity(n, p, CALIBRATED_DEFINITION)
-        assert abs(fidelity_combined(a, b, g) - sim) < 1e-9
-
-
-def test_calibration_post_selected_matches_reduced_density_does_not():
-    # The calibrated definition reproduces the closed form; the reduced-density
-    # variant keeps the ancilla-excited branches and sits strictly above it.
-    p = NoiseParams(0.03, 0.02, 0.04)
-    closed = fidelity_combined(p.alpha, p.beta, p.gamma)
-    assert abs(simulate_noisy_fidelity(2, p, POST_SELECTED_OVERLAP) - closed) < 1e-12
-    reduced = simulate_noisy_fidelity(2, p, REDUCED_DENSITY)
-    assert reduced > closed + 1e-6
+        assert abs(fidelity_combined(a, b, g) - _simulated(n, p)) < 1e-9
 
 
 def test_simulation_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        simulate_noisy_fidelity(0, NoiseParams())
-    with pytest.raises(ValueError):
-        simulate_noisy_fidelity(7, NoiseParams())
-    with pytest.raises(ValueError):
-        simulate_noisy_fidelity(2, NoiseParams(), "made-up")
+    with pytest.raises(ValueError, match="^n must be >= 1"):
+        _simulated(0, NoiseParams())
+    with pytest.raises(ValueError, match="^block mode supports n <= 6"):
+        _simulated(7, NoiseParams())
+    with pytest.raises(ValueError, match="^sequential mode supports n <= 8"):
+        _simulated(9, NoiseParams(), "sequential")
     for field in ("alpha", "beta", "gamma"):
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match=f"^{field} must be finite"):
@@ -178,20 +177,17 @@ def test_sweep_closed_form_columns_are_the_scalar_calls():
         assert type(r.f_simulated) is float and r.n == 3
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(
-    st.integers(1, 6),
-    st.lists(
-        st.tuples(*(st.floats(-0.5, 0.5, allow_nan=False) for _ in range(3))),
-        min_size=1,
-        max_size=3,
-    ),
+    st.tuples(*(st.floats(0.0, 2.0 * THETA_MAX) for _ in range(3))),
+    st.integers(1, 4),
+    st.sampled_from(["block", "sequential"]),
 )
-def test_structured_overlap_matches_the_dense_simulation(n, points):
-    alpha, beta, gamma = (np.array(x) for x in zip(*points))
-    structured = doubling_overlap_fidelity(expansion_unitaries(alpha, beta, gamma), n)
-    for f, p in zip(structured, points):
-        assert abs(f - simulate_noisy_fidelity(n, NoiseParams(*p))) < 1e-13
+def test_structured_overlap_matches_the_dense_simulation(angles, n, mode):
+    # Differential: the two-column formula against the full register, in
+    # either layout, over (alpha, beta, gamma) in [0, pi/30]^3.
+    structured = doubling_overlap_fidelity(expansion_unitaries(*angles), n)[0]
+    assert abs(structured - _simulated(n, NoiseParams(*angles), mode)) < 1e-13
 
 
 def test_structured_overlap_serves_sizes_past_the_dense_cap():

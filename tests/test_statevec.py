@@ -4,7 +4,6 @@ import pytest
 
 from wexpand.statevec import (
     DensityMatrix,
-    MixedStateError,
     QubitPermutation,
     StateVector,
     apply_1q,
@@ -12,7 +11,6 @@ from wexpand.statevec import (
     apply_controlled,
     apply_unitary,
     basis_state,
-    extract_pure,
     fidelity_pure,
     operation_matrix,
     partial_trace,
@@ -179,47 +177,6 @@ def test_partial_trace_is_trace_one_on_random_states():
         keep = sorted(rng.choice(5, size=int(rng.integers(1, 5)), replace=False))
         rho = partial_trace(state, keep)
         assert abs(np.trace(rho.entries) - 1.0) < 1e-12
-
-
-def test_extract_pure_rank_one():
-    rng = np.random.default_rng(5)
-    psi = random_state(3, rng)
-    rho = DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()))
-    out = extract_pure(rho)
-    assert abs(1.0 - fidelity_pure(out, psi)) < 1e-12
-
-
-def test_extract_pure_rejects_maximally_mixed():
-    rho = DensityMatrix(np.eye(2, dtype=complex) / 2)
-    with pytest.raises(MixedStateError) as err:
-        extract_pure(rho)
-    assert abs(err.value.purity - 0.5) < 1e-12
-
-
-def test_extract_pure_recovers_doubling_output_against_eigh_oracle():
-    # Ideal doubling register, ancillas traced: the reduced state is pure and
-    # extract_pure must match a test-local eigendecomposition.
-    from wexpand.wcircuit import apply_O, build_w_state, interleave_permutation
-
-    reg = tensor(build_w_state(2), zero_state(4))
-    reg = permute(reg, interleave_permutation(2))
-    for i in range(2):
-        reg = apply_O(reg, 3 * i, 3 * i + 1, 3 * i + 2)
-    rho = partial_trace(reg, {0, 2, 3, 5})
-    got = extract_pure(rho)
-    evals, evecs = np.linalg.eigh(rho.entries)
-    oracle = evecs[:, -1]
-    overlap = abs(np.vdot(oracle, got.amplitudes))
-    assert abs(overlap - 1.0) < 1e-12
-    assert abs(1.0 - fidelity_pure(got, build_w_state(4))) < 1e-12
-
-
-def test_extract_pure_phase_convention():
-    psi = StateVector(np.array([0, 1j * S2, -S2, 0], dtype=complex))
-    rho = DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()))
-    out = extract_pure(rho)
-    # First nonzero amplitude comes out real and positive.
-    assert out.amplitudes[1].real > 0 and abs(out.amplitudes[1].imag) < 1e-12
 
 
 def test_fidelity_pure_trivial_cases():

@@ -419,7 +419,7 @@ def test_doubling_reaches_w2n(n, mode, schedule, tmp_path):
 
 def test_doubling_n1_equals_epr():
     out, _ = double_w(DoublingPlan(1, "block"))
-    np.testing.assert_allclose(out.amplitudes, create_epr().amplitudes, atol=1e-12)
+    assert np.array_equal(out.amplitudes, create_epr().amplitudes)
 
 
 def test_block_and_sequential_agree_under_noise():
