@@ -64,9 +64,9 @@ EXPANSION_MATRIX = np.array(
 )
 EXPANSION_MATRIX.setflags(write=False)
 
-# Memory caps: block mode holds 3n qubits at once, sequential mode peaks at
-# 2n+1.  Desk-scale verification only, so the register stays under 2^18
-# amplitudes.
+# Memory caps: block mode holds 3n qubits at once; the sequential register
+# grows by one qubit per round and peaks at 2n+1 in the last.  Desk-scale
+# verification only, so the register stays under 2^18 amplitudes.
 BLOCK_MODE_MAX_N = 6
 SEQUENTIAL_MODE_MAX_N = 8
 
@@ -303,6 +303,18 @@ def _weight_one_support(state: StateVector, tol: float = 1e-10) -> None:
         raise ValueError(f"state has support outside weight-one strings: {bad}")
 
 
+def _join_fresh_pair(
+    w: StateVector, target_qubit: int, noise: NoiseParams | None
+) -> StateVector:
+    """Append a fresh |0>|0> to ``w`` and expand ``target_qubit`` into it.
+
+    The new qubit sits at n and the ancilla at n+1, the last position;
+    the ancilla is left for the caller to post-select.
+    """
+    n = w.num_qubits
+    return apply_O(tensor(w, zero_state(2)), target_qubit, n + 1, n, noise)
+
+
 def expand_by_one(
     w: StateVector, target_qubit: int, noise: NoiseParams | None = None
 ) -> StateVector:
@@ -317,9 +329,7 @@ def expand_by_one(
     n = w.num_qubits
     if not 0 <= target_qubit < n:
         raise ValueError(f"target {target_qubit} out of range for {n} qubits")
-    reg = tensor(w, zero_state(2))  # new qubit at n, ancilla at n+1
-    reg = apply_O(reg, target_qubit, n + 1, n, noise)
-    reg, _ = postselect_zero(reg, [n + 1])
+    reg, _ = postselect_zero(_join_fresh_pair(w, target_qubit, noise), [n + 1])
     dest = list(range(target_qubit + 1)) + list(range(target_qubit + 2, n + 1))
     dest.append(target_qubit + 1)  # the appended qubit slides in after the target
     return permute(reg, QubitPermutation(tuple(dest)))
@@ -334,8 +344,9 @@ class DoublingPlan:
     """Size and register strategy for |W_n> -> |W_2n>.
 
     ``block`` lays out all n triples in one 3n-qubit register; ``sequential``
-    applies the operation round by round on a 2n+1-qubit register, with one
-    ancilla slot refilled with |0> each round.
+    applies the operation round by round, each round joining a fresh new
+    qubit and ancilla, so the register grows by one qubit per round (the
+    ancilla is dropped again) and peaks at 2n+1 qubits in the last.
     """
 
     n: int
@@ -407,17 +418,17 @@ def double_w(
             dest[2 * i + 1] = n + i
         out = permute(reg, QubitPermutation(tuple(dest)))
     else:
-        reg = tensor(build_w_state(n), zero_state(n))
+        # Round i joins new_i at n+i, after the i already joined, and its
+        # ancilla at n+i+1: the register grows by one qubit per round.
+        out = build_w_state(n)
         prob = 1.0
         purities_list = []
         for i in range(n):
-            reg = tensor(reg, zero_state(1))  # ancilla at index 2n
-            reg = apply_O(reg, i, 2 * n, n + i, noise)
-            purities_list.append(partial_trace(reg, {2 * n}).purity())
-            reg, p = postselect_zero(reg, [2 * n])
+            reg = _join_fresh_pair(out, i, noise)
+            purities_list.append(partial_trace(reg, {n + i + 1}).purity())
+            out, p = postselect_zero(reg, [n + i + 1])
             prob *= p
         purities = tuple(purities_list)
-        out = reg
 
     fidelity = prob * fidelity_pure(out, target)
     report = RunReport(

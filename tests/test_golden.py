@@ -28,6 +28,14 @@ GOLDEN_SHA256 = {
         "9300673f4c6f5bafbba9dc4bcbabae75563f31bd72c374b76fb440b7b22e6efd",
     "prepare --n 5 --mode block --full --trace --role spin":
         "4ec89bdfe0ad3cd4832a496a6a2d07af9b663253b293120ea826654b44d7a3b9",
+    # Recorded on the fixed 2n+1-qubit sequential register, before each round
+    # joined its (new, ancilla) pair fresh: the largest sequential run, and a
+    # full sequential dump whose rounding residues (-6.7e-17, -2.9e-33 where
+    # the ideal amplitude is zero) are written out amplitude by amplitude.
+    "prepare --n 8 --mode sequential":
+        "6e9df5fd1f98e5f46cf17fb7df6eb6a75ad83cd1202865057fa754a84ae8814c",
+    "prepare --n 4 --mode sequential --full --trace":
+        "f214ad30c39b67ae83ef2fb626981d394d8589e8b5cbc069d7a32300a40c2523",
 }
 
 

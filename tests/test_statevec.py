@@ -322,3 +322,23 @@ def test_kernel_outputs_are_read_only_and_share_no_memory_with_their_input():
 def test_statevector_adopts_a_sealed_array_without_a_copy():
     state = random_state(3, np.random.default_rng(13))
     assert StateVector(state.amplitudes).amplitudes is state.amplitudes
+
+
+def _with_signed_zeros(size, rng):
+    """A random state whose amplitudes include -0.0 parts and one exact zero."""
+    v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    v.real[0::3] = -0.0
+    v.imag[1::2] = -0.0
+    v[-1] = complex(-0.0, -0.0)
+    return StateVector(v / np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("second", [2, 4, 8, 16])
+@pytest.mark.parametrize("first", [2, 32])
+def test_tensor_is_bit_identical_to_the_outer_product(first, second):
+    rng = np.random.default_rng(first * 100 + second)
+    a, b = _with_signed_zeros(first, rng), _with_signed_zeros(second, rng)
+    expected = np.multiply.outer(a.amplitudes, b.amplitudes).reshape(-1)
+    parts = np.concatenate([expected.real, expected.imag])
+    assert np.any((parts == 0) & np.signbit(parts)), "no signed zero to compare"
+    assert tensor(a, b).amplitudes.tobytes() == expected.tobytes()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wexpand import wcircuit
 from wexpand.cli import main
 from wexpand.gates import NoiseParams, controlled_phase, hadamard, t_prime
 from wexpand.statevec import (
@@ -457,6 +458,59 @@ def test_interleave_matches_pairwise_swap_list_on_doubling_input():
     for i, j in ((1, 6), (2, 3), (4, 8)):
         via_swaps = permute(via_swaps, QubitPermutation.swap(9, i, j))
     assert np.max(np.abs(via_perm.amplitudes - via_swaps.amplitudes)) < 1e-12
+
+
+def _fixed_register_sequential_doubling(n, noise=None):
+    """Sequential doubling on a fixed 2n+1-qubit register (new_i at n+i, ancilla at 2n)."""
+    reg = tensor(build_w_state(n), zero_state(n))
+    prob, purities = 1.0, []
+    for i in range(n):
+        reg = tensor(reg, zero_state(1))
+        reg = apply_O(reg, i, 2 * n, n + i, noise)
+        purities.append(partial_trace(reg, {2 * n}).purity())
+        reg, p = postselect_zero(reg, [2 * n])
+        prob *= p
+    fidelity = prob * fidelity_pure(reg, build_w_state(2 * n))
+    return reg, fidelity, prob, purities
+
+
+def _assert_matches_fixed_register(n, noise=None):
+    out, report = double_w(DoublingPlan(n, "sequential"), noise)
+    ref, fidelity, prob, purities = _fixed_register_sequential_doubling(n, noise)
+    assert np.array_equal(out.amplitudes, ref.amplitudes)
+    assert abs(report.fidelity - fidelity) <= 1e-15
+    assert abs(report.success_probability - prob) <= 1e-15
+    assert len(report.ancilla_purities) == n
+    for got, want in zip(report.ancilla_purities, purities):
+        assert abs(got - want) <= 1e-15
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_growing_sequential_register_matches_the_fixed_one(n):
+    _assert_matches_fixed_register(n)
+
+
+_SMALL_ANGLE = st.floats(0.0, np.pi / 30, allow_nan=False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), _SMALL_ANGLE, _SMALL_ANGLE, _SMALL_ANGLE)
+def test_noisy_growing_sequential_register_matches_the_fixed_one(n, alpha, beta, gamma):
+    _assert_matches_fixed_register(n, NoiseParams(alpha, beta, gamma))
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_sequential_register_grows_by_one_qubit_per_round(n, monkeypatch):
+    sizes = []
+    real_apply_O = wcircuit.apply_O
+
+    def recording_apply_O(state, *args, **kwargs):
+        sizes.append(state.num_qubits)
+        return real_apply_O(state, *args, **kwargs)
+
+    monkeypatch.setattr(wcircuit, "apply_O", recording_apply_O)
+    double_w(DoublingPlan(n, "sequential"))
+    assert sizes == list(range(n + 2, 2 * n + 2))
 
 
 def test_doubling_is_deterministic():
