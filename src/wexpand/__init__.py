@@ -42,9 +42,6 @@ from .statevec import (
     DensityMatrix,
     QubitPermutation,
     StateVector,
-    apply_1q,
-    apply_2q,
-    apply_controlled,
     apply_unitary,
     basis_state,
     fidelity_pure,

@@ -34,7 +34,7 @@ from .gates import (
 from .statevec import (
     QubitPermutation,
     StateVector,
-    apply_controlled,
+    apply_unitary,
     basis_state,
     fidelity_pure,
     partial_trace,
@@ -169,12 +169,12 @@ def _gate_conventions(circuit, rng) -> float:
 
 
 def _controlled_phase_convention(circuit, rng) -> float:
-    z = np.diag([1, -1]).astype(complex)
+    cz = controlled_phase()
     return max(
-        _max_abs(controlled_phase().matrix - np.diag([1, 1, 1, -1])),
+        _max_abs(cz.matrix - np.diag([1, 1, 1, -1])),
         abs(controlled_phase(0.3).matrix[3, 3] - np.exp(1j * (np.pi - 0.3))),
-        _max_abs(apply_controlled(basis_state("11"), z, 0, 1).amplitudes - _vec({3: -1}, 2)),
-        _max_abs(apply_controlled(basis_state("10"), z, 0, 1).amplitudes - _vec({2: 1}, 2)),
+        _max_abs(apply_unitary(basis_state("11"), cz, (0, 1)).amplitudes - _vec({3: -1}, 2)),
+        _max_abs(apply_unitary(basis_state("10"), cz, (0, 1)).amplitudes - _vec({2: 1}, 2)),
     )
 
 

@@ -26,22 +26,22 @@ T_PRIME_ANGLE = np.pi / 8
 
 @dataclass(frozen=True, eq=False)
 class Gate:
-    """Small dense unitary with an arity tag and a display label."""
+    """Small dense one- or two-qubit unitary with a display label."""
 
     matrix: np.ndarray
-    arity: int
     label: str
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if self.arity not in (1, 2):
-            raise ValueError(f"arity must be 1 or 2, got {self.arity}")
-        dim = 2 if self.arity == 1 else 4
-        if m.shape != (dim, dim):
-            raise ValueError(f"arity-{self.arity} gate needs a {dim}x{dim} matrix")
-        if not np.max(np.abs(m.conj().T @ m - np.eye(dim))) <= ATOL_ALGEBRA:
+        if m.shape not in ((2, 2), (4, 4)):
+            raise ValueError(f"gate {self.label!r} must be 2x2 or 4x4, got shape {m.shape}")
+        if not np.max(np.abs(m.conj().T @ m - np.eye(len(m)))) <= ATOL_ALGEBRA:
             raise ValueError(f"gate {self.label!r} is not unitary")
         object.__setattr__(self, "matrix", _readonly(m))
+
+    @property
+    def arity(self) -> int:
+        return self.matrix.shape[0].bit_length() - 1
 
     def __repr__(self) -> str:
         return f"Gate({self.label!r}, arity={self.arity})"
@@ -77,7 +77,7 @@ def rotation_gate(theta: float, label: str | None = None) -> Gate:
     """
     c, s = np.cos(theta), np.sin(theta)
     m = np.array([[c, s], [s, -c]], dtype=complex)
-    return Gate(m, 1, label if label is not None else f"R({theta:.6g})")
+    return Gate(m, label if label is not None else f"R({theta:.6g})")
 
 
 def hadamard(alpha: float = 0.0) -> Gate:
@@ -99,7 +99,7 @@ def controlled_phase(gamma: float = 0.0) -> Gate:
     """
     m = np.diag([1.0, 1.0, 1.0, -np.exp(-1j * gamma)]).astype(complex)
     label = "CZ" if gamma == 0.0 else f"CP({gamma:.6g})"
-    return Gate(m, 2, label)
+    return Gate(m, label)
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ def holonomic_gate(p: HolonomicParams) -> Gate:
     d = np.array([c, eph * s], dtype=complex)
     b = np.array([s, -eph * c], dtype=complex)
     m = np.outer(d, d.conj()) + np.exp(1j * gph) * np.outer(b, b.conj())
-    return Gate(m, 1, f"U({p.theta:.6g},{p.phi:.6g},{p.delta_over_omega:.6g})")
+    return Gate(m, f"U({p.theta:.6g},{p.phi:.6g},{p.delta_over_omega:.6g})")
 
 
 def hwp_gate(plate_angle: float) -> Gate:

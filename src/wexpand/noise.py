@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wcircuit import BLOCK_MODE_MAX_N, expansion_unitaries
+from .wcircuit import BLOCK_MODE_MAX_N, _require_int, expansion_unitaries
 
 _S8 = np.sin(np.pi / 8.0)
 _C8 = np.cos(np.pi / 8.0)
@@ -82,6 +82,7 @@ def doubling_overlap_fidelity(u: np.ndarray, n: int) -> np.ndarray:
 
         amplitude = (n d a^(n-1) + n(n-1) c b a^(n-2)) / (n sqrt 2).
     """
+    n = _require_int("n", n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     u = np.asarray(u)
@@ -107,6 +108,8 @@ def sweep(theta_max: float, steps: int, n: int = 2) -> list[FidelityRecord]:
     columns (``doubling_overlap_fidelity``); ``double_w`` run in block
     mode with the same noise is its dense oracle.
     """
+    steps = _require_int("steps", steps)
+    n = _require_int("n", n)
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     if not 1 <= n <= BLOCK_MODE_MAX_N:

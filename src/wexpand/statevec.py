@@ -171,10 +171,6 @@ class QubitPermutation:
         return len(self.map)
 
     @staticmethod
-    def identity(k: int) -> "QubitPermutation":
-        return QubitPermutation(tuple(range(k)))
-
-    @staticmethod
     def swap(k: int, i: int, j: int) -> "QubitPermutation":
         m = list(range(k))
         m[i], m[j] = m[j], m[i]
@@ -191,13 +187,11 @@ class QubitPermutation:
 # Construction helpers
 # ---------------------------------------------------------------------------
 
-def basis_state(bits: str, num_qubits: int | None = None) -> StateVector:
+def basis_state(bits: str) -> StateVector:
     """Computational basis state from a bit string, e.g. ``basis_state("100")``."""
-    if num_qubits is None:
-        num_qubits = len(bits)
-    if len(bits) != num_qubits or any(c not in "01" for c in bits):
-        raise ValueError(f"invalid bit string {bits!r} for {num_qubits} qubits")
-    amps = np.zeros(1 << num_qubits, dtype=complex)
+    if any(c not in "01" for c in bits):
+        raise ValueError(f"invalid bit string {bits!r}")
+    amps = np.zeros(1 << len(bits), dtype=complex)
     amps[int(bits, 2)] = 1.0
     return StateVector(_seal(amps))
 
@@ -241,7 +235,7 @@ def _require_unitary(m: np.ndarray, dim: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Gate application kernels
+# Gate application: the one kernel every gate runs on
 # ---------------------------------------------------------------------------
 
 def apply_unitary(state: StateVector, matrix, qubits: Iterable[int]) -> StateVector:
@@ -266,36 +260,6 @@ def apply_unitary(state: StateVector, matrix, qubits: Iterable[int]) -> StateVec
     out = np.tensordot(m.reshape((2,) * (2 * k)), psi, axes=(list(range(k, 2 * k)), list(qubits)))
     out = np.moveaxis(out, list(range(k)), list(qubits))
     return StateVector(_seal(out.reshape(-1)))
-
-
-def apply_1q(state: StateVector, gate, target: int) -> StateVector:
-    """Apply a single-qubit unitary to ``target``."""
-    return apply_unitary(state, gate, (target,))
-
-
-def apply_2q(state: StateVector, gate, qubit_a: int, qubit_b: int) -> StateVector:
-    """Apply a two-qubit unitary; ``qubit_a`` is the more significant slot."""
-    return apply_unitary(state, gate, (qubit_a, qubit_b))
-
-
-def apply_controlled(state: StateVector, gate, control: int, target: int) -> StateVector:
-    """Apply a single-qubit unitary to ``target`` where ``control`` is |1>."""
-    m = _as_matrix(gate)
-    _require_unitary(m, 2)
-    n = state.num_qubits
-    if control == target:
-        raise ValueError("control and target must differ")
-    for q in (control, target):
-        if not 0 <= q < n:
-            raise ValueError(f"qubit {q} out of range for {n} qubits")
-    psi = state.tensor_view().copy()
-    sel: list = [slice(None)] * n
-    sel[control] = 1
-    sub = psi[tuple(sel)]
-    t_ax = target - 1 if target > control else target
-    sub = np.moveaxis(np.tensordot(m, sub, axes=([1], [t_ax])), 0, t_ax)
-    psi[tuple(sel)] = sub
-    return StateVector(_seal(psi.reshape(-1)))
 
 
 # ---------------------------------------------------------------------------

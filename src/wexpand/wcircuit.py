@@ -32,10 +32,7 @@ from .statevec import (
     QubitPermutation,
     StateVector,
     _qubit_density,
-    apply_1q,
-    apply_2q,
     apply_unitary,
-    basis_state,
     fidelity_pure,
     partial_trace,
     permute,
@@ -125,11 +122,7 @@ class ExpansionCircuit:
     def _run(self, state: StateVector, where: tuple[int, int, int]):
         """Yield the state after each step, the slots on register qubits `where`."""
         for gate, slots in self.steps:
-            qubits = [where[t] for t in slots]
-            if gate.arity == 1:
-                state = apply_1q(state, gate, *qubits)
-            else:
-                state = apply_2q(state, gate, *qubits)
+            state = apply_unitary(state, gate, [where[t] for t in slots])
             yield state
 
     def apply(self, state: StateVector, q1: int, anc: int, q2: int) -> StateVector:
@@ -232,12 +225,19 @@ def _expansion_unitary(noise: NoiseParams) -> np.ndarray:
 # W states and expansion
 # ---------------------------------------------------------------------------
 
+def _require_int(name: str, value) -> int:
+    """A register size or count as an int: Python and numpy integers pass;
+    a bool, a float (even an integral one) or anything else is rejected by name."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def build_w_state(n: int) -> StateVector:
     """|W_n>: equal 1/sqrt(n) superposition of all weight-one basis strings."""
+    n = _require_int("n", n)
     if n < 1:
         raise ValueError(f"W state needs at least one qubit, got n={n}")
-    if n == 1:
-        return basis_state("1")
     amps = np.zeros(1 << n, dtype=complex)
     for i in range(n):
         amps[1 << i] = 1.0 / np.sqrt(n)
@@ -256,14 +256,13 @@ def apply_O(
     anc: int,
     q2: int,
     noise: NoiseParams | None = None,
-    check: bool = True,
 ) -> StateVector:
     """Apply the expansion operation on the register triple (q1, anc, q2).
 
-    ``anc`` and ``q2`` must hold |0> (their reduced states are verified
-    unless ``check`` is disabled); ``q1`` carries the qubit whose excitation
-    is being split.  The 12 gates act as their composed 8x8 matrix in one
-    contraction; ``ExpansionCircuit.apply`` runs them one by one.
+    ``anc`` and ``q2`` must hold |0> (their reduced states are verified);
+    ``q1`` carries the qubit whose excitation is being split.  The 12 gates
+    act as their composed 8x8 matrix in one contraction;
+    ``ExpansionCircuit.apply`` runs them one by one.
     """
     n = state.num_qubits
     if len({q1, anc, q2}) != 3:
@@ -271,9 +270,8 @@ def apply_O(
     for q in (q1, anc, q2):
         if not 0 <= q < n:
             raise ValueError(f"qubit {q} out of range for {n} qubits")
-    if check:
-        _require_zero_slot(state, anc, "ancilla")
-        _require_zero_slot(state, q2, "second input")
+    _require_zero_slot(state, anc, "ancilla")
+    _require_zero_slot(state, q2, "second input")
     u = _expansion_unitary(noise if noise is not None else NoiseParams())
     return apply_unitary(state, u, (q1, anc, q2))
 
@@ -281,26 +279,27 @@ def apply_O(
 def create_epr() -> StateVector:
     """Entangle two never-interacting qubits into (|10> + |01>)/sqrt(2).
 
-    The n = 1 case of doubling: runs the expansion operation on |1>|0>|0>,
-    checks the ancilla came back to |0>, and projects it out, leaving the
-    pure two-qubit state on the logical pair.
+    The n = 1 case of doubling: the expansion operation on |1>|0>|0>, with
+    the ancilla projected out, leaves the pure two-qubit state on the
+    logical pair.
     """
-    out = apply_O(basis_state("100"), 0, 1, 2)
-    anc = partial_trace(out, {1}).entries
-    dev = float(np.max(np.abs(anc - np.array([[1.0, 0.0], [0.0, 0.0]]))))
-    if dev > 1e-12:
-        raise AncillaStateError("ancilla (after the operation)", anc)
-    return postselect_zero(out, [1])[0]
+    return double_w(DoublingPlan(1, "block"))[0]
 
 
 def _weight_one_support(state: StateVector, tol: float = 1e-10) -> None:
-    bad = [
-        format(i, f"0{state.num_qubits}b")
-        for i in np.flatnonzero(np.abs(state.amplitudes) > tol).tolist()
-        if bin(i).count("1") != 1
-    ]
-    if bad:
-        raise ValueError(f"state has support outside weight-one strings: {bad}")
+    """Reject a state with support on any basis string of weight other than one.
+
+    The message counts those strings and shows the first few, so that it
+    stays short for a register of any size.
+    """
+    idx = np.flatnonzero(np.abs(state.amplitudes) > tol)
+    bad = idx[(idx == 0) | ((idx & (idx - 1)) != 0)]
+    if bad.size:
+        shown = [format(i, f"0{state.num_qubits}b") for i in bad[:4].tolist()]
+        raise ValueError(
+            f"state has support on {bad.size} basis strings outside weight one: "
+            + ", ".join(shown) + (", ..." if bad.size > len(shown) else "")
+        )
 
 
 def _join_fresh_pair(
@@ -353,6 +352,7 @@ class DoublingPlan:
     mode: str = "sequential"
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _require_int("n", self.n))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.mode not in ("block", "sequential"):
@@ -366,8 +366,6 @@ class DoublingPlan:
 class RunReport:
     """Diagnostics of one doubling run."""
 
-    n: int
-    mode: str
     fidelity: float
     ancilla_purities: tuple[float, ...]
     success_probability: float
@@ -432,8 +430,6 @@ def double_w(
 
     fidelity = prob * fidelity_pure(out, target)
     report = RunReport(
-        n=n,
-        mode=plan.mode,
         fidelity=float(fidelity),
         ancilla_purities=purities,
         success_probability=float(prob),

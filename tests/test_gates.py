@@ -98,11 +98,17 @@ def test_every_constructor_output_is_unitary():
 
 def test_gate_rejects_non_unitary_matrix():
     with pytest.raises(ValueError):
-        Gate(np.array([[1, 1], [0, 1]], dtype=complex), 1, "bad")
-    with pytest.raises(ValueError):
-        Gate(np.eye(4, dtype=complex), 1, "wrong arity")
+        Gate(np.array([[1, 1], [0, 1]], dtype=complex), "bad")
+    with pytest.raises(ValueError, match="2x2 or 4x4"):
+        Gate(np.eye(8, dtype=complex), "three-qubit")
     with pytest.raises(ValueError):
         rotation_gate(float("nan"))  # every comparison with NaN is False
+
+
+def test_gate_arity_follows_the_matrix_shape():
+    assert (hadamard().arity, t_prime().arity, controlled_phase().arity) == (1, 1, 2)
+    assert Gate(np.eye(4, dtype=complex), "I4").arity == 2
+    assert repr(controlled_phase()) == "Gate('CZ', arity=2)"
 
 
 def test_holonomic_zero_detuning_phase_is_pi():

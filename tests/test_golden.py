@@ -9,7 +9,9 @@ detuning only, where r is real, so a detuned grid is pinned as well.
 Two larger `prepare` runs are pinned beside the defaults: their hashes
 were recorded before the engine stopped copying fresh kernel outputs and
 read single-qubit reductions in one pass, and show that this left every
-amplitude bit-identical.
+amplitude bit-identical.  The stdout of `wexpand verify` is pinned too, so
+that a change to a gate kernel that moves any check's printed deviation
+shows here.
 """
 import hashlib
 
@@ -59,3 +61,16 @@ def test_detuned_cavity_csv_matches_its_golden_hash(tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main([*DETUNED_CAVITY_ARGV, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DETUNED_CAVITY_SHA256
+
+
+# Recorded while the controlled-phase check still ran a dedicated
+# controlled-gate kernel and `create_epr` still projected its own
+# `apply_O` run: every check prints the same deviation on one kernel.
+VERIFY_STDOUT_SHA256 = "688224bd0427dffd52f560f4980852ffbae1b08450ac7c6800d945f4750a0fc6"
+
+
+def test_verify_stdout_matches_its_golden_hash(capsys):
+    assert main(["verify"]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.endswith("19/19 checks passed\n")
+    assert hashlib.sha256(stdout.encode()).hexdigest() == VERIFY_STDOUT_SHA256

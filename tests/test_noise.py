@@ -205,6 +205,32 @@ def test_structured_overlap_serves_sizes_past_the_dense_cap():
         doubling_overlap_fidelity(np.eye(4), 2)
 
 
+# Each library entry point that takes a register size or count, as a call
+# on that one value returning something comparable with ==, and the name the
+# value is rejected under.
+_SIZED_ENTRY_POINTS = {
+    "DoublingPlan": (lambda n: DoublingPlan(n, "block"), "n"),
+    "build_w_state": (lambda n: build_w_state(n).amplitudes.tobytes(), "n"),
+    "doubling_overlap_fidelity": (
+        lambda n: doubling_overlap_fidelity(expansion_unitaries(0.01, 0.02, 0.03), n).tobytes(),
+        "n",
+    ),
+    "sweep n": (lambda n: sweep(THETA_MAX, 5, n=n), "n"),
+    "sweep steps": (lambda steps: sweep(THETA_MAX, steps), "steps"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_SIZED_ENTRY_POINTS))
+def test_sizes_must_be_integers_at_the_boundary(entry):
+    call, name = _SIZED_ENTRY_POINTS[entry]
+    for bad in (True, np.True_, 2.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            call(bad)
+    # numpy integers are sizes too, with the same result as a Python int.
+    for good in (np.int64(3), np.int32(3), np.uint8(3)):
+        assert call(good) == call(3)
+
+
 def test_each_series_is_monotone_non_increasing_on_the_window():
     thetas = np.linspace(0.0, THETA_MAX, 1000)
     for series in (

@@ -6,9 +6,6 @@ from wexpand.statevec import (
     DensityMatrix,
     QubitPermutation,
     StateVector,
-    apply_1q,
-    apply_2q,
-    apply_controlled,
     apply_unitary,
     basis_state,
     fidelity_pure,
@@ -26,7 +23,7 @@ TP = np.array(
     [[np.cos(np.pi / 8), np.sin(np.pi / 8)], [np.sin(np.pi / 8), -np.cos(np.pi / 8)]],
     dtype=complex,
 )
-Z = np.diag([1.0, -1.0]).astype(complex)
+CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
 
 def random_state(n, rng):
@@ -41,14 +38,14 @@ def test_index_convention_msb_first():
 
 
 def test_apply_hadamard_to_zero():
-    out = apply_1q(basis_state("0"), H, 0)
+    out = apply_unitary(basis_state("0"), H, (0,))
     np.testing.assert_allclose(out.amplitudes, [S2, S2], atol=1e-15)
 
 
 def test_apply_t_prime_on_middle_qubit_matches_kron_oracle():
     state = basis_state("100")
     expected = np.kron(np.kron(np.eye(2), TP), np.eye(2)) @ state.amplitudes
-    out = apply_1q(state, TP, 1)
+    out = apply_unitary(state, TP, (1,))
     np.testing.assert_allclose(out.amplitudes, expected, atol=1e-15)
     # |1>(cos pi/8 |0> + sin pi/8 |1>)|0>
     np.testing.assert_allclose(out.amplitudes[4], np.cos(np.pi / 8), atol=1e-15)
@@ -58,54 +55,54 @@ def test_apply_t_prime_on_middle_qubit_matches_kron_oracle():
 def test_apply_identity_leaves_state_unchanged():
     rng = np.random.default_rng(7)
     state = random_state(4, rng)
-    out = apply_1q(state, np.eye(2, dtype=complex), 2)
+    out = apply_unitary(state, np.eye(2, dtype=complex), (2,))
     np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-15)
 
 
-def test_apply_1q_rejects_bad_target_and_nonunitary():
+def test_apply_unitary_rejects_bad_target_and_nonunitary():
     state = basis_state("00")
-    with pytest.raises(ValueError):
-        apply_1q(state, H, 2)
-    with pytest.raises(ValueError):
-        apply_1q(state, np.array([[1, 1], [0, 1]], dtype=complex), 0)
+    with pytest.raises(ValueError, match="out of range"):
+        apply_unitary(state, H, (2,))
+    with pytest.raises(ValueError, match="not unitary"):
+        apply_unitary(state, np.array([[1, 1], [0, 1]], dtype=complex), (0,))
+    with pytest.raises(ValueError, match="expected a 4x4"):
+        apply_unitary(state, H, (0, 1))
 
 
 def test_cz_on_11_flips_sign():
-    out = apply_controlled(basis_state("11"), Z, 0, 1)
+    out = apply_unitary(basis_state("11"), CZ, (0, 1))
     np.testing.assert_allclose(out.amplitudes, [0, 0, 0, -1], atol=1e-15)
 
 
 def test_cz_on_10_unchanged():
-    out = apply_controlled(basis_state("10"), Z, 0, 1)
+    out = apply_unitary(basis_state("10"), CZ, (0, 1))
     np.testing.assert_allclose(out.amplitudes, [0, 0, 1, 0], atol=1e-15)
 
 
 def test_controlled_phase_imperfect_angle():
     gamma = 0.37
-    phase = np.diag([1.0, -np.exp(-1j * gamma)])
-    out = apply_controlled(basis_state("11"), phase, 0, 1)
+    phase = np.diag([1.0, 1.0, 1.0, -np.exp(-1j * gamma)])
+    out = apply_unitary(basis_state("11"), phase, (0, 1))
     np.testing.assert_allclose(out.amplitudes[3], np.exp(1j * (np.pi - gamma)), atol=1e-15)
 
 
-def test_apply_controlled_rejects_equal_indices():
-    with pytest.raises(ValueError):
-        apply_controlled(basis_state("00"), Z, 1, 1)
+def test_apply_unitary_rejects_repeated_qubits():
+    with pytest.raises(ValueError, match="distinct"):
+        apply_unitary(basis_state("00"), CZ, (1, 1))
 
 
 def test_cz_symmetric_under_control_target_swap():
-    m1 = operation_matrix(lambda s: apply_controlled(s, Z, 0, 2), 3)
-    m2 = operation_matrix(lambda s: apply_controlled(s, Z, 2, 0), 3)
+    m1 = operation_matrix(lambda s: apply_unitary(s, CZ, (0, 2)), 3)
+    m2 = operation_matrix(lambda s: apply_unitary(s, CZ, (2, 0)), 3)
     assert np.max(np.abs(m1 - m2)) < 1e-14
 
 
-def test_apply_2q_matches_kron_oracle():
+def test_apply_unitary_on_a_qubit_pair_matches_kron_oracle():
     rng = np.random.default_rng(3)
-    cz4 = np.diag([1, 1, 1, -1]).astype(complex)
     state = random_state(3, rng)
-    expected = np.kron(cz4.reshape(4, 4), np.eye(1))  # placeholder to keep shapes obvious
-    full = np.kron(np.eye(2), cz4)  # acts on qubits (1, 2)
+    full = np.kron(np.eye(2), CZ)  # acts on qubits (1, 2)
     np.testing.assert_allclose(
-        apply_2q(state, cz4, 1, 2).amplitudes, full @ state.amplitudes, atol=1e-15
+        apply_unitary(state, CZ, (1, 2)).amplitudes, full @ state.amplitudes, atol=1e-15
     )
 
 
@@ -193,13 +190,13 @@ def test_permute_swap_and_identity():
     np.testing.assert_allclose(swapped.amplitudes, basis_state("10").amplitudes)
     rng = np.random.default_rng(17)
     state = random_state(4, rng)
-    same = permute(state, QubitPermutation.identity(4))
+    same = permute(state, QubitPermutation((0, 1, 2, 3)))
     np.testing.assert_allclose(same.amplitudes, state.amplitudes)
 
 
 def test_permute_rejects_size_mismatch():
     with pytest.raises(ValueError):
-        permute(basis_state("000"), QubitPermutation.identity(2))
+        permute(basis_state("000"), QubitPermutation((0, 1)))
 
 
 def test_swap_sequence_equals_composed_permutation():
@@ -238,9 +235,9 @@ def test_norm_drift_under_long_gate_sequence():
     for k in range(1000):
         if k % 3 == 2:
             a, b = rng.choice(12, size=2, replace=False)
-            state = apply_2q(state, cp(rng.uniform(0, np.pi)), int(a), int(b))
+            state = apply_unitary(state, cp(rng.uniform(0, np.pi)), (int(a), int(b)))
         else:
-            state = apply_1q(state, rot(rng.uniform(0, np.pi)), int(rng.integers(12)))
+            state = apply_unitary(state, rot(rng.uniform(0, np.pi)), (int(rng.integers(12)),))
     assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
 
 
@@ -297,12 +294,11 @@ def _kernel_outputs(state):
     n = state.num_qubits
     yield "apply_unitary", state, apply_unitary(state, H, (n - 1,))
     yield "apply_unitary in order", state, apply_unitary(state, np.kron(H, TP), (0, 1))
-    yield "apply_controlled", state, apply_controlled(state, H, 0, n - 1)
     fresh = zero_state(2)
     yield "tensor (left)", state, tensor(state, fresh)
     yield "tensor (right)", fresh, tensor(state, fresh)
     yield "permute", state, permute(state, QubitPermutation.swap(n, 0, n - 1))
-    yield "permute (identity)", state, permute(state, QubitPermutation.identity(n))
+    yield "permute (identity)", state, permute(state, QubitPermutation(tuple(range(n))))
     yield "postselect_zero (leading qubit)", state, postselect_zero(state, [0])[0]
     yield "postselect_zero (last qubit)", state, postselect_zero(state, [n - 1])[0]
 

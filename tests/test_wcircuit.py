@@ -14,6 +14,7 @@ from wexpand.statevec import (
     QubitPermutation,
     StateVector,
     _qubit_density,
+    apply_unitary,
     basis_state,
     fidelity_pure,
     partial_trace,
@@ -168,7 +169,7 @@ def test_apply_O_term_splitting_coefficients():
     # A 1/sqrt(n) excitation splits into two 1/sqrt(2n) terms; the rest keep 1/sqrt(n).
     n = 3
     reg = tensor(build_w_state(n), zero_state(2))  # new at 3, anc at 4
-    out = apply_O(reg, 1, 4, 3, check=True)
+    out = apply_O(reg, 1, 4, 3)
     amps = out.amplitudes.reshape((2,) * 5)
     assert abs(amps[0, 1, 0, 0, 0] - 1 / np.sqrt(6)) < 1e-12  # kept excitation
     assert abs(amps[0, 0, 0, 1, 0] - 1 / np.sqrt(6)) < 1e-12  # transferred
@@ -277,7 +278,8 @@ def _register_and_slots(draw):
 def test_fused_apply_O_matches_the_12_gate_circuit(reg_slots, alpha, beta, gamma):
     state, (q1, anc, q2) = reg_slots
     noise = NoiseParams(alpha, beta, gamma)
-    fused = apply_O(state, q1, anc, q2, noise, check=False)
+    # A random register has no |0> slots: contract the cached 8x8 directly.
+    fused = apply_unitary(state, _expansion_unitary(noise), (q1, anc, q2))
     stepwise = standard_expansion_circuit(noise).apply(state, q1, anc, q2)
     assert np.max(np.abs(fused.amplitudes - stepwise.amplitudes)) < 1e-14
 
@@ -364,6 +366,19 @@ def test_expand_rejects_non_weight_one_input():
         expand_by_one(ghz, 0)
 
 
+def test_non_weight_one_message_counts_and_stays_short():
+    # A random 14-qubit register has support on all 2^14 strings, 14 of
+    # them of weight one; listing the rest once took 294 706 characters.
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(1 << 14) + 1j * rng.standard_normal(1 << 14)
+    with pytest.raises(ValueError) as info:
+        expand_by_one(StateVector(v / np.linalg.norm(v)), 0)
+    message = str(info.value)
+    assert len(message) < 200
+    assert f"on {2**14 - 14} basis strings" in message
+    assert message.endswith("00000000000000, 00000000000011, 00000000000101, 00000000000110, ...")
+
+
 def test_coefficient_bookkeeping_after_k_expansions():
     # k distinct-target expansions of |W_n>: n+k terms, 2k at 1/sqrt(2n),
     # n-k untouched at 1/sqrt(n).
@@ -419,7 +434,12 @@ def test_doubling_reaches_w2n(n, mode, schedule, tmp_path):
 
 
 def test_doubling_n1_equals_epr():
+    # Bell-pair creation is the n = 1 doubling: the expansion operation on
+    # |100> with the ancilla projected out, bit for bit.
     out, _ = double_w(DoublingPlan(1, "block"))
+    projected, prob = postselect_zero(apply_O(basis_state("100"), 0, 1, 2), [1])
+    assert prob == 1.0
+    assert np.array_equal(out.amplitudes, projected.amplitudes)
     assert np.array_equal(out.amplitudes, create_epr().amplitudes)
 
 
