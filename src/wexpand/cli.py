@@ -55,6 +55,7 @@ from .wcircuit import (
     expand_by_one,
     interleave_permutation,
     relabel,
+    round_permutation,
     standard_expansion_circuit,
 )
 
@@ -397,11 +398,15 @@ def run_verification(tp_angle: float = T_PRIME_ANGLE, seed: int = 0) -> list[Che
 
 def validate(command: str, opts: argparse.Namespace) -> None:
     """Check what no callee checks before output is written: finite floats,
-    the cavity grid's step counts and a writable output path.  Every other
-    range is checked once, by the callee."""
+    a non-negative `verify` seed, the cavity grid's step counts and a
+    writable output path.  Every other range is checked once, by the
+    callee."""
     for key, value in vars(opts).items():
         if isinstance(value, float) and not np.isfinite(value):
             raise ValueError(f"{key} must be finite, got {value!r}")
+    # default_rng's own error for a negative seed names no option.
+    if command == "verify" and opts.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {opts.seed}")
     # linspace(..., 0) is empty, which would write a header-only CSV.
     if command == "cavity-sweep" and (opts.detuning_steps < 1 or opts.g_steps < 1):
         raise ValueError("grid step counts must be >= 1")
@@ -454,11 +459,11 @@ def cmd_prepare(args) -> int:
             rows.append((stage, idx, bits, bits.translate(labels), amp.real, amp.imag))
 
     if args.trace:
-        grown = build_w_state(plan.n)
-        add_rows("round_0", grown)
-        for i in range(plan.n):
-            grown = expand_by_one(grown, 2 * i)
-            add_rows(f"round_{i + 1}", grown)
+        # Each sequential round, with every joined qubit right after its source.
+        rounds = report.rounds or double_w(DoublingPlan(plan.n, "sequential"))[1].rounds
+        add_rows("round_0", rounds[0])
+        for k, grown in enumerate(rounds[1:], start=1):
+            add_rows(f"round_{k}", permute(grown, round_permutation(plan.n, k)))
     add_rows("final", out_state)
     _write_rows(
         args.out,
@@ -479,15 +484,25 @@ def cmd_prepare(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_fidelity_sweep(args) -> int:
-    records = noi.sweep(args.theta_max, args.steps, args.n)
+    # Past |theta| ~ 2.2e307 the closed forms' 8 theta overflows and their
+    # fidelities are NaN; the rows are rejected below by name, so numpy's
+    # warnings would only add noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        records = noi.sweep(args.theta_max, args.steps, args.n)
+    rows = [
+        (r.theta, r.f_h, r.f_tp, r.f_cp, r.f_combined, r.f_simulated, r.n)
+        for r in records
+    ]
+    if not np.isfinite(rows).all():
+        raise ValueError(
+            f"theta_max {args.theta_max!r} is too large in magnitude: "
+            "the sweep's fidelities are not finite"
+        )
     _write_rows(
         args.out,
         ["theta", "f_h", "f_tp", "f_cp", "f_combined", "f_simulated", "n"],
         "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n",
-        [
-            (r.theta, r.f_h, r.f_tp, r.f_cp, r.f_combined, r.f_simulated, r.n)
-            for r in records
-        ],
+        rows,
     )
     print(f"wrote {len(records)} sweep rows to {args.out}")
     return 0

@@ -211,12 +211,16 @@ def expansion_unitaries(alpha, beta, gamma) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _expansion_unitary(noise: NoiseParams) -> np.ndarray:
-    """Composed 8x8 of the 12-gate circuit under ``noise``, shared read-only.
+    """The 8x8 expansion operator under ``noise``, shared read-only.
 
-    A sweep visits each noise point once and a doubling run reuses one, so a
+    Ideal gates give ``EXPANSION_MATRIX`` itself, whose exact zeros return
+    every ancilla exactly to |0>; other noise gives the composed 8x8 of
+    ``expansion_unitaries``.  A doubling run reuses one noise point, so a
     few entries suffice.
     """
-    u = standard_expansion_circuit(noise).matrix()
+    if noise.is_ideal:
+        return EXPANSION_MATRIX
+    u = expansion_unitaries(noise.alpha, noise.beta, noise.gamma)[0]
     u.setflags(write=False)
     return u
 
@@ -261,8 +265,8 @@ def apply_O(
 
     ``anc`` and ``q2`` must hold |0> (their reduced states are verified);
     ``q1`` carries the qubit whose excitation is being split.  The 12 gates
-    act as their composed 8x8 matrix in one contraction;
-    ``ExpansionCircuit.apply`` runs them one by one.
+    act as one 8x8 in one contraction (``EXPANSION_MATRIX`` itself for
+    ideal gates); ``ExpansionCircuit.apply`` runs them one by one.
     """
     n = state.num_qubits
     if len({q1, anc, q2}) != 3:
@@ -364,11 +368,17 @@ class DoublingPlan:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Diagnostics of one doubling run."""
+    """Diagnostics of one doubling run.
+
+    ``rounds`` holds the post-selected register of each sequential round,
+    round 0 being |W_n> and round i ordered (w_0..w_{n-1}, new_0..new_{i-1});
+    it is empty in block mode.
+    """
 
     fidelity: float
     ancilla_purities: tuple[float, ...]
     success_probability: float
+    rounds: tuple[StateVector, ...]
 
 
 def interleave_permutation(n: int) -> QubitPermutation:
@@ -385,6 +395,19 @@ def interleave_permutation(n: int) -> QubitPermutation:
     return QubitPermutation(tuple(dest))
 
 
+def round_permutation(n: int, k: int) -> QubitPermutation:
+    """Layout permutation of sequential round k of |W_n> -> |W_2n>.
+
+    Takes the round's register, ordered (w_0..w_{n-1}, new_0..new_{k-1}),
+    to each joined qubit right after its source: (w_0, new_0, ...,
+    w_{k-1}, new_{k-1}, w_k, ..., w_{n-1}), the order in which a chain of
+    ``expand_by_one`` rounds grows the state.
+    """
+    dest = [2 * j if j < k else k + j for j in range(n)]
+    dest += [2 * j + 1 for j in range(k)]
+    return QubitPermutation(tuple(dest))
+
+
 def double_w(
     plan: DoublingPlan, noise: NoiseParams | None = None
 ) -> tuple[StateVector, RunReport]:
@@ -394,7 +417,8 @@ def double_w(
     second.  Each ancilla is projected onto its ideal |0> state before
     removal (a no-op for ideal gates); the report's fidelity against the
     ideal |W_2n> accounts for the projection probability, and the report
-    records each ancilla's pre-projection purity.
+    records each ancilla's pre-projection purity and, in sequential mode,
+    the register after each round.
     """
     n = plan.n
     target = build_w_state(2 * n)
@@ -410,22 +434,21 @@ def double_w(
         )
         reg, prob = postselect_zero(reg, anc_positions)
         # Kept order is (w_0, new_0, w_1, new_1, ...); regroup to w's then new's.
-        dest = [0] * (2 * n)
-        for i in range(n):
-            dest[2 * i] = i
-            dest[2 * i + 1] = n + i
-        out = permute(reg, QubitPermutation(tuple(dest)))
+        out = permute(reg, round_permutation(n, n).inverse())
+        rounds = []
     else:
         # Round i joins new_i at n+i, after the i already joined, and its
         # ancilla at n+i+1: the register grows by one qubit per round.
         out = build_w_state(n)
         prob = 1.0
         purities_list = []
+        rounds = [out]
         for i in range(n):
             reg = _join_fresh_pair(out, i, noise)
             purities_list.append(partial_trace(reg, {n + i + 1}).purity())
             out, p = postselect_zero(reg, [n + i + 1])
             prob *= p
+            rounds.append(out)
         purities = tuple(purities_list)
 
     fidelity = prob * fidelity_pure(out, target)
@@ -433,6 +456,7 @@ def double_w(
         fidelity=float(fidelity),
         ancilla_purities=purities,
         success_probability=float(prob),
+        rounds=tuple(rounds),
     )
     return out, report
 

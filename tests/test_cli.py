@@ -6,13 +6,22 @@ import json
 import os
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wexpand import cli, wcircuit
 from wexpand.cli import CHECKS, _build_parser, main, run_verification
+from wexpand.statevec import permute
+from wexpand.wcircuit import (
+    build_w_state,
+    expand_by_one,
+    round_permutation,
+    standard_expansion_circuit,
+)
 
 PI = np.pi
 
@@ -53,6 +62,16 @@ def test_verify_fault_injection_exits_nonzero_and_names_check(capsys):
     assert main(["verify", "--tp-angle", str(PI / 8 + 0.01)]) == 1
     captured = capsys.readouterr()
     assert "expansion operator matrix" in captured.err
+
+
+def test_verify_rejects_a_negative_seed_by_name(tmp_path, capsys):
+    assert main(["verify", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -7}))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be >= 0, got -7\n" and captured.out == ""
 
 
 def test_run_verification_covers_all_checks():
@@ -127,6 +146,52 @@ def test_prepare_full_dumps_every_final_amplitude(tmp_path):
     assert all(r["basis"] == format(int(r["index"]), "06b") for r in final)
 
 
+def _dumped_stages(path):
+    """Each stage of a `prepare` CSV as a dense amplitude vector (zero where no row is)."""
+    stages = {}
+    for r in read_csv(path):
+        amps = stages.setdefault(r["stage"], np.zeros(1 << len(r["basis"]), dtype=complex))
+        amps[int(r["index"])] = complex(float(r["re"]), float(r["im"]))
+    return stages
+
+
+@pytest.mark.parametrize(
+    "mode, n", [("sequential", n) for n in range(1, 9)] + [("block", n) for n in range(1, 7)]
+)
+def test_prepare_trace_matches_the_expand_by_one_chain(tmp_path, monkeypatch, mode, n):
+    # The trace reads the doubling's own rounds.  The oracle grows the
+    # same state a second time: a chain of expand_by_one rounds, each
+    # joining its qubit after w_k, on the 8x8 composed from the 12 gates.
+    def no_chain(*args, **kwargs):
+        raise AssertionError("prepare must not run a second chain")
+
+    monkeypatch.setattr(cli, "expand_by_one", no_chain)
+    out = tmp_path / "trace.csv"
+    assert main(["prepare", "--n", str(n), "--mode", mode, "--trace", "--out", str(out)]) == 0
+    stages = _dumped_stages(str(out))
+    composed = standard_expansion_circuit().matrix()
+    chain = [build_w_state(n)]
+    with mock.patch.object(wcircuit, "_expansion_unitary", lambda noise: composed):
+        for k in range(n):
+            chain.append(expand_by_one(chain[-1], 2 * k))
+    assert sorted(stages) == sorted([f"round_{k}" for k in range(n + 1)] + ["final"])
+    for k, want in enumerate(chain):
+        assert np.max(np.abs(stages[f"round_{k}"] - want.amplitudes)) <= 1e-15
+    final = permute(chain[-1], round_permutation(n, n).inverse())
+    assert np.max(np.abs(stages["final"] - final.amplitudes)) <= 1e-15
+
+
+@pytest.mark.parametrize("mode, n", [("sequential", 4), ("block", 5), ("sequential", 6)])
+def test_prepare_full_writes_exact_zeros_outside_weight_one(tmp_path, mode, n):
+    out = tmp_path / "full.csv"
+    argv = ["prepare", "--n", str(n), "--mode", mode, "--full", "--trace", "--out", str(out)]
+    assert main(argv) == 0
+    rows = read_csv(str(out))
+    off = [r for r in rows if bin(int(r["index"])).count("1") != 1]
+    assert len(off) > len(rows) // 2
+    assert all(r["re"] == "0" and r["im"] == "0" for r in off)
+
+
 @pytest.mark.parametrize("mode", ["block", "sequential"])
 def test_prepare_default_dump_is_the_weight_one_indices_ascending(tmp_path, mode):
     out = tmp_path / "w.csv"
@@ -163,6 +228,19 @@ def test_fidelity_sweep_csv_contract(tmp_path):
 
 def test_fidelity_sweep_rejects_single_step(tmp_path, capsys):
     assert main(["fidelity-sweep", "--steps", "1", "--out", str(tmp_path / "x.csv")]) != 0
+
+
+@pytest.mark.parametrize("theta_max", ["1e308", "-1e308", "3e307"])
+def test_fidelity_sweep_rejects_an_overflowing_theta_max(tmp_path, capsys, theta_max):
+    # 8 theta overflows past about 2.2e307 and puts NaN in the closed forms.
+    out = tmp_path / "fid.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        argv = ["fidelity-sweep", f"--theta-max={theta_max}", "--steps", "3", "--out", str(out)]
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: theta_max ") and "Warning" not in err
+    assert not out.exists()
 
 
 def test_fidelity_sweep_uses_lf_line_endings(tmp_path):

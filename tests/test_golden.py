@@ -1,17 +1,21 @@
 """Golden SHA-256 hashes of the default CSV of every writing command.
 
-A changed hash means a command's output bytes changed.  The `prepare` and
-`cavity-sweep` hashes predate the batched fidelity sweep and show that it
-left those outputs byte-identical; the `fidelity-sweep` hash pins the
-structured `f_simulated` column, which moved by at most 1.1e-15 from the
-dense simulation it replaced.  The default `cavity-sweep` grid has zero
-detuning only, where r is real, so a detuned grid is pinned as well.
-Two larger `prepare` runs are pinned beside the defaults: their hashes
-were recorded before the engine stopped copying fresh kernel outputs and
-read single-qubit reductions in one pass, and show that this left every
-amplitude bit-identical.  The stdout of `wexpand verify` is pinned too, so
-that a change to a gate kernel that moves any check's printed deviation
-shows here.
+A changed hash means a command's output bytes changed.  The `cavity-sweep`
+hashes predate the batched fidelity sweep and show that it left those
+outputs byte-identical; the `fidelity-sweep` hash pins the structured
+`f_simulated` column, which moved by at most 1.1e-15 from the dense
+simulation it replaced.  The default `cavity-sweep` grid has zero detuning
+only, where r is real, so a detuned grid is pinned as well.
+
+The `prepare` hashes were re-pinned when the ideal expansion operator
+became `EXPANSION_MATRIX` itself instead of the composed 12-gate 8x8,
+which sat 2.0e-16 from it, and `--trace` began to read the doubling's own
+rounds instead of a second chain of `expand_by_one` rounds.  Each
+amplitude moved by at most 1.4e-16: the final ones are now exact (0.5
+where 0.50000000000000011 was written), and every non-weight-one entry of
+a `--full` dump is written as exactly 0.  The stdout of `wexpand verify`
+is pinned too, so that a change to a kernel that moves any check's printed
+deviation shows here; it was re-pinned with the same change.
 """
 import hashlib
 
@@ -20,24 +24,22 @@ import pytest
 from wexpand.cli import main
 
 GOLDEN_SHA256 = {
-    "prepare": "f16a9c22566eac3568e20d0c40b0d79edab481ad8cbb1085062eb7baabdf36a5",
+    "prepare": "a3604229be62d29ff3e52e97d1a90901ed1a2ce535e0e91e743148e78f2da000",
     "cavity-sweep": "a23b6b2a5785588ceeeb9f36bfe3dee961a3306b97ad02e0f78447609af36ee8",
     "fidelity-sweep": "02f9d77e6f9a2a9104d4a10dea3f3c395b441cd9fd88a3d635b29cc5158b6594",
     # Larger registers, where a change in the rounding of one engine kernel
     # (a post-selection probability, a tensor product) moves some amplitude
     # in its last bit; the n = 2 default above is too small to show it.
     "prepare --n 7 --mode sequential --trace":
-        "9300673f4c6f5bafbba9dc4bcbabae75563f31bd72c374b76fb440b7b22e6efd",
+        "598e0a0c16bf7a59af25bc031ac0e66e4a9bbb2dec623cc2f0e135335580443b",
     "prepare --n 5 --mode block --full --trace --role spin":
-        "4ec89bdfe0ad3cd4832a496a6a2d07af9b663253b293120ea826654b44d7a3b9",
-    # Recorded on the fixed 2n+1-qubit sequential register, before each round
-    # joined its (new, ancilla) pair fresh: the largest sequential run, and a
-    # full sequential dump whose rounding residues (-6.7e-17, -2.9e-33 where
-    # the ideal amplitude is zero) are written out amplitude by amplitude.
+        "19fe96dba23a516d270dab2d47dea68631bca17692a80e70205f7d8038d2fd1a",
+    # The largest sequential run, and a full sequential dump that writes
+    # every zero amplitude out.
     "prepare --n 8 --mode sequential":
-        "6e9df5fd1f98e5f46cf17fb7df6eb6a75ad83cd1202865057fa754a84ae8814c",
+        "431d71c56b1a2623d829f9466c8b34db21160a2563cabbe3d49d2c26104d7be4",
     "prepare --n 4 --mode sequential --full --trace":
-        "f214ad30c39b67ae83ef2fb626981d394d8589e8b5cbc069d7a32300a40c2523",
+        "9aea82a258c2c68199c5db9e0c1bb29edb23f7aae2ac487291aa4e87d00b23ba",
 }
 
 
@@ -63,10 +65,7 @@ def test_detuned_cavity_csv_matches_its_golden_hash(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DETUNED_CAVITY_SHA256
 
 
-# Recorded while the controlled-phase check still ran a dedicated
-# controlled-gate kernel and `create_epr` still projected its own
-# `apply_O` run: every check prints the same deviation on one kernel.
-VERIFY_STDOUT_SHA256 = "688224bd0427dffd52f560f4980852ffbae1b08450ac7c6800d945f4750a0fc6"
+VERIFY_STDOUT_SHA256 = "34dcc876fd6e7c6cbd4aa2125399df6c1b26dd4884924cd7562bc27ba75ae5f3"
 
 
 def test_verify_stdout_matches_its_golden_hash(capsys):

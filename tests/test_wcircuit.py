@@ -1,6 +1,8 @@
 """Expansion circuit, W-state growth and the doubling protocol."""
 import csv
 import math
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,6 +42,7 @@ from wexpand.wcircuit import (
     _expansion_unitary,
     _require_zero_slot,
     relabel,
+    round_permutation,
     standard_expansion_circuit,
 )
 
@@ -435,10 +438,12 @@ def test_doubling_reaches_w2n(n, mode, schedule, tmp_path):
 
 def test_doubling_n1_equals_epr():
     # Bell-pair creation is the n = 1 doubling: the expansion operation on
-    # |100> with the ancilla projected out, bit for bit.
+    # |100> with the ancilla projected out, bit for bit.  The exact ideal
+    # operator puts fl(1/sqrt 2) on |100> and |001>, so the projection
+    # probability is 2 fl(1/sqrt 2)^2, one ulp below 1.
     out, _ = double_w(DoublingPlan(1, "block"))
     projected, prob = postselect_zero(apply_O(basis_state("100"), 0, 1, 2), [1])
-    assert prob == 1.0
+    assert prob == 2 * (1 / np.sqrt(2)) ** 2 == 0.9999999999999998
     assert np.array_equal(out.amplitudes, projected.amplitudes)
     assert np.array_equal(out.amplitudes, create_epr().amplitudes)
 
@@ -531,6 +536,104 @@ def test_sequential_register_grows_by_one_qubit_per_round(n, monkeypatch):
     monkeypatch.setattr(wcircuit, "apply_O", recording_apply_O)
     double_w(DoublingPlan(n, "sequential"))
     assert sizes == list(range(n + 2, 2 * n + 2))
+
+
+# ---------------------------------------------------------------------------
+# The exact ideal operator and the sequential rounds
+# ---------------------------------------------------------------------------
+
+def test_ideal_operator_is_the_expansion_matrix_and_noisy_is_the_batched_one(monkeypatch):
+    def no_composition(self):
+        raise AssertionError("the operator must not be composed from the 12 gates")
+
+    monkeypatch.setattr(ExpansionCircuit, "matrix", no_composition)
+    _expansion_unitary.cache_clear()
+    assert _expansion_unitary(NoiseParams()) is EXPANSION_MATRIX
+    noise = NoiseParams(0.01, 0.02, 0.03)
+    u = _expansion_unitary(noise)
+    assert np.array_equal(u, expansion_unitaries(0.01, 0.02, 0.03)[0])
+    assert not u.flags.writeable
+    _expansion_unitary.cache_clear()
+
+
+_DOUBLING_RUNS = [("block", n) for n in range(1, 7)] + [("sequential", n) for n in range(1, 9)]
+
+
+@pytest.mark.parametrize("mode, n", _DOUBLING_RUNS)
+def test_ideal_ancillas_are_exactly_zero_and_never_gathered(mode, n, monkeypatch):
+    # The exact operator maps the protocol's inputs onto ancilla-|0> rows
+    # only, so each ancilla's |1> slice is exactly zero and its reduction
+    # reads the |0> norm alone, with no contiguous copy of the register.
+    real_apply_O = wcircuit.apply_O
+    gathers = []
+    real_contiguous = np.ascontiguousarray
+
+    def checking_apply_O(state, q1, anc, q2, noise=None):
+        out = real_apply_O(state, q1, anc, q2, noise)
+        assert not out.amplitudes.reshape(1 << anc, 2, -1)[:, 1].any()
+        return out
+
+    def counting_contiguous(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "wexpand.statevec":
+            gathers.append(args[0].shape)
+        return real_contiguous(*args, **kwargs)
+
+    monkeypatch.setattr(wcircuit, "apply_O", checking_apply_O)
+    monkeypatch.setattr(np, "ascontiguousarray", counting_contiguous)
+    double_w(DoublingPlan(n, mode))
+    assert gathers == []
+
+
+def test_round_permutation_puts_each_joined_qubit_after_its_source():
+    # Round 2 of n = 3: (w0, w1, w2, new0, new1) -> (w0, new0, w1, new1, w2).
+    assert round_permutation(3, 2).map == (0, 2, 4, 1, 3)
+    assert round_permutation(3, 0).map == (0, 1, 2)
+    assert round_permutation(3, 3).map == (0, 2, 4, 1, 3, 5)
+    assert round_permutation(1, 1).map == (0, 1)
+
+
+def _chain_rounds(n, noise=None):
+    """|W_n> grown by n `expand_by_one` rounds, round k joining its qubit after w_k.
+
+    Each round applies the 8x8 composed from the 12 gates, independent of
+    the operator `apply_O` serves.  Under noise the rounds have support
+    outside weight one, which `expand_by_one` rejects for its own callers,
+    so that check is lifted.
+    """
+    composed = standard_expansion_circuit(noise).matrix()
+    rounds = [build_w_state(n)]
+    with mock.patch.object(wcircuit, "_weight_one_support", lambda w: None), \
+            mock.patch.object(wcircuit, "_expansion_unitary", lambda noise: composed):
+        for k in range(n):
+            rounds.append(expand_by_one(rounds[-1], 2 * k, noise))
+    return rounds
+
+
+def _assert_rounds_match_the_chain(n, noise=None):
+    out, report = double_w(DoublingPlan(n, "sequential"), noise)
+    chain = _chain_rounds(n, noise)
+    assert len(report.rounds) == n + 1
+    assert report.rounds[-1] is out
+    for k, (got, want) in enumerate(zip(report.rounds, chain)):
+        assert got.num_qubits == n + k
+        traced = permute(got, round_permutation(n, k))
+        assert np.max(np.abs(traced.amplitudes - want.amplitudes)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sequential_rounds_match_the_expand_by_one_chain(n):
+    _assert_rounds_match_the_chain(n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), _SMALL_ANGLE, _SMALL_ANGLE, _SMALL_ANGLE)
+def test_noisy_sequential_rounds_match_the_noisy_chain(n, alpha, beta, gamma):
+    _assert_rounds_match_the_chain(n, NoiseParams(alpha, beta, gamma))
+
+
+def test_block_mode_keeps_no_rounds():
+    _, report = double_w(DoublingPlan(3, "block"))
+    assert report.rounds == ()
 
 
 def test_doubling_is_deterministic():
