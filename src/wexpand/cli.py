@@ -8,6 +8,7 @@ config file passed via --config; flags win on conflict.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -484,25 +485,12 @@ def cmd_prepare(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_fidelity_sweep(args) -> int:
-    # Past |theta| ~ 2.2e307 the closed forms' 8 theta overflows and their
-    # fidelities are NaN; the rows are rejected below by name, so numpy's
-    # warnings would only add noise.
-    with np.errstate(over="ignore", invalid="ignore"):
-        records = noi.sweep(args.theta_max, args.steps, args.n)
-    rows = [
-        (r.theta, r.f_h, r.f_tp, r.f_cp, r.f_combined, r.f_simulated, r.n)
-        for r in records
-    ]
-    if not np.isfinite(rows).all():
-        raise ValueError(
-            f"theta_max {args.theta_max!r} is too large in magnitude: "
-            "the sweep's fidelities are not finite"
-        )
+    records = noi.sweep(args.theta_max, args.steps, args.n)
     _write_rows(
         args.out,
         ["theta", "f_h", "f_tp", "f_cp", "f_combined", "f_simulated", "n"],
         "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n",
-        rows,
+        [(r.theta, r.f_h, r.f_tp, r.f_cp, r.f_combined, r.f_simulated, r.n) for r in records],
     )
     print(f"wrote {len(records)} sweep rows to {args.out}")
     return 0
@@ -556,7 +544,9 @@ def cmd_cavity_sweep(args) -> int:
 # Argument handling
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared by every call."""
     parser = argparse.ArgumentParser(
         prog="wexpand",
         description="Deterministic W-state preparation: verification, state dumps and sweeps.",

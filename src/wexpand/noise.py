@@ -75,7 +75,7 @@ def doubling_overlap_fidelity(u: np.ndarray, n: int) -> np.ndarray:
     the (k, 8, 8) stack of ``expansion_unitaries``); the result has the
     leading shape.  It equals the dense
     ``double_w(DoublingPlan(n, "block"), noise)[1].fidelity`` without
-    building the 3n-qubit register: the final state is
+    building its 2n-qubit register: the final state is
     (1/sqrt n) sum_i U|100>_i (x) prod_{j != i} U|000>_j, a sum of n product
     states, so its overlap with |W_2n>|0..0>_anc needs only
     a = U[0,0], b = U[4,0] + U[1,0], c = U[0,4] and d = U[4,4] + U[1,4]:
@@ -107,6 +107,10 @@ def sweep(theta_max: float, steps: int, n: int = 2) -> list[FidelityRecord]:
     every grid point in one batch and reads each fidelity from two of its
     columns (``doubling_overlap_fidelity``); ``double_w`` run in block
     mode with the same noise is its dense oracle.
+
+    A ``theta_max`` whose grid gives a non-finite fidelity (past |theta|
+    ~ 2.2e307 the closed forms' 8 theta overflows) is rejected by name,
+    without numpy's warnings.
     """
     steps = _require_int("steps", steps)
     n = _require_int("n", n)
@@ -114,20 +118,30 @@ def sweep(theta_max: float, steps: int, n: int = 2) -> list[FidelityRecord]:
         raise ValueError(f"steps must be >= 2, got {steps}")
     if not 1 <= n <= BLOCK_MODE_MAX_N:
         raise ValueError(f"n must be in 1..{BLOCK_MODE_MAX_N}, got {n}")
-    thetas = np.linspace(0.0, theta_max, steps)
-    simulated = doubling_overlap_fidelity(expansion_unitaries(thetas, thetas, thetas), n)
-    return [
-        FidelityRecord(
-            theta=theta,
-            f_h=fidelity_hadamard(theta),
-            f_tp=fidelity_t_prime(theta),
-            f_cp=fidelity_controlled_phase(theta),
-            f_combined=fidelity_combined(theta, theta, theta),
-            f_simulated=f_sim,
-            n=n,
+    if not np.isfinite(theta_max):
+        raise ValueError(f"theta_max must be finite, got {theta_max!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        thetas = np.linspace(0.0, theta_max, steps)
+        simulated = doubling_overlap_fidelity(expansion_unitaries(thetas, thetas, thetas), n)
+        records = [
+            FidelityRecord(
+                theta=theta,
+                f_h=fidelity_hadamard(theta),
+                f_tp=fidelity_t_prime(theta),
+                f_cp=fidelity_controlled_phase(theta),
+                f_combined=fidelity_combined(theta, theta, theta),
+                f_simulated=f_sim,
+                n=n,
+            )
+            for theta, f_sim in zip(thetas.tolist(), simulated.tolist())
+        ]
+    values = [(r.theta, r.f_h, r.f_tp, r.f_cp, r.f_combined, r.f_simulated) for r in records]
+    if not np.isfinite(values).all():
+        raise ValueError(
+            f"theta_max {theta_max!r} is too large in magnitude: "
+            "the sweep's fidelities are not finite"
         )
-        for theta, f_sim in zip(thetas.tolist(), simulated.tolist())
-    ]
+    return records
 
 
 __all__ = [

@@ -1,9 +1,10 @@
 """Dense state-vector and density-matrix engine.
 
 Gate application, tensoring, qubit permutation, partial trace and fidelity
-for small registers (doubling peaks at 3n <= 18 qubits in block mode; in
-sequential mode the register grows by one qubit per round and peaks at
-2n+1 <= 17, so dense complex128 storage is used throughout).
+for small registers (doubling grows its register one qubit per expansion,
+to 2n <= 12 qubits in block mode and 2n <= 16 in sequential mode, whose
+last round writes into room for 2^17 amplitudes, so dense complex128
+storage is used throughout).
 
 Index convention: qubit 0 is the *most significant* bit of the basis index.
 For a three-qubit register ordered |q0 q1 q2>, the string |100> sits at
@@ -84,7 +85,8 @@ class StateVector:
         if not abs(norm2 - 1.0) <= ATOL_ALGEBRA:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm2!r}")
         object.__setattr__(self, "amplitudes", amps)
-        # Kept for the single-qubit reduction of a slot whose |1> slice is zero.
+        # Kept for reductions that need only the norm: a slot whose |1> slice is
+        # zero, and the 2x2 of an ancilla that the ideal operator never excites.
         object.__setattr__(self, "_norm2", norm2)
 
     @property
@@ -200,26 +202,9 @@ def zero_state(num_qubits: int) -> StateVector:
     return basis_state("0" * num_qubits)
 
 
-# Largest second factor of `tensor` built column by column (see there).
-_TENSOR_COLUMN_MAX = 8
-
-
 def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Tensor product; qubits of ``b`` are appended after those of ``a``.
-
-    A small ``b`` (at most ``_TENSOR_COLUMN_MAX`` amplitudes, such as a fresh
-    pair of |0> qubits) fills each column of the (a, b) product with one
-    strided multiply by that amplitude of ``b``, rather than by
-    ``np.multiply.outer``, whose inner loops would be 2 to 8 long.  Each
-    entry is the same product, so the bytes are the same.
-    """
-    x, y = a.amplitudes, b.amplitudes
-    if y.size > _TENSOR_COLUMN_MAX:
-        return StateVector(_seal(np.multiply.outer(x, y).reshape(-1)))
-    out = np.empty((x.size, y.size), dtype=complex)
-    for j in range(y.size):
-        np.multiply(x, y[j], out=out[:, j])
-    return StateVector(_seal(out.reshape(-1)))
+    """Tensor product; qubits of ``b`` are appended after those of ``a``."""
+    return StateVector(_seal(np.multiply.outer(a.amplitudes, b.amplitudes).reshape(-1)))
 
 
 def _as_matrix(gate) -> np.ndarray:
@@ -332,7 +317,15 @@ def postselect_zero(state: StateVector, qubits: Iterable[int]) -> tuple[StateVec
     sel: list = [slice(None)] * n
     for q in qs:
         sel[q] = 0
-    sub = state.tensor_view()[tuple(sel)].reshape(-1)
+    return _normalized(state.tensor_view()[tuple(sel)].reshape(-1))
+
+
+def _normalized(sub: np.ndarray) -> tuple[StateVector, float]:
+    """The projected amplitudes ``sub`` renormalized, and their squared norm.
+
+    The norm is one ``vdot`` over ``sub`` as laid out, so a strided view
+    rounds as the same view always has.
+    """
     prob = float(np.vdot(sub, sub).real)
     if prob < 1e-12:
         raise ValueError(f"projection onto |0...0> has vanishing probability {prob!r}")

@@ -11,6 +11,13 @@ Hadamards and two T' gates.
 Chaining the operation grows a W state one qubit at a time (create a Bell
 pair from |1>|0>, then keep joining |0> qubits), and applying it once to
 every qubit of |W_n> doubles the state to |W_2n> in one round.
+
+On the protocol's inputs, where the ancilla and input2 hold |0> and the
+ancilla is projected back onto |0>, the operation is the 4x2 map
+V = <q1',0,q2'|U|x,0,0>.  The protocols run on ``expand_qubit``, which
+applies V to one qubit and returns a register one qubit larger;
+``apply_O`` and ``ExpansionCircuit`` are the full operation and its
+dense oracles.
 """
 from __future__ import annotations
 
@@ -29,16 +36,14 @@ from .gates import (
     t_prime,
 )
 from .statevec import (
+    DensityMatrix,
     QubitPermutation,
     StateVector,
+    _normalized,
     _qubit_density,
     apply_unitary,
     fidelity_pure,
-    partial_trace,
     permute,
-    postselect_zero,
-    tensor,
-    zero_state,
 )
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -61,9 +66,10 @@ EXPANSION_MATRIX = np.array(
 )
 EXPANSION_MATRIX.setflags(write=False)
 
-# Memory caps: block mode holds 3n qubits at once; the sequential register
-# grows by one qubit per round and peaks at 2n+1 in the last.  Desk-scale
-# verification only, so the register stays under 2^18 amplitudes.
+# Memory caps: both modes grow the register by one qubit per expansion, to
+# 2n qubits; a sequential round writes into room for its ancilla too, so its
+# last round holds 2^(2n+1) amplitudes.  Desk-scale verification only, so
+# the register stays under 2^18 amplitudes.
 BLOCK_MODE_MAX_N = 6
 SEQUENTIAL_MODE_MAX_N = 8
 
@@ -225,6 +231,22 @@ def _expansion_unitary(noise: NoiseParams) -> np.ndarray:
     return u
 
 
+@functools.lru_cache(maxsize=4)
+def _expansion_map(noise: NoiseParams) -> tuple[np.ndarray, np.ndarray]:
+    """The expansion operator on the protocol's inputs |x,0,0>, split by ancilla.
+
+    Returns V = <q1',0,q2'|U|x,0,0> and its complement W = <q1',1,q2'|U|x,0,0>,
+    each indexed [q1', q2', x]: columns 0 and 4 of the 8x8.  V is the 4x2
+    map the post-selected protocol applies; W is what leaks to ancilla |1>,
+    exactly zero for ``EXPANSION_MATRIX``.
+    """
+    u = _expansion_unitary(noise).reshape(2, 2, 2, 8)[..., [0, 4]]
+    v, w = u[:, 0].copy(), u[:, 1].copy()
+    v.setflags(write=False)
+    w.setflags(write=False)
+    return v, w
+
+
 # ---------------------------------------------------------------------------
 # W states and expansion
 # ---------------------------------------------------------------------------
@@ -266,7 +288,9 @@ def apply_O(
     ``anc`` and ``q2`` must hold |0> (their reduced states are verified);
     ``q1`` carries the qubit whose excitation is being split.  The 12 gates
     act as one 8x8 in one contraction (``EXPANSION_MATRIX`` itself for
-    ideal gates); ``ExpansionCircuit.apply`` runs them one by one.
+    ideal gates); ``ExpansionCircuit.apply`` runs them one by one.  The
+    protocols apply only its post-selected 4x2 part, through
+    ``expand_qubit``; this is that kernel's dense oracle.
     """
     n = state.num_qubits
     if len({q1, anc, q2}) != 3:
@@ -306,16 +330,70 @@ def _weight_one_support(state: StateVector, tol: float = 1e-10) -> None:
         )
 
 
-def _join_fresh_pair(
-    w: StateVector, target_qubit: int, noise: NoiseParams | None
-) -> StateVector:
-    """Append a fresh |0>|0> to ``w`` and expand ``target_qubit`` into it.
+def expand_qubit(
+    psi: np.ndarray, target: int, v: np.ndarray, after_source: bool
+) -> np.ndarray:
+    """Expand qubit ``target`` of the m-qubit amplitudes ``psi`` by the 4x2 map ``v``.
 
-    The new qubit sits at n and the ancilla at n+1, the last position;
-    the ancilla is left for the caller to post-select.
+    ``v`` is indexed [q1', q2', x] (see ``_expansion_map``): the target
+    |x> becomes sum v[q1', q2', x] |q1'> in place and |q2'> on a new
+    qubit, which sits right after the target (``after_source``) or last.
+    The m+1-qubit result is not renormalized; its squared norm is the
+    probability that the ancilla the 8x8 would use returns to |0>.  Terms
+    with an exactly zero coefficient are skipped.
+
+    Appended last, the result is the ancilla-|0> half of an array with a
+    trailing ancilla axis, read at stride 2: its norm then rounds as the
+    post-selection of an appended ancilla always has.
     """
-    n = w.num_qubits
-    return apply_O(tensor(w, zero_state(2)), target_qubit, n + 1, n, noise)
+    m = psi.size.bit_length() - 1
+    if not 0 <= target < m:
+        raise ValueError(f"target {target} out of range for {m} qubits")
+    src = psi.reshape(1 << target, 2, -1)
+    if after_source:
+        buf = np.empty((src.shape[0], 2, 2, src.shape[2]), dtype=complex)
+        out, flat = buf.transpose(0, 1, 3, 2), buf.reshape(-1)
+    else:
+        buf = np.empty(src.shape + (2, 2), dtype=complex)
+        out = buf[..., 0]
+        flat = out.reshape(-1)
+    for q1 in (0, 1):
+        for q2 in (0, 1):
+            dst = out[:, q1, :, q2]
+            terms = [(c, src[:, x]) for x, c in enumerate(v[q1, q2].tolist()) if c != 0]
+            if not terms:
+                dst[...] = 0
+                continue
+            np.multiply(terms[0][0], terms[0][1], out=dst)
+            for c, part in terms[1:]:
+                dst += c * part
+    return flat
+
+
+def _ancilla_density(
+    state: StateVector,
+    target: int,
+    v: np.ndarray,
+    w: np.ndarray,
+    p0: float | None = None,
+) -> np.ndarray:
+    """Reduced 2x2 of the ancilla that expands ``target`` of ``state``, before projection.
+
+    Entry (a, b) is tr(M_a r M_b^+), with r the target's 2x2 and M_0, M_1
+    the maps ``v`` and ``w`` onto ancilla |0> and |1>.  A caller that has
+    the expansion's output passes its squared norm as ``p0``, the (0, 0)
+    entry, which then rounds as the post-selection does.  With ``w``
+    exactly zero the 2x2 is diag(p0, 0), p0 defaulting to |psi|^2, and no
+    register is read.
+    """
+    if not w.any():
+        return np.array([[state._norm2 if p0 is None else p0, 0.0], [0.0, 0.0]], dtype=complex)
+    r = _qubit_density(state, target)
+    m = np.stack([v, w]).reshape(2, 4, 2)
+    rho = np.einsum("aij,jk,bik->ab", m, r, m.conj())
+    if p0 is not None:
+        rho[0, 0] = p0
+    return rho
 
 
 def expand_by_one(
@@ -329,13 +407,8 @@ def expand_by_one(
     gates it is exactly there already.
     """
     _weight_one_support(w)
-    n = w.num_qubits
-    if not 0 <= target_qubit < n:
-        raise ValueError(f"target {target_qubit} out of range for {n} qubits")
-    reg, _ = postselect_zero(_join_fresh_pair(w, target_qubit, noise), [n + 1])
-    dest = list(range(target_qubit + 1)) + list(range(target_qubit + 2, n + 1))
-    dest.append(target_qubit + 1)  # the appended qubit slides in after the target
-    return permute(reg, QubitPermutation(tuple(dest)))
+    v, _ = _expansion_map(noise if noise is not None else NoiseParams())
+    return _normalized(expand_qubit(w.amplitudes, target_qubit, v, after_source=True))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +419,11 @@ def expand_by_one(
 class DoublingPlan:
     """Size and register strategy for |W_n> -> |W_2n>.
 
-    ``block`` lays out all n triples in one 3n-qubit register; ``sequential``
-    applies the operation round by round, each round joining a fresh new
-    qubit and ancilla, so the register grows by one qubit per round (the
-    ancilla is dropped again) and peaks at 2n+1 qubits in the last.
+    ``block`` expands every qubit of |W_n> before a single joint
+    post-selection of all n ancillas; ``sequential`` post-selects round by
+    round, each round joining one new qubit.  Either way the register grows
+    by one qubit per expansion, to 2n qubits; each ancilla is never held,
+    only its projection applied.
     """
 
     n: int
@@ -382,10 +456,13 @@ class RunReport:
 
 
 def interleave_permutation(n: int) -> QubitPermutation:
-    """Layout permutation for block mode.
+    """Layout permutation of the paper's 3n-qubit block register.
 
     Takes the register ordered (w_0..w_{n-1}, new_0..new_{n-1},
     anc_0..anc_{n-1}) to n adjacent triples (w_i, anc_i, new_i).
+    ``double_w`` never holds that register (it expands each w_i in
+    place); ``wexpand verify`` checks this layout against the paper's
+    swap network.
     """
     dest = [0] * (3 * n)
     for i in range(n):
@@ -422,31 +499,33 @@ def double_w(
     """
     n = plan.n
     target = build_w_state(2 * n)
+    v, w = _expansion_map(noise if noise is not None else NoiseParams())
+    w_n = build_w_state(n)
 
     if plan.mode == "block":
-        reg = tensor(build_w_state(n), zero_state(2 * n))
-        reg = permute(reg, interleave_permutation(n))
-        for i in range(n):
-            reg = apply_O(reg, 3 * i, 3 * i + 1, 3 * i + 2, noise)
-        anc_positions = [3 * i + 1 for i in range(n)]
+        # Each U acts on its own triple, so ancilla i reduces to a function
+        # of w_i's 2x2 in |W_n> alone.
         purities = tuple(
-            partial_trace(reg, {a}).purity() for a in anc_positions
+            DensityMatrix(_ancilla_density(w_n, i, v, w)).purity() for i in range(n)
         )
-        reg, prob = postselect_zero(reg, anc_positions)
-        # Kept order is (w_0, new_0, w_1, new_1, ...); regroup to w's then new's.
+        # new_i goes right after w_i: (w_0, new_0, ..., w_{i-1}, new_{i-1}, w_i, ...).
+        amps = w_n.amplitudes
+        for i in range(n):
+            amps = expand_qubit(amps, 2 * i, v, after_source=True)
+        reg, prob = _normalized(amps)
+        # Regroup (w_0, new_0, w_1, new_1, ...) to w's then new's.
         out = permute(reg, round_permutation(n, n).inverse())
         rounds = []
     else:
-        # Round i joins new_i at n+i, after the i already joined, and its
-        # ancilla at n+i+1: the register grows by one qubit per round.
-        out = build_w_state(n)
+        # Round i appends new_i at n+i, after the i already joined.
+        out = w_n
         prob = 1.0
         purities_list = []
         rounds = [out]
         for i in range(n):
-            reg = _join_fresh_pair(out, i, noise)
-            purities_list.append(partial_trace(reg, {n + i + 1}).purity())
-            out, p = postselect_zero(reg, [n + i + 1])
+            grown, p = _normalized(expand_qubit(out.amplitudes, i, v, after_source=False))
+            purities_list.append(DensityMatrix(_ancilla_density(out, i, v, w, p)).purity())
+            out = grown
             prob *= p
             rounds.append(out)
         purities = tuple(purities_list)

@@ -243,6 +243,17 @@ def test_fidelity_sweep_rejects_an_overflowing_theta_max(tmp_path, capsys, theta
     assert not out.exists()
 
 
+def test_parser_is_built_once_across_commands(tmp_path, capsys, monkeypatch):
+    # Emptied first, so the count starts as in a fresh process.
+    monkeypatch.chdir(tmp_path)
+    _build_parser.cache_clear()
+    for argv in (["prepare"], ["fidelity-sweep", "--steps", "3"], ["cavity-sweep"],
+                 ["prepare", "--n", "3", "--mode", "block"]):
+        assert main(argv) == 0
+    info = _build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
 def test_fidelity_sweep_uses_lf_line_endings(tmp_path):
     out = tmp_path / "fid.csv"
     main(["fidelity-sweep", "--steps", "3", "--out", str(out)])

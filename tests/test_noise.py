@@ -167,6 +167,17 @@ def test_sweep_rejects_single_step():
             sweep(THETA_MAX, 5, n=n)
 
 
+@pytest.mark.parametrize("theta_max, message", [
+    (1e308, "too large in magnitude"), (-1e308, "too large in magnitude"),
+    (3e307, "too large in magnitude"), (np.inf, "must be finite"), (np.nan, "must be finite"),
+])
+def test_sweep_rejects_a_theta_max_with_non_finite_fidelities(theta_max, message):
+    # 8 theta overflows past about 2.2e307; the sweep names theta_max
+    # itself, without numpy's warnings (pyproject turns them into errors).
+    with pytest.raises(ValueError, match=f"^theta_max .*{message}"):
+        sweep(theta_max, 3)
+
+
 def test_sweep_closed_form_columns_are_the_scalar_calls():
     for r in sweep(THETA_MAX, 37, n=3):
         t = r.theta

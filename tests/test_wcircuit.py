@@ -2,6 +2,7 @@
 import csv
 import math
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ from wexpand.gates import NoiseParams, controlled_phase, hadamard, t_prime
 from wexpand.statevec import (
     QubitPermutation,
     StateVector,
+    _normalized,
     _qubit_density,
     apply_unitary,
     basis_state,
@@ -37,8 +39,11 @@ from wexpand.wcircuit import (
     create_epr,
     double_w,
     expand_by_one,
+    expand_qubit,
     expansion_unitaries,
     interleave_permutation,
+    _ancilla_density,
+    _expansion_map,
     _expansion_unitary,
     _require_zero_slot,
     relabel,
@@ -500,9 +505,15 @@ def _fixed_register_sequential_doubling(n, noise=None):
 
 
 def _assert_matches_fixed_register(n, noise=None):
+    # Bit for bit with ideal gates.  Under noise the kernel's two products
+    # per amplitude cannot round as the 8x8 contraction's fused sum does;
+    # over 300 noise points the amplitudes sat within 2.5e-32.
     out, report = double_w(DoublingPlan(n, "sequential"), noise)
     ref, fidelity, prob, purities = _fixed_register_sequential_doubling(n, noise)
-    assert np.array_equal(out.amplitudes, ref.amplitudes)
+    if noise is None:
+        assert np.array_equal(out.amplitudes, ref.amplitudes)
+    else:
+        assert np.max(np.abs(out.amplitudes - ref.amplitudes)) <= 1e-15
     assert abs(report.fidelity - fidelity) <= 1e-15
     assert abs(report.success_probability - prob) <= 1e-15
     assert len(report.ancilla_purities) == n
@@ -527,15 +538,15 @@ def test_noisy_growing_sequential_register_matches_the_fixed_one(n, alpha, beta,
 @pytest.mark.parametrize("n", [1, 4, 8])
 def test_sequential_register_grows_by_one_qubit_per_round(n, monkeypatch):
     sizes = []
-    real_apply_O = wcircuit.apply_O
+    real_expand_qubit = wcircuit.expand_qubit
 
-    def recording_apply_O(state, *args, **kwargs):
-        sizes.append(state.num_qubits)
-        return real_apply_O(state, *args, **kwargs)
+    def recording_expand_qubit(psi, *args, **kwargs):
+        sizes.append(psi.size.bit_length() - 1)
+        return real_expand_qubit(psi, *args, **kwargs)
 
-    monkeypatch.setattr(wcircuit, "apply_O", recording_apply_O)
+    monkeypatch.setattr(wcircuit, "expand_qubit", recording_expand_qubit)
     double_w(DoublingPlan(n, "sequential"))
-    assert sizes == list(range(n + 2, 2 * n + 2))
+    assert sizes == list(range(n, 2 * n))
 
 
 # ---------------------------------------------------------------------------
@@ -561,27 +572,93 @@ _DOUBLING_RUNS = [("block", n) for n in range(1, 7)] + [("sequential", n) for n 
 
 @pytest.mark.parametrize("mode, n", _DOUBLING_RUNS)
 def test_ideal_ancillas_are_exactly_zero_and_never_gathered(mode, n, monkeypatch):
-    # The exact operator maps the protocol's inputs onto ancilla-|0> rows
-    # only, so each ancilla's |1> slice is exactly zero and its reduction
-    # reads the |0> norm alone, with no contiguous copy of the register.
-    real_apply_O = wcircuit.apply_O
+    # The exact operator maps the protocol's inputs |x,0,0> onto ancilla-|0>
+    # rows only: its ancilla-|1> rows are exact zeros on columns 0 and 4, so
+    # each ancilla's 2x2 is the input's norm alone, with no contiguous copy
+    # of any register.
+    assert not EXPANSION_MATRIX[[2, 3, 6, 7]][:, [0, 4]].any()
+    _, w = _expansion_map(NoiseParams())
+    assert not w.any()
     gathers = []
     real_contiguous = np.ascontiguousarray
-
-    def checking_apply_O(state, q1, anc, q2, noise=None):
-        out = real_apply_O(state, q1, anc, q2, noise)
-        assert not out.amplitudes.reshape(1 << anc, 2, -1)[:, 1].any()
-        return out
 
     def counting_contiguous(*args, **kwargs):
         if sys._getframe(1).f_globals["__name__"] == "wexpand.statevec":
             gathers.append(args[0].shape)
         return real_contiguous(*args, **kwargs)
 
-    monkeypatch.setattr(wcircuit, "apply_O", checking_apply_O)
     monkeypatch.setattr(np, "ascontiguousarray", counting_contiguous)
     double_w(DoublingPlan(n, mode))
     assert gathers == []
+
+
+def _random_register(draw_seed, num_qubits):
+    rng = np.random.default_rng(draw_seed)
+    amps = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
+    return StateVector(amps / np.linalg.norm(amps))
+
+
+@st.composite
+def _kernel_cases(draw):
+    m = draw(st.integers(1, 7))
+    target = draw(st.integers(0, m - 1))
+    noisy = draw(st.booleans())
+    noise = NoiseParams(*(draw(_SMALL_ANGLE) for _ in range(3))) if noisy else NoiseParams()
+    return _random_register(draw(st.integers(0, 2**32 - 1)), m), target, noise
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_cases(), st.booleans())
+def test_expand_qubit_matches_the_dense_8x8_on_a_fresh_pair(case, after_source):
+    # Oracle: append |0>|0> (new, ancilla), contract the 8x8 and project the
+    # ancilla onto |0> (`postselect_zero`, with the new qubit moved after
+    # its source when the kernel puts it there); the ancilla's 2x2 is read
+    # before the projection.  The norm of a sum rounds with the order and
+    # stride of its terms, so the oracle's is taken in the kernel's layout.
+    state, target, noise = case
+    m = state.num_qubits
+    dense = apply_O(tensor(state, zero_state(2)), target, m + 1, m, noise)
+    want = dense.tensor_view()[..., 0]
+    if after_source:
+        want = np.moveaxis(want, m, target + 1).copy()
+    want_state, want_prob = _normalized(want.reshape(-1))
+    v, w = _expansion_map(noise)
+    got = expand_qubit(state.amplitudes, target, v, after_source)
+    got_state, prob = _normalized(got)
+    if noise.is_ideal:
+        assert np.array_equal(got, want.reshape(-1))
+        assert np.array_equal(got_state.amplitudes, want_state.amplitudes)
+    else:
+        assert np.max(np.abs(got - want.reshape(-1))) <= 1e-15
+        assert np.max(np.abs(got_state.amplitudes - want_state.amplitudes)) <= 1e-15
+    assert abs(prob - want_prob) <= 1e-15
+    want_rho = _qubit_density(dense, m + 1)
+    for p0 in (None, prob):
+        rho = _ancilla_density(state, target, v, w, p0)
+        assert np.max(np.abs(rho - want_rho)) <= 1e-15
+
+
+def test_expand_qubit_rejects_a_target_out_of_range():
+    v, _ = _expansion_map(NoiseParams())
+    with pytest.raises(ValueError, match="target 3 out of range for 3 qubits"):
+        expand_qubit(build_w_state(3).amplitudes, 3, v, after_source=True)
+
+
+@pytest.mark.parametrize("plan, bound_mib", [(DoublingPlan(6, "block"), 4.0),
+                                            (DoublingPlan(8, "sequential"), 6.0)])
+def test_doubling_peak_memory_stays_below_the_old_register(plan, bound_mib):
+    # 4 MiB is 2^18 complex amplitudes, block n = 6's old 3n-qubit register
+    # alone (it peaked at 12.1 MiB; now 0.25).  Sequential n = 8 peaked at
+    # 9.0 MiB on the appended fresh pair; now 5.0, its last round's buffer
+    # being 2 MiB.
+    double_w(plan)  # warm the operator caches
+    tracemalloc.start()
+    try:
+        double_w(plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20
 
 
 def test_round_permutation_puts_each_joined_qubit_after_its_source():
