@@ -231,20 +231,17 @@ def _expansion_unitary(noise: NoiseParams) -> np.ndarray:
     return u
 
 
-@functools.lru_cache(maxsize=4)
 def _expansion_map(noise: NoiseParams) -> tuple[np.ndarray, np.ndarray]:
     """The expansion operator on the protocol's inputs |x,0,0>, split by ancilla.
 
     Returns V = <q1',0,q2'|U|x,0,0> and its complement W = <q1',1,q2'|U|x,0,0>,
-    each indexed [q1', q2', x]: columns 0 and 4 of the 8x8.  V is the 4x2
-    map the post-selected protocol applies; W is what leaks to ancilla |1>,
-    exactly zero for ``EXPANSION_MATRIX``.
+    each indexed [q1', q2', x]: columns 0 and 4 of the 8x8, copied out of
+    ``_expansion_unitary(noise)`` on every call.  V is the 4x2 map the
+    post-selected protocol applies; W is what leaks to ancilla |1>, exactly
+    zero for ``EXPANSION_MATRIX``.
     """
     u = _expansion_unitary(noise).reshape(2, 2, 2, 8)[..., [0, 4]]
-    v, w = u[:, 0].copy(), u[:, 1].copy()
-    v.setflags(write=False)
-    w.setflags(write=False)
-    return v, w
+    return u[:, 0], u[:, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -6,19 +6,24 @@ import json
 import os
 import tempfile
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wexpand import cli, wcircuit
+from wexpand import cli
 from wexpand.cli import CHECKS, _build_parser, main, run_verification
-from wexpand.statevec import permute
+from wexpand.statevec import (
+    QubitPermutation,
+    apply_unitary,
+    permute,
+    postselect_zero,
+    tensor,
+    zero_state,
+)
 from wexpand.wcircuit import (
     build_w_state,
-    expand_by_one,
     round_permutation,
     standard_expansion_circuit,
 )
@@ -160,8 +165,9 @@ def _dumped_stages(path):
 )
 def test_prepare_trace_matches_the_expand_by_one_chain(tmp_path, monkeypatch, mode, n):
     # The trace reads the doubling's own rounds.  The oracle grows the
-    # same state a second time: a chain of expand_by_one rounds, each
-    # joining its qubit after w_k, on the 8x8 composed from the 12 gates.
+    # same state a second time: a chain of dense rounds, each contracting
+    # the 8x8 composed from the 12 gates over a fresh |0>|0> (new, ancilla),
+    # projecting the ancilla and moving the new qubit in after w_k.
     def no_chain(*args, **kwargs):
         raise AssertionError("prepare must not run a second chain")
 
@@ -171,9 +177,12 @@ def test_prepare_trace_matches_the_expand_by_one_chain(tmp_path, monkeypatch, mo
     stages = _dumped_stages(str(out))
     composed = standard_expansion_circuit().matrix()
     chain = [build_w_state(n)]
-    with mock.patch.object(wcircuit, "_expansion_unitary", lambda noise: composed):
-        for k in range(n):
-            chain.append(expand_by_one(chain[-1], 2 * k))
+    for k in range(n):
+        m = chain[-1].num_qubits
+        reg = apply_unitary(tensor(chain[-1], zero_state(2)), composed, (2 * k, m + 1, m))
+        reg, _ = postselect_zero(reg, [m + 1])
+        dest = tuple(range(2 * k + 1)) + tuple(range(2 * k + 2, m + 1)) + (2 * k + 1,)
+        chain.append(permute(reg, QubitPermutation(dest)))
     assert sorted(stages) == sorted([f"round_{k}" for k in range(n + 1)] + ["final"])
     for k, want in enumerate(chain):
         assert np.max(np.abs(stages[f"round_{k}"] - want.amplitudes)) <= 1e-15
