@@ -54,11 +54,10 @@ from .statevec import (
 )
 from .wcircuit import (
     AncillaStateError,
-    BLOCK_MODE_MAX_N,
+    DOUBLING_MAX_N,
     EXPANSION_LAYOUT,
     EXPANSION_MATRIX,
     PHOTON,
-    SEQUENTIAL_MODE_MAX_N,
     SPIN,
     DoublingPlan,
     ExpansionCircuit,

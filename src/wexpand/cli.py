@@ -23,13 +23,11 @@ from . import noise as noi
 from .gates import (
     HolonomicParams,
     NoiseParams,
-    T_PRIME_ANGLE,
     controlled_phase,
     hadamard,
     holonomic_gate,
     hwp_gate,
     phase_aligned_deviation,
-    rotation_gate,
     t_prime,
 )
 from .statevec import (
@@ -96,16 +94,15 @@ class CheckResult:
 class Check:
     """One anchored identity of the paper.
 
-    `measure(circuit, rng)` returns the largest deviation from the anchor;
-    `circuit` is the 12-gate circuit laid out with the run's T' angle and
-    `rng` the run's seeded generator, shared by the checks in order.  A
-    check passes when its deviation is below `tolerance`.
+    `measure(rng)` returns the largest deviation from the anchor; `rng` is
+    the run's seeded generator, shared by the checks in order.  A check
+    passes when its deviation is below `tolerance`.
     """
 
     name: str
     tolerance: float
     detail: str
-    measure: Callable[[ExpansionCircuit, np.random.Generator], float]
+    measure: Callable[[np.random.Generator], float]
 
 
 _S2 = 1.0 / np.sqrt(2.0)
@@ -140,15 +137,18 @@ def _fixed_noise_sample() -> tuple[list[tuple[NoiseParams, int]], list[float]]:
     return points, [float(t) for t in rng.uniform(0.0, _THETA_MAX, size=25)]
 
 
-# Checks 1 and 2 read the run's circuit and the library's standard one.
-def _expansion_matrix(circuit, rng) -> float:
-    return max(
-        _max_abs(c.matrix() - EXPANSION_MATRIX)
-        for c in (circuit, standard_expansion_circuit())
-    )
+# Checks 1 and 2 read the circuit laid out from this module's gates, past the
+# self-check of standard_expansion_circuit so that a miscalibrated gate is left
+# for check 1 to catch, and the library's standard one.
+def _circuits() -> tuple[ExpansionCircuit, ExpansionCircuit]:
+    return ExpansionCircuit(hadamard(), t_prime(), controlled_phase()), standard_expansion_circuit()
 
 
-def _stepwise_checkpoints(circuit, rng) -> float:
+def _expansion_matrix(rng) -> float:
+    return max(_max_abs(c.matrix() - EXPANSION_MATRIX) for c in _circuits())
+
+
+def _stepwise_checkpoints(rng) -> float:
     checkpoints = {
         2: _vec({4: _S2, 6: _S2}, 3),
         5: _vec({4: _S2, 2: _S2}, 3),
@@ -157,20 +157,20 @@ def _stepwise_checkpoints(circuit, rng) -> float:
     }
     return max(
         _max_abs(states[k].amplitudes - v)
-        for c in (circuit, standard_expansion_circuit())
+        for c in _circuits()
         for states in [c.stepwise_states(basis_state("100"))]
         for k, v in checkpoints.items()
     )
 
 
-def _gate_conventions(circuit, rng) -> float:
+def _gate_conventions(rng) -> float:
     h_ref = np.array([[1, 1], [1, -1]], dtype=complex) * _S2
     c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
     tp_ref = np.array([[c, s], [s, -c]], dtype=complex)
     return max(_max_abs(hadamard().matrix - h_ref), _max_abs(t_prime().matrix - tp_ref))
 
 
-def _controlled_phase_convention(circuit, rng) -> float:
+def _controlled_phase_convention(rng) -> float:
     cz = controlled_phase()
     return max(
         _max_abs(cz.matrix - np.diag([1, 1, 1, -1])),
@@ -180,7 +180,7 @@ def _controlled_phase_convention(circuit, rng) -> float:
     )
 
 
-def _bell_pair(circuit, rng) -> float:
+def _bell_pair(rng) -> float:
     bell = StateVector(_vec({1: _S2, 2: _S2}, 2))
     pair_rho = np.outer(bell.amplitudes, bell.amplitudes.conj())
     dev = abs(1.0 - fidelity_pure(create_epr(), bell))
@@ -197,7 +197,7 @@ def _bell_pair(circuit, rng) -> float:
     return dev
 
 
-def _term_splitting(circuit, rng) -> float:
+def _term_splitting(rng) -> float:
     # One excitation of 1/sqrt(n) weight splits into two of 1/sqrt(2n) each,
     # other terms untouched.
     third, sixth = 1 / np.sqrt(3), 1 / np.sqrt(6)
@@ -205,7 +205,7 @@ def _term_splitting(circuit, rng) -> float:
     return _max_abs(expand_by_one(build_w_state(3), 1).amplitudes - expected)
 
 
-def _growth_strategy(circuit, rng) -> float:
+def _growth_strategy(rng) -> float:
     # |1> -> Bell pair -> weighted 3-qubit state -> |W_4>, from the pair the
     # circuit creates and from the reference |W_2>.
     w4_ref = _vec({1: 0.5, 2: 0.5, 4: 0.5, 8: 0.5}, 4)
@@ -223,11 +223,11 @@ def _growth_strategy(circuit, rng) -> float:
     return dev
 
 
-def _doubling_w6(circuit, rng) -> float:
+def _doubling_w6(rng) -> float:
     return abs(1.0 - double_w(DoublingPlan(3, "block"))[1].fidelity)
 
 
-def _doubling_sweep(circuit, rng) -> float:
+def _doubling_sweep(rng) -> float:
     return max(
         abs(1.0 - double_w(DoublingPlan(n, mode))[1].fidelity)
         for n in (1, 2, 3, 4)
@@ -235,7 +235,7 @@ def _doubling_sweep(circuit, rng) -> float:
     )
 
 
-def _swap_network(circuit, rng) -> float:
+def _swap_network(rng) -> float:
     # The interleave permutation acts on the doubling input exactly like the
     # pairwise swap sequence (2,7)(3,4)(5,9), 1-based.
     reg = tensor(build_w_state(3), zero_state(6))
@@ -245,7 +245,7 @@ def _swap_network(circuit, rng) -> float:
     return _max_abs(permute(reg, interleave_permutation(3)).amplitudes - via_swaps.amplitudes)
 
 
-def _closed_forms(circuit, rng) -> float:
+def _closed_forms(rng) -> float:
     dev = max(
         abs(1.0 - noi.fidelity_hadamard(0.0)),
         abs(1.0 - noi.fidelity_t_prime(0.0)),
@@ -270,7 +270,7 @@ def _noisy_doubling_fidelity(n: int, p: NoiseParams) -> float:
     return double_w(DoublingPlan(n, "block"), p)[1].fidelity
 
 
-def _noisy_agreement(circuit, rng) -> float:
+def _noisy_agreement(rng) -> float:
     points = [
         NoiseParams(*(float(x) for x in rng.uniform(0.0, _THETA_MAX, size=3))) for _ in range(10)
     ]
@@ -281,7 +281,7 @@ def _noisy_agreement(circuit, rng) -> float:
     )
 
 
-def _size_independence(circuit, rng) -> float:
+def _size_independence(rng) -> float:
     spreads = []
     for p in (NoiseParams(0.02, 0.015, 0.03), NoiseParams(0.025, 0.018, 0.033)):
         sims = [_noisy_doubling_fidelity(n, p) for n in (1, 2, 3, 4)]
@@ -289,7 +289,7 @@ def _size_independence(circuit, rng) -> float:
     return max(spreads)
 
 
-def _resonant_reflection(circuit, rng) -> float:
+def _resonant_reflection(rng) -> float:
     # r = (4g^2 - kappa gamma)/(4g^2 + kappa gamma) with everything on resonance.
     dev = 0.0
     for kappa, gamma_decay, g_max in ((1.0, 1.0, 10.0), (1.7, 0.4, 25.0)):
@@ -300,16 +300,16 @@ def _resonant_reflection(circuit, rng) -> float:
     return dev
 
 
-def _resonant_uncoupled(circuit, rng) -> float:
+def _resonant_uncoupled(rng) -> float:
     return abs(cav.reflection_uncoupled(cav.CavityParams.resonant(1.0)) + 1.0)
 
 
-def _resonant_phase_pair(circuit, rng) -> float:
+def _resonant_phase_pair(rng) -> float:
     pp = cav.phase_pair(cav.CavityParams.resonant(5.0))
     return max(abs(pp.phi), abs(pp.phi_0 - np.pi))
 
 
-def _uncoupled_unit_modulus(circuit, rng) -> float:
+def _uncoupled_unit_modulus(rng) -> float:
     return max(
         abs(abs(cav.reflection_uncoupled(cav.CavityParams(-d, 0.0, 0.0, 1.0, 1.0, 1.0))) - 1.0)
         for span in (50.0, 80.0)
@@ -317,7 +317,7 @@ def _uncoupled_unit_modulus(circuit, rng) -> float:
     )
 
 
-def _physical_gates(circuit, rng) -> float:
+def _physical_gates(rng) -> float:
     return max(
         phase_aligned_deviation(
             hadamard().matrix, holonomic_gate(HolonomicParams(np.pi / 4)).matrix
@@ -330,7 +330,7 @@ def _physical_gates(circuit, rng) -> float:
     )
 
 
-def _role_labeling(circuit, rng) -> float:
+def _role_labeling(rng) -> float:
     epr = create_epr()
     ok = (
         relabel(epr, PHOTON).text == "(|LR⟩+|RL⟩)/√2"
@@ -383,15 +383,12 @@ CHECKS: tuple[Check, ...] = (
 )
 
 
-def run_verification(tp_angle: float = T_PRIME_ANGLE, seed: int = 0) -> list[CheckResult]:
+def run_verification(seed: int = 0) -> list[CheckResult]:
     """Run every check of `CHECKS` in order; returns one result per check."""
-    # Laid out directly, past the self-check of standard_expansion_circuit, so
-    # that a miscalibrated T' angle is left for the first check to catch.
-    circuit = ExpansionCircuit(hadamard(), rotation_gate(tp_angle, "T'*"), controlled_phase())
     rng = np.random.default_rng(seed)
     results = []
     for check in CHECKS:
-        dev = float(check.measure(circuit, rng))
+        dev = float(check.measure(rng))
         passed = dev < check.tolerance
         results.append(CheckResult(check.name, dev, check.tolerance, passed, check.detail))
     return results
@@ -419,7 +416,7 @@ def validate(command: str, opts: argparse.Namespace) -> None:
 
 
 def cmd_verify(args) -> int:
-    results = run_verification(tp_angle=args.tp_angle, seed=args.seed)
+    results = run_verification(seed=args.seed)
     failures = [r for r in results if not r.passed]
     for r in results:
         print(r)
@@ -556,12 +553,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the anchored-identity verification suite")
     p_verify.add_argument("--config", default=None)
     p_verify.add_argument("--seed", type=int, default=None)
-    # Fault-injection fixture: corrupt the T' angle to prove checks can fail.
-    p_verify.add_argument("--tp-angle", type=float, default=None,
-                          dest="tp_angle", help=argparse.SUPPRESS)
-    p_verify.set_defaults(
-        func=cmd_verify, defaults={"seed": 0, "tp_angle": float(T_PRIME_ANGLE)}
-    )
+    p_verify.set_defaults(func=cmd_verify, defaults={"seed": 0})
 
     p_prep = sub.add_parser("prepare", help="prepare |W_2n> and dump amplitudes")
     p_prep.add_argument("--config", default=None)

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wcircuit import BLOCK_MODE_MAX_N, _require_int, expansion_unitaries
+from .statevec import _require_int
+from .wcircuit import DOUBLING_MAX_N, expansion_unitaries
 
 _S8 = np.sin(np.pi / 8.0)
 _C8 = np.cos(np.pi / 8.0)
@@ -116,8 +117,8 @@ def sweep(theta_max: float, steps: int, n: int = 2) -> list[FidelityRecord]:
     n = _require_int("n", n)
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
-    if not 1 <= n <= BLOCK_MODE_MAX_N:
-        raise ValueError(f"n must be in 1..{BLOCK_MODE_MAX_N}, got {n}")
+    if not 1 <= n <= DOUBLING_MAX_N:
+        raise ValueError(f"n must be in 1..{DOUBLING_MAX_N}, got {n}")
     if not np.isfinite(theta_max):
         raise ValueError(f"theta_max must be finite, got {theta_max!r}")
     with np.errstate(over="ignore", invalid="ignore"):

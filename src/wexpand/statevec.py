@@ -2,9 +2,13 @@
 
 Gate application, tensoring, qubit permutation, partial trace and fidelity
 for small registers (doubling grows its register one qubit per expansion,
-to 2n <= 12 qubits in block mode and 2n <= 16 in sequential mode, whose
-last round writes into room for 2^17 amplitudes, so dense complex128
-storage is used throughout).
+to 2n <= 16 qubits in either mode; a sequential round writes into room for
+its ancilla too, so the last one holds 2^17 amplitudes, and dense
+complex128 storage is used throughout).
+
+A qubit index (and, in ``wcircuit`` and ``noise``, a register size or
+count) must be a Python or numpy integer: ``_require_int`` rejects anything
+else by name rather than truncating it.
 
 Index convention: qubit 0 is the *most significant* bit of the basis index.
 For a three-qubit register ordered |q0 q1 q2>, the string |100> sits at
@@ -33,6 +37,14 @@ ATOL_ALGEBRA = 1e-12
 # O(d^3) eigensolve is skipped for larger matrices (hermiticity, trace and
 # purity are always checked).
 _EIG_CHECK_MAX_DIM = 256
+
+
+def _require_int(name: str, value) -> int:
+    """A register size, count or qubit index as an int: Python and numpy integers
+    pass; a bool, a float (even an integral one) or anything else is rejected by name."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -85,9 +97,6 @@ class StateVector:
         if not abs(norm2 - 1.0) <= ATOL_ALGEBRA:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm2!r}")
         object.__setattr__(self, "amplitudes", amps)
-        # Kept for reductions that need only the norm: a slot whose |1> slice is
-        # zero, and the 2x2 of an ancilla that the ideal operator never excites.
-        object.__setattr__(self, "_norm2", norm2)
 
     @property
     def num_qubits(self) -> int:
@@ -163,7 +172,7 @@ class QubitPermutation:
     map: tuple[int, ...]
 
     def __post_init__(self):
-        m = tuple(int(x) for x in self.map)
+        m = tuple(_require_int("permutation entry", x) for x in self.map)
         if sorted(m) != list(range(len(m))):
             raise ValueError(f"not a permutation of 0..{len(m) - 1}: {m}")
         object.__setattr__(self, "map", m)
@@ -231,7 +240,7 @@ def apply_unitary(state: StateVector, matrix, qubits: Iterable[int]) -> StateVec
     ``qubits=(q1, anc, q2)``.  One contraction touches the register once,
     however many gates were composed into ``matrix``.
     """
-    qubits = tuple(int(q) for q in qubits)
+    qubits = tuple(_require_int("qubit", q) for q in qubits)
     k = len(qubits)
     m = _as_matrix(matrix)
     _require_unitary(m, 1 << k)
@@ -254,14 +263,10 @@ def apply_unitary(state: StateVector, matrix, qubits: Iterable[int]) -> StateVec
 def _qubit_density(state: StateVector, qubit: int) -> np.ndarray:
     """Reduced 2x2 of one qubit: [[p0, c], [c*, p1]], with c = <psi1|psi0>.
 
-    psi0 and psi1 are the |0> and |1> slices of the qubit's axis.  A |1>
-    slice that is exactly zero, as in every fresh slot, gives
-    diag(|psi|^2, 0) with no further read; otherwise both slices are
-    gathered into one contiguous array and reduced from there.
+    psi0 and psi1 are the |0> and |1> slices of the qubit's axis, gathered
+    into one contiguous array and reduced from there.
     """
     view = state.amplitudes.reshape(1 << qubit, 2, -1)
-    if not view[:, 1].any():
-        return np.array([[state._norm2, 0.0], [0.0, 0.0]], dtype=complex)
     psi0, psi1 = np.ascontiguousarray(view.transpose(1, 0, 2)).reshape(2, -1)
     c = np.vdot(psi1, psi0)
     return np.array(
@@ -272,7 +277,7 @@ def _qubit_density(state: StateVector, qubit: int) -> np.ndarray:
 
 def partial_trace(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
     """Reduced density matrix over ``keep`` (ascending original order)."""
-    kept = sorted(set(int(q) for q in keep))
+    kept = sorted(set(_require_int("qubit", q) for q in keep))
     n = state.num_qubits
     if not kept:
         raise ValueError("keep-set must be nonempty")
@@ -308,7 +313,7 @@ def postselect_zero(state: StateVector, qubits: Iterable[int]) -> tuple[StateVec
     Returns the renormalized state over the remaining qubits (ascending
     original order) and the projection probability.
     """
-    qs = sorted(set(int(q) for q in qubits))
+    qs = sorted(set(_require_int("qubit", q) for q in qubits))
     n = state.num_qubits
     if not qs or qs[0] < 0 or qs[-1] >= n:
         raise ValueError(f"invalid qubit set {qs} for {n} qubits")

@@ -21,7 +21,6 @@ dense oracles.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +40,7 @@ from .statevec import (
     StateVector,
     _normalized,
     _qubit_density,
+    _require_int,
     apply_unitary,
     fidelity_pure,
     permute,
@@ -66,12 +66,11 @@ EXPANSION_MATRIX = np.array(
 )
 EXPANSION_MATRIX.setflags(write=False)
 
-# Memory caps: both modes grow the register by one qubit per expansion, to
-# 2n qubits; a sequential round writes into room for its ancilla too, so its
-# last round holds 2^(2n+1) amplitudes.  Desk-scale verification only, so
-# the register stays under 2^18 amplitudes.
-BLOCK_MODE_MAX_N = 6
-SEQUENTIAL_MODE_MAX_N = 8
+# Memory cap of both doubling modes: each grows the register by one qubit
+# per expansion, to 2n qubits, and a sequential round writes into room for
+# its ancilla too, so its last round holds 2^(2n+1) amplitudes.  Desk-scale
+# verification only, so the register stays under 2^18 amplitudes.
+DOUBLING_MAX_N = 8
 
 class AncillaStateError(ValueError):
     """An expansion slot that must hold |0> holds something else."""
@@ -215,20 +214,17 @@ def expansion_unitaries(alpha, beta, gamma) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(u, -1, 0))
 
 
-@functools.lru_cache(maxsize=4)
 def _expansion_unitary(noise: NoiseParams) -> np.ndarray:
-    """The 8x8 expansion operator under ``noise``, shared read-only.
+    """The 8x8 expansion operator under ``noise``.
 
     Ideal gates give ``EXPANSION_MATRIX`` itself, whose exact zeros return
     every ancilla exactly to |0>; other noise gives the composed 8x8 of
-    ``expansion_unitaries``.  A doubling run reuses one noise point, so a
-    few entries suffice.
+    ``expansion_unitaries``, composed afresh on every call (one per
+    doubling run or ``expand_by_one``; ``apply_O`` is only an oracle).
     """
     if noise.is_ideal:
         return EXPANSION_MATRIX
-    u = expansion_unitaries(noise.alpha, noise.beta, noise.gamma)[0]
-    u.setflags(write=False)
-    return u
+    return expansion_unitaries(noise.alpha, noise.beta, noise.gamma)[0]
 
 
 def _expansion_map(noise: NoiseParams) -> tuple[np.ndarray, np.ndarray]:
@@ -247,14 +243,6 @@ def _expansion_map(noise: NoiseParams) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # W states and expansion
 # ---------------------------------------------------------------------------
-
-def _require_int(name: str, value) -> int:
-    """A register size or count as an int: Python and numpy integers pass;
-    a bool, a float (even an integral one) or anything else is rejected by name."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
 
 def build_w_state(n: int) -> StateVector:
     """|W_n>: equal 1/sqrt(n) superposition of all weight-one basis strings."""
@@ -289,6 +277,7 @@ def apply_O(
     protocols apply only its post-selected 4x2 part, through
     ``expand_qubit``; this is that kernel's dense oracle.
     """
+    q1, anc, q2 = _require_int("q1", q1), _require_int("anc", anc), _require_int("q2", q2)
     n = state.num_qubits
     if len({q1, anc, q2}) != 3:
         raise ValueError(f"slots must be distinct, got ({q1}, {anc}, {q2})")
@@ -380,11 +369,13 @@ def _ancilla_density(
     the maps ``v`` and ``w`` onto ancilla |0> and |1>.  A caller that has
     the expansion's output passes its squared norm as ``p0``, the (0, 0)
     entry, which then rounds as the post-selection does.  With ``w``
-    exactly zero the 2x2 is diag(p0, 0), p0 defaulting to |psi|^2, and no
-    register is read.
+    exactly zero the 2x2 is diag(p0, 0), p0 defaulting to |psi|^2, and the
+    target's 2x2 is never gathered.
     """
     if not w.any():
-        return np.array([[state._norm2 if p0 is None else p0, 0.0], [0.0, 0.0]], dtype=complex)
+        if p0 is None:
+            p0 = float(np.vdot(state.amplitudes, state.amplitudes).real)
+        return np.array([[p0, 0.0], [0.0, 0.0]], dtype=complex)
     r = _qubit_density(state, target)
     m = np.stack([v, w]).reshape(2, 4, 2)
     rho = np.einsum("aij,jk,bik->ab", m, r, m.conj())
@@ -403,6 +394,7 @@ def expand_by_one(
     projected back onto its ideal |0> state before being dropped; for ideal
     gates it is exactly there already.
     """
+    target_qubit = _require_int("target_qubit", target_qubit)
     _weight_one_support(w)
     v, _ = _expansion_map(noise if noise is not None else NoiseParams())
     return _normalized(expand_qubit(w.amplitudes, target_qubit, v, after_source=True))[0]
@@ -432,9 +424,8 @@ class DoublingPlan:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.mode not in ("block", "sequential"):
             raise ValueError(f"mode must be 'block' or 'sequential', got {self.mode!r}")
-        cap = BLOCK_MODE_MAX_N if self.mode == "block" else SEQUENTIAL_MODE_MAX_N
-        if self.n > cap:
-            raise ValueError(f"{self.mode} mode supports n <= {cap}, got n={self.n}")
+        if self.n > DOUBLING_MAX_N:
+            raise ValueError(f"{self.mode} mode supports n <= {DOUBLING_MAX_N}, got n={self.n}")
 
 
 @dataclass(frozen=True)

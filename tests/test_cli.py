@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from wexpand import cli
 from wexpand.cli import CHECKS, _build_parser, main, run_verification
+from wexpand.gates import rotation_gate
 from wexpand.statevec import (
     QubitPermutation,
     apply_unitary,
@@ -56,15 +57,23 @@ def test_verify_report_includes_w6_doubling_check(capsys):
     assert "W_6" in out
 
 
-def test_verify_with_corrupted_t_prime_angle_names_matrix_check(capsys):
-    results = run_verification(tp_angle=PI / 8 + 0.01)
+def _miscalibrate_t_prime(monkeypatch):
+    # Checks 1 and 2 lay out the circuit from the CLI's own gates, past the
+    # self-check of standard_expansion_circuit.
+    monkeypatch.setattr(cli, "t_prime", lambda: rotation_gate(PI / 8 + 0.01, "T'*"))
+
+
+def test_verify_with_corrupted_t_prime_angle_names_matrix_check(monkeypatch):
+    _miscalibrate_t_prime(monkeypatch)
+    results = run_verification()
     failures = [r for r in results if not r.passed]
     assert failures
     assert failures[0].name == "expansion operator matrix"
 
 
-def test_verify_fault_injection_exits_nonzero_and_names_check(capsys):
-    assert main(["verify", "--tp-angle", str(PI / 8 + 0.01)]) == 1
+def test_verify_fault_injection_exits_nonzero_and_names_check(capsys, monkeypatch):
+    _miscalibrate_t_prime(monkeypatch)
+    assert main(["verify"]) == 1
     captured = capsys.readouterr()
     assert "expansion operator matrix" in captured.err
 
@@ -338,10 +347,10 @@ def test_cavity_sweep_rejects_bad_grid_points_with_exit_2(tmp_path, capsys, argv
         # Each range is checked once, by the callee: DoublingPlan, noise.sweep
         # or cavity.reflection_grid, all before anything is written.
         (["prepare", "--n", "0"], "n must be >= 1, got 0"),
-        (["prepare", "--n", "7", "--mode", "block"], "block mode supports n <= 6, got n=7"),
+        (["prepare", "--n", "9", "--mode", "block"], "block mode supports n <= 8, got n=9"),
         (["prepare", "--n", "9"], "sequential mode supports n <= 8, got n=9"),
-        (["fidelity-sweep", "--n", "0"], "n must be in 1..6, got 0"),
-        (["fidelity-sweep", "--n", "7"], "n must be in 1..6, got 7"),
+        (["fidelity-sweep", "--n", "0"], "n must be in 1..8, got 0"),
+        (["fidelity-sweep", "--n", "9"], "n must be in 1..8, got 9"),
         (["fidelity-sweep", "--steps", "1"], "steps must be >= 2, got 1"),
         (["cavity-sweep", "--gamma-decay", "0"], "gamma_decay must be positive, got 0.0"),
         (["cavity-sweep", "--gamma-decay", "-1"], "gamma_decay must be positive, got -1.0"),

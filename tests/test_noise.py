@@ -135,8 +135,8 @@ def test_closed_form_matches_simulation_at_50_random_points():
 def test_simulation_rejects_bad_inputs():
     with pytest.raises(ValueError, match="^n must be >= 1"):
         _simulated(0, NoiseParams())
-    with pytest.raises(ValueError, match="^block mode supports n <= 6"):
-        _simulated(7, NoiseParams())
+    with pytest.raises(ValueError, match="^block mode supports n <= 8"):
+        _simulated(9, NoiseParams())
     with pytest.raises(ValueError, match="^sequential mode supports n <= 8"):
         _simulated(9, NoiseParams(), "sequential")
     for field in ("alpha", "beta", "gamma"):
@@ -162,9 +162,17 @@ def test_sweep_grid_and_endpoints():
 def test_sweep_rejects_single_step():
     with pytest.raises(ValueError):
         sweep(THETA_MAX, 1)
-    for n in (0, 7):
+    for n in (0, 9):
         with pytest.raises(ValueError):
             sweep(THETA_MAX, 5, n=n)
+
+
+def test_sweep_serves_the_block_sizes_past_the_old_cap():
+    # n = 7 and 8 were refused while block mode held a 3n-qubit register.
+    for n in (7, 8):
+        last = sweep(THETA_MAX, 3, n=n)[-1]
+        p = NoiseParams(last.theta, last.theta, last.theta)
+        assert abs(last.f_simulated - _simulated(n, p)) < 1e-13
 
 
 @pytest.mark.parametrize("theta_max, message", [
@@ -191,7 +199,7 @@ def test_sweep_closed_form_columns_are_the_scalar_calls():
 @settings(max_examples=50, deadline=None)
 @given(
     st.tuples(*(st.floats(0.0, 2.0 * THETA_MAX) for _ in range(3))),
-    st.integers(1, 4),
+    st.integers(1, 8),
     st.sampled_from(["block", "sequential"]),
 )
 def test_structured_overlap_matches_the_dense_simulation(angles, n, mode):

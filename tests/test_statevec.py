@@ -1,7 +1,10 @@
 """State-vector engine: kernels, partial trace, fidelity, permutations."""
+import re
+
 import numpy as np
 import pytest
 
+from wexpand.gates import hadamard
 from wexpand.statevec import (
     DensityMatrix,
     QubitPermutation,
@@ -16,6 +19,7 @@ from wexpand.statevec import (
     tensor,
     zero_state,
 )
+from wexpand.wcircuit import apply_O, build_w_state, expand_by_one
 
 S2 = 1.0 / np.sqrt(2.0)
 H = np.array([[1, 1], [1, -1]], dtype=complex) * S2
@@ -338,3 +342,37 @@ def test_tensor_is_bit_identical_to_the_outer_product(first, second):
     parts = np.concatenate([expected.real, expected.imag])
     assert np.any((parts == 0) & np.signbit(parts)), "no signed zero to compare"
     assert tensor(a, b).amplitudes.tobytes() == expected.tobytes()
+
+
+# Each entry point that takes a qubit index, as a call on that one index
+# where index 1 is valid, and the name the index is rejected under.
+_QUBIT_INDEX_ENTRY_POINTS = {
+    "apply_unitary": (lambda q: apply_unitary(basis_state("10"), hadamard(), [q]), "qubit"),
+    "partial_trace": (lambda q: partial_trace(build_w_state(2), [q]), "qubit"),
+    "postselect_zero": (lambda q: postselect_zero(basis_state("10"), [q]), "qubit"),
+    "QubitPermutation": (lambda q: QubitPermutation((q, 0)), "permutation entry"),
+    "expand_by_one": (lambda q: expand_by_one(build_w_state(2), q), "target_qubit"),
+    "apply_O q1": (lambda q: apply_O(basis_state("010"), q, 0, 2), "q1"),
+    "apply_O anc": (lambda q: apply_O(basis_state("100"), 0, q, 2), "anc"),
+    "apply_O q2": (lambda q: apply_O(basis_state("100"), 0, 2, q), "q2"),
+}
+
+
+def _comparable(result):
+    if isinstance(result, tuple):
+        return tuple(_comparable(r) for r in result)
+    for field in ("amplitudes", "entries"):
+        if hasattr(result, field):
+            return getattr(result, field).tobytes()
+    return result
+
+
+@pytest.mark.parametrize("entry", sorted(_QUBIT_INDEX_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [0.5, 1.9, True, "1"])
+def test_qubit_indices_must_be_integers(entry, bad):
+    # int() would truncate 0.5 and 1.9, read True as 1 and parse "1".
+    call, name = _QUBIT_INDEX_ENTRY_POINTS[entry]
+    message = f"^{name} must be an integer, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        call(bad)
+    assert _comparable(call(np.int64(1))) == _comparable(call(1))
