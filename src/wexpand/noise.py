@@ -13,9 +13,18 @@ reproduces the closed forms exactly and is independent of n: each round
 acts as the exact identity on the n-1 terms whose control qubit is |0>,
 even with imperfect gates, so the overlap amplitude is the same
 single-triple quantity for every n.
+
+Closed forms on arrays.  Each of the four closed forms is one array
+implementation: an array of angles in gives an array of fidelities of the
+same shape out, and a scalar in gives a Python ``float`` out, computed by
+the same code on a length-1 array, so a scalar call and the matching point
+of an array call agree bit for bit.  ``sweep`` evaluates each once over its
+whole grid.
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,33 +49,70 @@ class FidelityRecord:
     n: int
 
 
-def fidelity_hadamard(alpha: float) -> float:
-    """Doubling fidelity when only the Hadamards carry an angle error."""
-    return float(abs(0.5 + 0.5 * np.cos(2.0 * alpha) ** 3) ** 2)
+def _elementwise(formula):
+    """One implementation of a closed form for arrays and scalars alike.
+
+    The angles are broadcast to one shape and handed to ``formula`` as
+    contiguous one-dimensional float arrays, so every point rounds through
+    the same numpy loops whatever the call's shape.  An array call returns
+    an array of the broadcast shape; a call on scalars runs the same code on
+    a length-1 array and returns a Python ``float``.
+    """
+
+    @functools.wraps(formula)
+    def evaluate(*angles):
+        arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in angles))
+        shape = arrays[0].shape
+        values = formula(*(np.ascontiguousarray(a).reshape(-1) for a in arrays))
+        return values.reshape(shape) if shape else float(values[0])
+
+    return evaluate
 
 
-def fidelity_t_prime(beta: float) -> float:
-    """Doubling fidelity when only the T' gates carry an angle error."""
+@_elementwise
+def fidelity_hadamard(alpha):
+    """Doubling fidelity when only the Hadamards carry an angle error.
+
+    Array in, array of the same shape out; scalar in, ``float`` out.
+    """
+    return np.abs(0.5 + 0.5 * np.cos(2.0 * alpha) ** 3) ** 2
+
+
+@_elementwise
+def fidelity_t_prime(beta):
+    """Doubling fidelity when only the T' gates carry an angle error.
+
+    Array in, array of the same shape out; scalar in, ``float`` out.
+    """
     x = (np.pi + 8.0 * beta) / 4.0
-    return float(abs((np.cos(x) + np.sin(x)) / np.sqrt(2.0)) ** 2)
+    return np.abs((np.cos(x) + np.sin(x)) / np.sqrt(2.0)) ** 2
 
 
-def fidelity_controlled_phase(gamma: float) -> float:
-    """Doubling fidelity when only the controlled-phase gates are off."""
+@_elementwise
+def fidelity_controlled_phase(gamma):
+    """Doubling fidelity when only the controlled-phase gates are off.
+
+    Array in, array of the same shape out; scalar in, ``float`` out.
+    """
     amp = 0.5 * np.exp(-2j * gamma) * np.cos(gamma / 2.0) ** 4 + (
         _C8**2 - np.exp(-1j * gamma) * _S8**2
     ) / np.sqrt(2.0)
-    return float(abs(amp) ** 2)
+    return np.abs(amp) ** 2
 
 
-def fidelity_combined(alpha: float, beta: float, gamma: float) -> float:
-    """Doubling fidelity with all three imperfections acting together."""
+@_elementwise
+def fidelity_combined(alpha, beta, gamma):
+    """Doubling fidelity with all three imperfections acting together.
+
+    The three angles broadcast against each other: arrays in, an array of
+    the broadcast shape out; three scalars in, ``float`` out.
+    """
     eg = np.exp(1j * gamma)
     x = (np.pi + 8.0 * beta) / 4.0
     amp = np.exp(-4j * gamma) * (1.0 + eg) ** 4 * np.cos(2.0 * alpha) ** 3 * np.cos(x) / (
         16.0 * np.sqrt(2.0)
     ) + np.exp(-1j * gamma) * (-1.0 + eg + (1.0 + eg) * np.sin(x)) / (2.0 * np.sqrt(2.0))
-    return float(abs(amp) ** 2)
+    return np.abs(amp) ** 2
 
 
 def doubling_overlap_fidelity(u: np.ndarray, n: int) -> np.ndarray:
@@ -104,12 +150,14 @@ def sweep(theta_max: float, steps: int, n: int = 2) -> list[FidelityRecord]:
 
     The three single-imperfection series each set the other two angles to
     zero; the combined series (closed-form and simulated) drives all three
-    with the same theta.  The simulated series composes the noisy 8x8 at
-    every grid point in one batch and reads each fidelity from two of its
-    columns (``doubling_overlap_fidelity``); ``double_w`` run in block
-    mode with the same noise is its dense oracle.
+    with the same theta.  Each closed form is evaluated once over the whole
+    grid.  The simulated series composes the noisy 8x8 at every grid point
+    in one batch and reads each fidelity from two of its columns
+    (``doubling_overlap_fidelity``); ``double_w`` run in block mode with the
+    same noise is its dense oracle.
 
-    A ``theta_max`` whose grid gives a non-finite fidelity (past |theta|
+    ``theta_max`` must be a real number (a Python or numpy int or float,
+    not a bool).  One whose grid gives a non-finite fidelity (past |theta|
     ~ 2.2e307 the closed forms' 8 theta overflows) is rejected by name,
     without numpy's warnings.
     """
@@ -119,30 +167,32 @@ def sweep(theta_max: float, steps: int, n: int = 2) -> list[FidelityRecord]:
         raise ValueError(f"steps must be >= 2, got {steps}")
     if not 1 <= n <= DOUBLING_MAX_N:
         raise ValueError(f"n must be in 1..{DOUBLING_MAX_N}, got {n}")
-    if not np.isfinite(theta_max):
+    if isinstance(theta_max, bool) or not isinstance(
+        theta_max, (int, float, np.integer, np.floating)
+    ):
+        raise ValueError(f"theta_max must be a real number, got {theta_max!r}")
+    try:
+        finite = math.isfinite(theta_max)
+    except OverflowError:  # a Python int past the float range
+        finite = False
+    if not finite:
         raise ValueError(f"theta_max must be finite, got {theta_max!r}")
     with np.errstate(over="ignore", invalid="ignore"):
-        thetas = np.linspace(0.0, theta_max, steps)
-        simulated = doubling_overlap_fidelity(expansion_unitaries(thetas, thetas, thetas), n)
-        records = [
-            FidelityRecord(
-                theta=theta,
-                f_h=fidelity_hadamard(theta),
-                f_tp=fidelity_t_prime(theta),
-                f_cp=fidelity_controlled_phase(theta),
-                f_combined=fidelity_combined(theta, theta, theta),
-                f_simulated=f_sim,
-                n=n,
-            )
-            for theta, f_sim in zip(thetas.tolist(), simulated.tolist())
-        ]
-    values = [(r.theta, r.f_h, r.f_tp, r.f_cp, r.f_combined, r.f_simulated) for r in records]
-    if not np.isfinite(values).all():
+        thetas = np.linspace(0.0, float(theta_max), steps)
+        table = np.column_stack([
+            thetas,
+            fidelity_hadamard(thetas),
+            fidelity_t_prime(thetas),
+            fidelity_controlled_phase(thetas),
+            fidelity_combined(thetas, thetas, thetas),
+            doubling_overlap_fidelity(expansion_unitaries(thetas, thetas, thetas), n),
+        ])
+    if not np.isfinite(table).all():
         raise ValueError(
             f"theta_max {theta_max!r} is too large in magnitude: "
             "the sweep's fidelities are not finite"
         )
-    return records
+    return [FidelityRecord(*row, n=n) for row in table.tolist()]
 
 
 __all__ = [

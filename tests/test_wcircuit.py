@@ -677,10 +677,14 @@ def test_expand_qubit_matches_the_dense_8x8_on_a_fresh_pair(case, after_source):
         assert np.max(np.abs(got - want.reshape(-1))) <= 1e-15
         assert np.max(np.abs(got_state.amplitudes - want_state.amplitudes)) <= 1e-15
     assert abs(prob - want_prob) <= 1e-15
+    # Given p0, the kernel's (0, 0) entry is the stride-2 norm of its own
+    # output, so it is held to the oracle's norm taken in the same layout.
     want_rho = _qubit_density(dense, m + 1)
-    for p0 in (None, prob):
+    want_rho_given_p0 = want_rho.copy()
+    want_rho_given_p0[0, 0] = want_prob
+    for p0, expected in ((None, want_rho), (prob, want_rho_given_p0)):
         rho = _ancilla_density(state, target, v, w, p0)
-        assert np.max(np.abs(rho - want_rho)) <= 1e-15
+        assert np.max(np.abs(rho - expected)) <= 1e-15
 
 
 def test_expand_qubit_rejects_a_target_out_of_range():
