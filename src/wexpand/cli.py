@@ -669,8 +669,9 @@ def main(argv: list[str] | None = None) -> int:
         opts = _merge_config(args)
         validate(args.command, opts)
         return args.func(opts)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError) as exc:
+        # numpy names the allocation it could not make; a bare MemoryError is empty.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

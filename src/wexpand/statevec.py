@@ -2,9 +2,8 @@
 
 Gate application, tensoring, qubit permutation, partial trace and fidelity
 for small registers (doubling grows its register one qubit per expansion,
-to 2n <= 16 qubits in either mode; a sequential round writes into room for
-its ancilla too, so the last one holds 2^17 amplitudes, and dense
-complex128 storage is used throughout).
+to 2n <= 16 qubits in either mode, so the last expansion holds 2^16
+amplitudes, and dense complex128 storage is used throughout).
 
 A qubit index (and, in ``wcircuit`` and ``noise``, a register size or
 count) must be a Python or numpy integer: ``_require_int`` rejects anything

@@ -67,9 +67,9 @@ EXPANSION_MATRIX = np.array(
 EXPANSION_MATRIX.setflags(write=False)
 
 # Memory cap of both doubling modes: each grows the register by one qubit
-# per expansion, to 2n qubits, and a sequential round writes into room for
-# its ancilla too, so its last round holds 2^(2n+1) amplitudes.  Desk-scale
-# verification only, so the register stays under 2^18 amplitudes.
+# per expansion, to 2n qubits, so the last expansion writes 2^(2n)
+# amplitudes.  Desk-scale verification only, so the register stays at or
+# under 2^16 amplitudes.
 DOUBLING_MAX_N = 8
 
 class AncillaStateError(ValueError):
@@ -316,33 +316,20 @@ def _weight_one_support(state: StateVector, tol: float = 1e-10) -> None:
         )
 
 
-def expand_qubit(
-    psi: np.ndarray, target: int, v: np.ndarray, after_source: bool
-) -> np.ndarray:
+def expand_qubit(psi: np.ndarray, target: int, v: np.ndarray) -> np.ndarray:
     """Expand qubit ``target`` of the m-qubit amplitudes ``psi`` by the 4x2 map ``v``.
 
     ``v`` is indexed [q1', q2', x] (see ``_expansion_map``): the target
     |x> becomes sum v[q1', q2', x] |q1'> in place and |q2'> on a new
-    qubit, which sits right after the target (``after_source``) or last.
-    The m+1-qubit result is not renormalized; its squared norm is the
-    probability that the ancilla the 8x8 would use returns to |0>.  Terms
-    with an exactly zero coefficient are skipped.
-
-    Appended last, the result is the ancilla-|0> half of an array with a
-    trailing ancilla axis, read at stride 2: its norm then rounds as the
-    post-selection of an appended ancilla always has.
+    qubit, appended last.  The m+1-qubit result is not renormalized; its
+    squared norm is the probability that the ancilla the 8x8 would use
+    returns to |0>.  Terms with an exactly zero coefficient are skipped.
     """
     m = psi.size.bit_length() - 1
     if not 0 <= target < m:
         raise ValueError(f"target {target} out of range for {m} qubits")
     src = psi.reshape(1 << target, 2, -1)
-    if after_source:
-        buf = np.empty((src.shape[0], 2, 2, src.shape[2]), dtype=complex)
-        out, flat = buf.transpose(0, 1, 3, 2), buf.reshape(-1)
-    else:
-        buf = np.empty(src.shape + (2, 2), dtype=complex)
-        out = buf[..., 0]
-        flat = out.reshape(-1)
+    out = np.empty(src.shape + (2,), dtype=complex)
     for q1 in (0, 1):
         for q2 in (0, 1):
             dst = out[:, q1, :, q2]
@@ -353,7 +340,7 @@ def expand_qubit(
             np.multiply(terms[0][0], terms[0][1], out=dst)
             for c, part in terms[1:]:
                 dst += c * part
-    return flat
+    return out.reshape(-1)
 
 
 def _ancilla_density(
@@ -397,7 +384,11 @@ def expand_by_one(
     target_qubit = _require_int("target_qubit", target_qubit)
     _weight_one_support(w)
     v, _ = _expansion_map(noise if noise is not None else NoiseParams())
-    return _normalized(expand_qubit(w.amplitudes, target_qubit, v, after_source=True))[0]
+    grown, _ = _normalized(expand_qubit(w.amplitudes, target_qubit, v))
+    m = w.num_qubits
+    # Move the new qubit from the end to right after its target.
+    dest = [q + (q > target_qubit) for q in range(m)] + [target_qubit + 1]
+    return permute(grown, QubitPermutation(tuple(dest)))
 
 
 # ---------------------------------------------------------------------------
@@ -489,39 +480,31 @@ def double_w(
     target = build_w_state(2 * n)
     v, w = _expansion_map(noise if noise is not None else NoiseParams())
     w_n = build_w_state(n)
+    block = plan.mode == "block"
 
-    if plan.mode == "block":
-        # Each U acts on its own triple, so ancilla i reduces to a function
-        # of w_i's 2x2 in |W_n> alone.
-        purities = tuple(
-            DensityMatrix(_ancilla_density(w_n, i, v, w)).purity() for i in range(n)
-        )
-        # new_i goes right after w_i: (w_0, new_0, ..., w_{i-1}, new_{i-1}, w_i, ...).
-        amps = w_n.amplitudes
-        for i in range(n):
-            amps = expand_qubit(amps, 2 * i, v, after_source=True)
-        reg, prob = _normalized(amps)
-        # Regroup (w_0, new_0, w_1, new_1, ...) to w's then new's.
-        out = permute(reg, round_permutation(n, n).inverse())
+    # Round i expands w_i and appends new_i last, after the i already joined.
+    out, amps, prob = w_n, w_n.amplitudes, 1.0
+    purities, rounds = [], [w_n]
+    for i in range(n):
+        amps = expand_qubit(amps, i, v)
+        if block:
+            # Each U acts on its own triple, so ancilla i reduces to a
+            # function of w_i's 2x2 in |W_n> alone.
+            purities.append(DensityMatrix(_ancilla_density(w_n, i, v, w)).purity())
+            continue
+        grown, p = _normalized(amps)
+        purities.append(DensityMatrix(_ancilla_density(out, i, v, w, p)).purity())
+        out, amps, prob = grown, grown.amplitudes, prob * p
+        rounds.append(out)
+    if block:
+        # One joint post-selection of all n ancillas.
+        out, prob = _normalized(amps)
         rounds = []
-    else:
-        # Round i appends new_i at n+i, after the i already joined.
-        out = w_n
-        prob = 1.0
-        purities_list = []
-        rounds = [out]
-        for i in range(n):
-            grown, p = _normalized(expand_qubit(out.amplitudes, i, v, after_source=False))
-            purities_list.append(DensityMatrix(_ancilla_density(out, i, v, w, p)).purity())
-            out = grown
-            prob *= p
-            rounds.append(out)
-        purities = tuple(purities_list)
 
     fidelity = prob * fidelity_pure(out, target)
     report = RunReport(
         fidelity=float(fidelity),
-        ancilla_purities=purities,
+        ancilla_purities=tuple(purities),
         success_probability=float(prob),
         rounds=tuple(rounds),
     )

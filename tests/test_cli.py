@@ -365,6 +365,33 @@ def test_out_of_range_options_exit_2_with_the_callee_message(tmp_path, capsys, a
     assert not out.exists()
 
 
+_NUMPY_OOM = "Unable to allocate 17.9 GiB for an array with shape (400000000, 6) and data type float64"
+
+
+@pytest.mark.parametrize(
+    "argv, callee, exc, message",
+    [
+        (["fidelity-sweep", "--steps", "400000000"], "noi.sweep", MemoryError(_NUMPY_OOM), _NUMPY_OOM),
+        (["cavity-sweep", "--detuning-steps", "20000", "--g-steps", "20000"],
+         "cav.reflection_grid", MemoryError(), "out of memory"),
+    ],
+    ids=["fidelity-sweep", "cavity-sweep"],
+)
+def test_a_grid_too_large_for_memory_exits_2_without_a_traceback(
+    tmp_path, capsys, monkeypatch, argv, callee, exc, message
+):
+    # The callee stands in for the allocation that fails, so nothing large is made.
+    def out_of_memory(*args, **kwargs):
+        raise exc
+
+    module, name = callee.split(".")
+    monkeypatch.setattr(getattr(cli, module), name, out_of_memory)
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # config file
 # ---------------------------------------------------------------------------

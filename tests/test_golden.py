@@ -26,6 +26,16 @@ default CSV (f_h, f_cp and f_combined; theta and f_simulated are
 unchanged), and both the old and the new values lie within 1.1e-15 of a
 40-digit reference.  Of the `verify` stdout only the "noisy-circuit
 agreement" line changed, from 2.442e-15 to 2.220e-15.
+
+Three were re-pinned when every expansion began to append its new qubit
+last, in one contiguous buffer, so that each post-selection's norm is one
+contiguous sum in the output order, where a sequential round's had been
+summed at stride 2 and block mode's with each new qubit after its source.
+`prepare --n 7 --mode sequential --trace` moved 43 of its 98 rows (rounds
+5 to 7 and the final state) and `prepare --n 5 --mode block --full --trace
+--role spin` 13 of its 3040 (rounds 2 to 5), each amplitude by at most
+1.1e-16.  Of the `verify` stdout only the "doubling sweep n=1..4" line
+changed, from 8.882e-16 to 1.110e-15.  The other `prepare` hashes held.
 """
 import hashlib
 
@@ -41,9 +51,9 @@ GOLDEN_SHA256 = {
     # (a post-selection probability, a tensor product) moves some amplitude
     # in its last bit; the n = 2 default above is too small to show it.
     "prepare --n 7 --mode sequential --trace":
-        "598e0a0c16bf7a59af25bc031ac0e66e4a9bbb2dec623cc2f0e135335580443b",
+        "e760faed01d71a30e04289a96132f5de7722e50c22fa0d50ce18572881746ec8",
     "prepare --n 5 --mode block --full --trace --role spin":
-        "19fe96dba23a516d270dab2d47dea68631bca17692a80e70205f7d8038d2fd1a",
+        "103995c66a82d8abb18756eee7f2a9ea289f6fbfba1e3352a91962dd38dcf808",
     # The largest sequential run, and a full sequential dump that writes
     # every zero amplitude out.
     "prepare --n 8 --mode sequential":
@@ -75,7 +85,7 @@ def test_detuned_cavity_csv_matches_its_golden_hash(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DETUNED_CAVITY_SHA256
 
 
-VERIFY_STDOUT_SHA256 = "02a5da706e8f5d916bb6d6d9de56ba970d3ef25ad8adff213268da09bc86f1b8"
+VERIFY_STDOUT_SHA256 = "74386488dccfd191fce699a80096e1c8c461c3e5f8bdce0cc7501b0ddf4ab355"
 
 
 def test_verify_stdout_matches_its_golden_hash(capsys):
