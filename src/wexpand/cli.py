@@ -14,7 +14,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .wcircuit import (
     PHOTON,
     SPIN,
     DoublingPlan,
-    ExpansionCircuit,
     apply_O,
     build_w_state,
     create_epr,
@@ -59,7 +58,7 @@ from .wcircuit import (
 )
 
 
-def _write_rows(path: str, header: list[str], row_format: str, rows) -> None:
+def _write_rows(path: str, header: Sequence[str], row_format: str, rows) -> None:
     """Write a CSV with one %-format string per row.
 
     Floats are written `%.17g` and ints and bools `%d`; a `%s` cell must be
@@ -137,15 +136,9 @@ def _fixed_noise_sample() -> tuple[list[tuple[NoiseParams, int]], list[float]]:
     return points, [float(t) for t in rng.uniform(0.0, _THETA_MAX, size=25)]
 
 
-# Checks 1 and 2 read the circuit laid out from this module's gates, past the
-# self-check of standard_expansion_circuit so that a miscalibrated gate is left
-# for check 1 to catch, and the library's standard one.
-def _circuits() -> tuple[ExpansionCircuit, ExpansionCircuit]:
-    return ExpansionCircuit(hadamard(), t_prime(), controlled_phase()), standard_expansion_circuit()
-
-
+# The one place the package checks its 12-gate composition against the operator.
 def _expansion_matrix(rng) -> float:
-    return max(_max_abs(c.matrix() - EXPANSION_MATRIX) for c in _circuits())
+    return _max_abs(standard_expansion_circuit().matrix() - EXPANSION_MATRIX)
 
 
 def _stepwise_checkpoints(rng) -> float:
@@ -155,12 +148,8 @@ def _stepwise_checkpoints(rng) -> float:
         8: _vec({4: _S2, 3: _S2}, 3),
         11: _vec({4: _S2, 1: _S2}, 3),
     }
-    return max(
-        _max_abs(states[k].amplitudes - v)
-        for c in _circuits()
-        for states in [c.stepwise_states(basis_state("100"))]
-        for k, v in checkpoints.items()
-    )
+    states = standard_expansion_circuit().stepwise_states(basis_state("100"))
+    return max(_max_abs(states[k].amplitudes - v) for k, v in checkpoints.items())
 
 
 def _gate_conventions(rng) -> float:
@@ -433,7 +422,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 # `--role` and the `role` config key are both checked against these choices.
-_ROLES = {"photon": PHOTON, "spin": SPIN}
+_ROLES = {role.kind: role for role in (PHOTON, SPIN)}
 
 
 def cmd_prepare(args) -> int:
@@ -484,10 +473,7 @@ def cmd_prepare(args) -> int:
 def cmd_fidelity_sweep(args) -> int:
     records = noi.sweep(args.theta_max, args.steps, args.n)
     _write_rows(
-        args.out,
-        ["theta", "f_h", "f_tp", "f_cp", "f_combined", "f_simulated", "n"],
-        "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n",
-        [(r.theta, r.f_h, r.f_tp, r.f_cp, r.f_combined, r.f_simulated, r.n) for r in records],
+        args.out, noi.FidelityRecord._fields, "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n", records
     )
     print(f"wrote {len(records)} sweep rows to {args.out}")
     return 0

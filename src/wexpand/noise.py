@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,9 +36,12 @@ _S8 = np.sin(np.pi / 8.0)
 _C8 = np.cos(np.pi / 8.0)
 
 
-@dataclass(frozen=True)
-class FidelityRecord:
-    """One sweep point: the four closed forms plus the simulated value."""
+class FidelityRecord(NamedTuple):
+    """One sweep point: the four closed forms plus the simulated value.
+
+    A record is its CSV row: ``_fields`` is the header and the values come
+    in header order.
+    """
 
     theta: float
     f_h: float
@@ -192,7 +195,7 @@ def sweep(theta_max: float, steps: int, n: int = 2) -> list[FidelityRecord]:
             f"theta_max {theta_max!r} is too large in magnitude: "
             "the sweep's fidelities are not finite"
         )
-    return [FidelityRecord(*row, n=n) for row in table.tolist()]
+    return [FidelityRecord(*row, n) for row in table.tolist()]
 
 
 __all__ = [

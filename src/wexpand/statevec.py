@@ -182,6 +182,11 @@ class QubitPermutation:
 
     @staticmethod
     def swap(k: int, i: int, j: int) -> "QubitPermutation":
+        """Exchange qubits ``i`` and ``j`` of a ``k``-qubit register."""
+        k, i, j = _require_int("k", k), _require_int("i", i), _require_int("j", j)
+        for name, q in (("i", i), ("j", j)):
+            if not 0 <= q < k:
+                raise ValueError(f"{name} = {q} out of range for {k} qubits")
         m = list(range(k))
         m[i], m[j] = m[j], m[i]
         return QubitPermutation(tuple(m))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wexpand import cli
+from wexpand import cli, wcircuit
 from wexpand.cli import CHECKS, _build_parser, main, run_verification
 from wexpand.gates import rotation_gate
 from wexpand.statevec import (
@@ -58,9 +58,10 @@ def test_verify_report_includes_w6_doubling_check(capsys):
 
 
 def _miscalibrate_t_prime(monkeypatch):
-    # Checks 1 and 2 lay out the circuit from the CLI's own gates, past the
-    # self-check of standard_expansion_circuit.
-    monkeypatch.setattr(cli, "t_prime", lambda: rotation_gate(PI / 8 + 0.01, "T'*"))
+    # The library's T', which standard_expansion_circuit lays out for checks 1 and 2.
+    monkeypatch.setattr(
+        wcircuit, "t_prime", lambda beta=0.0: rotation_gate(PI / 8 + 0.01 - beta, "T'*")
+    )
 
 
 def test_verify_with_corrupted_t_prime_angle_names_matrix_check(monkeypatch):
@@ -75,6 +76,22 @@ def test_verify_fault_injection_exits_nonzero_and_names_check(capsys, monkeypatc
     _miscalibrate_t_prime(monkeypatch)
     assert main(["verify"]) == 1
     captured = capsys.readouterr()
+    assert "expansion operator matrix" in captured.err
+
+
+@pytest.mark.parametrize("gate", ["hadamard", "t_prime", "controlled_phase"])
+def test_verify_reports_a_drifted_library_gate(capsys, monkeypatch, gate):
+    # A gate of the library 0.01 rad off its angle (or phase) is a FAIL of
+    # check 1, not a traceback.
+    real = getattr(wcircuit, gate)
+    monkeypatch.setattr(wcircuit, gate, lambda angle=0.0: real(angle - 0.01))
+    assert main(["verify"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    # One verdict line per registry check, in order, then the passed/total count.
+    assert [line.split(":")[0].split("] ")[1] for line in lines[:-1]] == [c.name for c in CHECKS]
+    assert lines[0].startswith("[FAIL] expansion operator matrix:")
+    assert lines[-1].endswith(f"/{len(CHECKS)} checks passed")
     assert "expansion operator matrix" in captured.err
 
 

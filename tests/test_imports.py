@@ -1,5 +1,6 @@
-"""Source hygiene: every import in a wexpand module is used there, and every
-top-level private name is used somewhere in the package."""
+"""Source hygiene: every import in a wexpand module is used there, every
+top-level private name is used somewhere in the package, and every raise is
+one that the CLI reports."""
 import ast
 from pathlib import Path
 
@@ -85,3 +86,59 @@ def test_the_gate_sees_an_unused_private_name():
         "b.py": "from .a import _live\n",
     }
     assert _unreferenced_private_names(sources) == ["a.py:1: _dead", "a.py:4: _Gone", "a.py:7: _LIMIT"]
+
+
+def _exception_name(node) -> str | None:
+    """The class named after `raise` (or in a base list): `E`, `E(...)`, `m.E(...)`."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _unreportable_raises(sources: dict[str, str]) -> list[str]:
+    """Raise statements whose exception is not ValueError or a package class derived from it.
+
+    `cli.main` turns those into `error:` and exit 2; anything else reaches
+    the user as a traceback.  A `from` clause does not change what is
+    raised.  A bare re-raise or a raised variable is listed too, since its
+    class cannot be read off the source.
+    """
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    bases = {
+        node.name: [_exception_name(base) for base in node.bases]
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def reportable(name) -> bool:
+        return name == "ValueError" or any(reportable(base) for base in bases.get(name, ()))
+
+    bad = []
+    for module, tree in trees.items():
+        raises = [node for node in ast.walk(tree) if isinstance(node, ast.Raise)]
+        for node in sorted(raises, key=lambda node: node.lineno):
+            name = _exception_name(node.exc)
+            if not reportable(name):
+                bad.append(f"{module}:{node.lineno}: {name}")
+    return bad
+
+
+def test_every_raise_in_the_package_is_reported_by_the_cli():
+    sources = {p.name: p.read_text() for p in _PACKAGE}
+    assert _unreportable_raises(sources) == []
+
+
+def test_the_gate_sees_a_raise_the_cli_cannot_report():
+    source = (
+        "class Bad(ValueError):\n    pass\n"
+        "class Worse(Bad):\n    pass\n"
+        "def f(x):\n"
+        "    if x == 1:\n        raise ValueError('x') from None\n"
+        "    if x == 2:\n        raise mod.Worse()\n"
+        "    if x == 3:\n        raise RuntimeError('x')\n"
+        "    raise TypeError('x') from None\n"
+    )
+    assert _unreportable_raises({"a.py": source}) == ["a.py:11: RuntimeError", "a.py:12: TypeError"]

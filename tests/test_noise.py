@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from wexpand.gates import NoiseParams
 from wexpand.noise import (
+    FidelityRecord,
     doubling_overlap_fidelity,
     fidelity_combined,
     fidelity_controlled_phase,
@@ -158,6 +159,17 @@ def test_sweep_grid_and_endpoints():
     assert last.f_combined > 0.97
     for r in records:
         assert abs(r.f_simulated - r.f_combined) < 1e-9
+
+
+def test_a_fidelity_record_is_its_immutable_csv_row():
+    # fidelity-sweep writes each record as it is, under `_fields` as the header.
+    assert ",".join(FidelityRecord._fields) == "theta,f_h,f_tp,f_cp,f_combined,f_simulated,n"
+    records = sweep(THETA_MAX, 4, n=2)
+    last = records[-1]
+    assert tuple(last) == tuple(getattr(last, field) for field in FidelityRecord._fields)
+    with pytest.raises(AttributeError):
+        last.f_simulated = 1.0
+    assert records == sweep(THETA_MAX, 4, n=2)
 
 
 def test_sweep_rejects_single_step():

@@ -351,6 +351,7 @@ _QUBIT_INDEX_ENTRY_POINTS = {
     "partial_trace": (lambda q: partial_trace(build_w_state(2), [q]), "qubit"),
     "postselect_zero": (lambda q: postselect_zero(basis_state("10"), [q]), "qubit"),
     "QubitPermutation": (lambda q: QubitPermutation((q, 0)), "permutation entry"),
+    "QubitPermutation.swap": (lambda q: QubitPermutation.swap(3, q, 0), "i"),
     "expand_by_one": (lambda q: expand_by_one(build_w_state(2), q), "target_qubit"),
     "apply_O q1": (lambda q: apply_O(basis_state("010"), q, 0, 2), "q1"),
     "apply_O anc": (lambda q: apply_O(basis_state("100"), 0, q, 2), "anc"),
@@ -376,3 +377,10 @@ def test_qubit_indices_must_be_integers(entry, bad):
     with pytest.raises(ValueError, match=message):
         call(bad)
     assert _comparable(call(np.int64(1))) == _comparable(call(1))
+
+
+@pytest.mark.parametrize("i, j, bad", [(-1, 0, "i = -1"), (0, 3, "j = 3")])
+def test_swap_rejects_a_qubit_outside_the_register(i, j, bad):
+    # A negative index would otherwise count from the end of the register.
+    with pytest.raises(ValueError, match=f"^{bad} out of range for 3 qubits$"):
+        QubitPermutation.swap(3, i, j)

@@ -545,11 +545,15 @@ def _block_register_doubling(n, noise=None):
     projection of all n ancillas, whose |0...0> block comes first and so is
     contiguous, as the kernel writes it.  The paper's interleaved triples
     are checked against its swap network by ``verify``.
+
+    The purities are read off the register renormalized: after n noisy
+    8x8s its norm drifts by up to about 5e-15, which a purity doubles.
     """
     reg = tensor(zero_state(n), tensor(build_w_state(n), zero_state(n)))
     for i in range(n):
         reg = apply_O(reg, n + i, i, 2 * n + i, noise)
-    purities = [partial_trace(reg, {a}).purity() for a in range(n)]
+    unit = StateVector(reg.amplitudes / np.linalg.norm(reg.amplitudes))
+    purities = [partial_trace(unit, {a}).purity() for a in range(n)]
     out, prob = postselect_zero(reg, range(n))
     return out, prob * fidelity_pure(out, build_w_state(2 * n)), prob, purities
 
@@ -557,8 +561,9 @@ def _block_register_doubling(n, noise=None):
 def _assert_matches_block_register(n, noise=None):
     # Block mode reads each ancilla's 2x2 off w_i's 2x2 in |W_n>, where the
     # oracle sums over the 3n register; over 1500 noise points at n <= 4 the
-    # purities sat within 8.9e-15, the probabilities and fidelities were
-    # equal and the amplitudes within 2.5e-32.
+    # probabilities and fidelities were equal and the amplitudes within
+    # 2.5e-32, and over 400 points in [0, pi/30]^3 (seed 7) the purities sat
+    # within 3.2e-15 of the renormalized oracle's (9.1e-15 without it).
     out, report = double_w(DoublingPlan(n, "block"), noise)
     ref, fidelity, prob, purities = _block_register_doubling(n, noise)
     if noise is None:
