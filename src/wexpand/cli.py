@@ -20,6 +20,7 @@ import numpy as np
 
 from . import cavity as cav
 from . import noise as noi
+from .csvcells import WIDTH, format_cells, padded_cells
 from .gates import (
     HolonomicParams,
     NoiseParams,
@@ -483,6 +484,11 @@ def cmd_fidelity_sweep(args) -> int:
 # cavity-sweep
 # ---------------------------------------------------------------------------
 
+# The CSV is assembled and written this many rows at a time, so that its
+# byte matrices stay a few hundred KiB whatever the grid's size.
+_CAVITY_BLOCK_ROWS = 2048
+
+
 def cmd_cavity_sweep(args) -> int:
     # An overflowing linspace gives non-finite points; reflection_grid
     # rejects them by name, so numpy's warning would only add noise.
@@ -502,23 +508,33 @@ def cmd_cavity_sweep(args) -> int:
         ) from None
     # The detuning, g_ratio and phi_0 cells repeat along an axis (the
     # uncoupled phase depends on the detuning alone): format each once.
-    n_g = g_ratios.size
-    d_cells = ["%.17g," % d for d in detunings.tolist()]
-    phi0_cells = [",%.17g," % p for p in grid.phi_0[:, 0].tolist()]
-    _write_rows(
-        args.out,
-        ["detuning", "g_ratio", "re_r", "im_r", "phi", "phi_0", "cz_pass"],
-        "%s%s%.17g,%.17g,%.17g%s%d\n",
-        zip(
-            [cell for cell in d_cells for _ in range(n_g)],
-            ["%.17g," % ratio for ratio in g_ratios.tolist()] * detunings.size,
-            grid.r.real.ravel().tolist(),
-            grid.r.imag.ravel().tolist(),
-            grid.phi.ravel().tolist(),
-            [cell for cell in phi0_cells for _ in range(n_g)],
-            grid.cz_pass.ravel().tolist(),
-        ),
+    d_cells = padded_cells(["%.17g," % d for d in detunings.tolist()])
+    g_cells = padded_cells(["%.17g," % ratio for ratio in g_ratios.tolist()])
+    phi0_cells = padded_cells(["%.17g," % p for p in grid.phi_0[:, 0].tolist()])
+    columns = (grid.r.real.ravel(), grid.r.imag.ravel(), grid.phi.ravel())
+    cz_pass = grid.cz_pass.ravel()
+    # A row of the block: the detuning and g_ratio cells; re_r, im_r and phi,
+    # each in WIDTH columns and then a comma; the phi_0 cell, cz_pass and LF.
+    at = np.cumsum(
+        [0, d_cells.shape[1], g_cells.shape[1], *[WIDTH + 1] * 3, phi0_cells.shape[1], 1, 1]
     )
+    block = np.zeros((min(_CAVITY_BLOCK_ROWS, cz_pass.size), at[-1]), dtype=np.uint8)
+    block[:, at[3] - 1 : at[5] : WIDTH + 1] = ord(",")
+    block[:, -1] = ord("\n")
+    with open(args.out, "wb") as fh:
+        fh.write(b"detuning,g_ratio,re_r,im_r,phi,phi_0,cz_pass\n")
+        for start in range(0, cz_pass.size, _CAVITY_BLOCK_ROWS):
+            stop = min(start + _CAVITY_BLOCK_ROWS, cz_pass.size)
+            rows = block[: stop - start]
+            i, j = np.divmod(np.arange(start, stop), g_ratios.size)
+            rows[:, at[0] : at[1]] = d_cells[i]
+            rows[:, at[1] : at[2]] = g_cells[j]
+            cells = format_cells(np.concatenate([column[start:stop] for column in columns]))
+            for k, column_cells in enumerate(np.split(cells, 3)):
+                rows[:, at[2 + k] : at[3 + k] - 1] = column_cells
+            rows[:, at[5] : at[6]] = phi0_cells[i]
+            rows[:, at[6]] = cz_pass[start:stop] + ord("0")
+            fh.write(rows.tobytes().translate(None, b"\0"))
     print(f"wrote {grid.cz_pass.size} cavity rows to {args.out}")
     return 0
 

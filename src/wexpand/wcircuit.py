@@ -440,6 +440,7 @@ def interleave_permutation(n: int) -> QubitPermutation:
     place); ``wexpand verify`` checks this layout against the paper's
     swap network.
     """
+    n = _require_int("n", n)
     dest = [0] * (3 * n)
     for i in range(n):
         dest[i] = 3 * i
@@ -456,6 +457,7 @@ def round_permutation(n: int, k: int) -> QubitPermutation:
     w_{k-1}, new_{k-1}, w_k, ..., w_{n-1}), the order in which a chain of
     ``expand_by_one`` rounds grows the state.
     """
+    n, k = _require_int("n", n), _require_int("k", k)
     dest = [2 * j if j < k else k + j for j in range(n)]
     dest += [2 * j + 1 for j in range(k)]
     return QubitPermutation(tuple(dest))

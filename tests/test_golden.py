@@ -36,8 +36,18 @@ summed at stride 2 and block mode's with each new qubit after its source.
 --role spin` 13 of its 3040 (rounds 2 to 5), each amplitude by at most
 1.1e-16.  Of the `verify` stdout only the "doubling sweep n=1..4" line
 changed, from 8.882e-16 to 1.110e-15.  The other `prepare` hashes held.
+
+A benchmark-sized `cavity-sweep` grid (101 x 101, 10201 rows) is pinned
+for the vectorised `%.17g` writer, with its hash recorded on the per-row
+`%` writer before it.  The grid spans several of the writer's row blocks
+and crosses both zero detuning, where r is real and im_r is 0, and
+g_ratio = 0.5, where 2g = sqrt(kappa * gamma_decay) and r nearly vanishes.
+So besides the fast path's fixed-notation cells it holds the cells that
+the formatter hands to Python's `%` (0, -0 and 8.5e-17) and cells in
+exponent notation (|x| < 1e-4).
 """
 import hashlib
+import math
 
 import pytest
 
@@ -83,6 +93,26 @@ def test_detuned_cavity_csv_matches_its_golden_hash(tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main([*DETUNED_CAVITY_ARGV, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DETUNED_CAVITY_SHA256
+
+
+BENCHMARK_CAVITY_ARGV = [
+    "cavity-sweep", "--detuning-min=-1", "--detuning-max", "1", "--detuning-steps", "101",
+    "--g-min", "0", "--g-max", "2", "--g-steps", "101", "--gamma-decay", "1.3",
+]
+BENCHMARK_CAVITY_SHA256 = "53b8299a62b9994d2cee353f13e6aa630e92472cd5f159988642dea35f467020"
+
+
+def test_benchmark_sized_cavity_csv_matches_its_golden_hash(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main([*BENCHMARK_CAVITY_ARGV, "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == BENCHMARK_CAVITY_SHA256
+    # The re_r, im_r and phi cells cover each branch of the formatter.
+    cells = [c for row in data.decode().splitlines()[1:] for c in row.split(",")[2:5]]
+    assert {"0", "-0"} <= set(cells)
+    assert any(0.0 < abs(float(c)) < 1e-6 for c in cells)
+    assert any("e" in c and 1e-6 < abs(float(c)) < 1e-4 for c in cells)
+    assert all(math.isfinite(float(c)) for c in cells)
 
 
 VERIFY_STDOUT_SHA256 = "74386488dccfd191fce699a80096e1c8c461c3e5f8bdce0cc7501b0ddf4ab355"

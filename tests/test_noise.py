@@ -19,8 +19,15 @@ from wexpand.noise import (
     fidelity_t_prime,
     sweep,
 )
-from wexpand.statevec import fidelity_pure
-from wexpand.wcircuit import DoublingPlan, build_w_state, double_w, expansion_unitaries
+from wexpand.statevec import fidelity_pure, zero_state
+from wexpand.wcircuit import (
+    DoublingPlan,
+    build_w_state,
+    double_w,
+    expansion_unitaries,
+    interleave_permutation,
+    round_permutation,
+)
 
 THETA_MAX = np.pi / 60.0
 
@@ -332,6 +339,10 @@ _SIZED_ENTRY_POINTS = {
     ),
     "sweep n": (lambda n: sweep(THETA_MAX, 5, n=n), "n"),
     "sweep steps": (lambda steps: sweep(THETA_MAX, steps), "steps"),
+    "zero_state": (lambda n: zero_state(n).amplitudes.tobytes(), "num_qubits"),
+    "interleave_permutation": (interleave_permutation, "n"),
+    "round_permutation n": (lambda n: round_permutation(n, 2), "n"),
+    "round_permutation k": (lambda k: round_permutation(4, k), "k"),
 }
 
 
