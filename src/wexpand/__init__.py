@@ -59,9 +59,7 @@ from .wcircuit import (
     EXPANSION_MATRIX,
     PHOTON,
     SPIN,
-    DoublingPlan,
     ExpansionCircuit,
-    LabeledState,
     QubitRole,
     RunReport,
     apply_O,

@@ -46,7 +46,6 @@ from .wcircuit import (
     EXPANSION_MATRIX,
     PHOTON,
     SPIN,
-    DoublingPlan,
     apply_O,
     build_w_state,
     create_epr,
@@ -214,12 +213,12 @@ def _growth_strategy(rng) -> float:
 
 
 def _doubling_w6(rng) -> float:
-    return abs(1.0 - double_w(DoublingPlan(3, "block"))[1].fidelity)
+    return abs(1.0 - double_w(3, "block")[1].fidelity)
 
 
 def _doubling_sweep(rng) -> float:
     return max(
-        abs(1.0 - double_w(DoublingPlan(n, mode))[1].fidelity)
+        abs(1.0 - double_w(n, mode)[1].fidelity)
         for n in (1, 2, 3, 4)
         for mode in ("block", "sequential")
     )
@@ -257,7 +256,7 @@ def _closed_forms(rng) -> float:
 
 
 def _noisy_doubling_fidelity(n: int, p: NoiseParams) -> float:
-    return double_w(DoublingPlan(n, "block"), p)[1].fidelity
+    return double_w(n, "block", p)[1].fidelity
 
 
 def _noisy_agreement(rng) -> float:
@@ -323,9 +322,9 @@ def _physical_gates(rng) -> float:
 def _role_labeling(rng) -> float:
     epr = create_epr()
     ok = (
-        relabel(epr, PHOTON).text == "(|LR⟩+|RL⟩)/√2"
-        and relabel(epr, SPIN).text == "(|-+⟩+|+-⟩)/√2"
-        and "|-+++⟩" in relabel(build_w_state(4), SPIN).text
+        relabel(epr, PHOTON) == "(|LR⟩+|RL⟩)/√2"
+        and relabel(epr, SPIN) == "(|-+⟩+|+-⟩)/√2"
+        and "|-+++⟩" in relabel(build_w_state(4), SPIN)
     )
     return 0.0 if ok else 1.0
 
@@ -428,9 +427,7 @@ _ROLES = {role.kind: role for role in (PHOTON, SPIN)}
 
 def cmd_prepare(args) -> int:
     role = _ROLES[args.role]
-    plan = DoublingPlan(args.n, args.mode)
-    out_state, report = double_w(plan)
-    target = build_w_state(2 * plan.n)
+    out_state, report = double_w(args.n, args.mode)
 
     rows = []
 
@@ -448,10 +445,10 @@ def cmd_prepare(args) -> int:
 
     if args.trace:
         # Each sequential round, with every joined qubit right after its source.
-        rounds = report.rounds or double_w(DoublingPlan(plan.n, "sequential"))[1].rounds
+        rounds = report.rounds or double_w(args.n, "sequential")[1].rounds
         add_rows("round_0", rounds[0])
         for k, grown in enumerate(rounds[1:], start=1):
-            add_rows(f"round_{k}", permute(grown, round_permutation(plan.n, k)))
+            add_rows(f"round_{k}", permute(grown, round_permutation(args.n, k)))
     add_rows("final", out_state)
     _write_rows(
         args.out,
@@ -460,9 +457,8 @@ def cmd_prepare(args) -> int:
         rows,
     )
 
-    rendering = relabel(out_state, role)
-    print(rendering.text)
-    print(f"fidelity vs |W_{2 * plan.n}>: " + "%.17g" % fidelity_pure(out_state, target))
+    print(relabel(out_state, role))
+    print(f"fidelity vs |W_{2 * args.n}>: " + "%.17g" % report.overlap)
     print(f"ancilla purities: {[round(p, 12) for p in report.ancilla_purities]}")
     return 0
 

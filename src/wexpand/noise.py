@@ -124,7 +124,7 @@ def doubling_overlap_fidelity(u: np.ndarray, n: int) -> np.ndarray:
     ``u`` holds 8x8 expansion unitaries along its leading axes (for example
     the (k, 8, 8) stack of ``expansion_unitaries``); the result has the
     leading shape.  It equals the dense
-    ``double_w(DoublingPlan(n, "block"), noise)[1].fidelity`` without
+    ``double_w(n, "block", noise)[1].fidelity`` without
     building its 2n-qubit register: the final state is
     (1/sqrt n) sum_i U|100>_i (x) prod_{j != i} U|000>_j, a sum of n product
     states, so its overlap with |W_2n>|0..0>_anc needs only

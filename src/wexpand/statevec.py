@@ -212,7 +212,10 @@ def basis_state(bits: str) -> StateVector:
 
 
 def zero_state(num_qubits: int) -> StateVector:
-    return basis_state("0" * _require_int("num_qubits", num_qubits))
+    num_qubits = _require_int("num_qubits", num_qubits)
+    if num_qubits < 1:
+        raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
+    return basis_state("0" * num_qubits)
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:

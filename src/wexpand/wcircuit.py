@@ -41,6 +41,7 @@ from .statevec import (
     _normalized,
     _qubit_density,
     _require_int,
+    _seal,
     apply_unitary,
     fidelity_pure,
     permute,
@@ -249,7 +250,7 @@ def build_w_state(n: int) -> StateVector:
     amps = np.zeros(1 << n, dtype=complex)
     for i in range(n):
         amps[1 << i] = 1.0 / np.sqrt(n)
-    return StateVector(amps)
+    return StateVector(_seal(amps))
 
 
 def _require_zero_slot(state: StateVector, qubit: int, slot: str) -> None:
@@ -294,7 +295,7 @@ def create_epr() -> StateVector:
     the ancilla projected out, leaves the pure two-qubit state on the
     logical pair.
     """
-    return double_w(DoublingPlan(1, "block"))[0]
+    return double_w(1, "block")[0]
 
 
 def _weight_one_support(state: StateVector, tol: float = 1e-10) -> None:
@@ -393,42 +394,24 @@ def expand_by_one(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DoublingPlan:
-    """Size and register strategy for |W_n> -> |W_2n>.
-
-    ``block`` expands every qubit of |W_n> before a single joint
-    post-selection of all n ancillas; ``sequential`` post-selects round by
-    round, each round joining one new qubit.  Either way the register grows
-    by one qubit per expansion, to 2n qubits; each ancilla is never held,
-    only its projection applied.
-    """
-
-    n: int
-    mode: str = "sequential"
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", _require_int("n", self.n))
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.mode not in ("block", "sequential"):
-            raise ValueError(f"mode must be 'block' or 'sequential', got {self.mode!r}")
-        if self.n > DOUBLING_MAX_N:
-            raise ValueError(f"{self.mode} mode supports n <= {DOUBLING_MAX_N}, got n={self.n}")
-
-
-@dataclass(frozen=True)
 class RunReport:
     """Diagnostics of one doubling run.
 
-    ``rounds`` holds the post-selected register of each sequential round,
-    round 0 being |W_n> and round i ordered (w_0..w_{n-1}, new_0..new_{i-1});
-    it is empty in block mode.
+    ``overlap`` is |<W_2n|out>|^2 of the post-selected output.  ``rounds``
+    holds the post-selected register of each sequential round, round 0
+    being |W_n> and round i ordered (w_0..w_{n-1}, new_0..new_{i-1}); it is
+    empty in block mode.
     """
 
-    fidelity: float
+    overlap: float
     ancilla_purities: tuple[float, ...]
     success_probability: float
     rounds: tuple[StateVector, ...]
+
+    @property
+    def fidelity(self) -> float:
+        """Overlap with |W_2n> times the projection probability."""
+        return self.success_probability * self.overlap
 
 
 def interleave_permutation(n: int) -> QubitPermutation:
@@ -441,6 +424,8 @@ def interleave_permutation(n: int) -> QubitPermutation:
     swap network.
     """
     n = _require_int("n", n)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     dest = [0] * (3 * n)
     for i in range(n):
         dest[i] = 3 * i
@@ -458,28 +443,42 @@ def round_permutation(n: int, k: int) -> QubitPermutation:
     ``expand_by_one`` rounds grows the state.
     """
     n, k = _require_int("n", n), _require_int("k", k)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not 0 <= k <= n:
+        raise ValueError(f"k must be in 0..{n}, got {k}")
     dest = [2 * j if j < k else k + j for j in range(n)]
     dest += [2 * j + 1 for j in range(k)]
     return QubitPermutation(tuple(dest))
 
 
 def double_w(
-    plan: DoublingPlan, noise: NoiseParams | None = None
+    n: int, mode: str = "sequential", noise: NoiseParams | None = None
 ) -> tuple[StateVector, RunReport]:
     """Run |W_n> -> |W_2n>, returning the 2n-qubit state and a report.
 
+    ``block`` mode expands every qubit of |W_n> before a single joint
+    post-selection of all n ancillas; ``sequential`` post-selects round by
+    round, each round joining one new qubit.  Either way the register grows
+    by one qubit per expansion, to 2n qubits; each ancilla is never held,
+    only its projection applied (a no-op for ideal gates).
+
     The output qubits are ordered original-W qubits first, joined qubits
-    second.  Each ancilla is projected onto its ideal |0> state before
-    removal (a no-op for ideal gates); the report's fidelity against the
-    ideal |W_2n> accounts for the projection probability, and the report
-    records each ancilla's pre-projection purity and, in sequential mode,
-    the register after each round.
+    second.  The report holds the output's overlap with the ideal |W_2n>,
+    the projection probability, each ancilla's pre-projection purity and,
+    in sequential mode, the register after each round.
     """
-    n = plan.n
+    n = _require_int("n", n)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if mode not in ("block", "sequential"):
+        raise ValueError(f"mode must be 'block' or 'sequential', got {mode!r}")
+    if n > DOUBLING_MAX_N:
+        raise ValueError(f"{mode} mode supports n <= {DOUBLING_MAX_N}, got n={n}")
     target = build_w_state(2 * n)
     v, w = _expansion_map(noise if noise is not None else NoiseParams())
     w_n = build_w_state(n)
-    block = plan.mode == "block"
+    block = mode == "block"
 
     # Round i expands w_i and appends new_i last, after the i already joined.
     out, amps, prob = w_n, w_n.amplitudes, 1.0
@@ -500,9 +499,8 @@ def double_w(
         out, prob = _normalized(amps)
         rounds = []
 
-    fidelity = prob * fidelity_pure(out, target)
     report = RunReport(
-        fidelity=float(fidelity),
+        overlap=fidelity_pure(out, target),
         ancilla_purities=tuple(purities),
         success_probability=float(prob),
         rounds=tuple(rounds),
@@ -527,17 +525,6 @@ PHOTON = QubitRole("photon", "R", "L")  # circular polarization
 SPIN = QubitRole("spin", "+", "-")
 
 
-@dataclass(frozen=True)
-class LabeledState:
-    """Human-readable rendering of a state in physical labels."""
-
-    text: str
-    terms: tuple[tuple[str, complex], ...]
-
-    def __str__(self) -> str:
-        return self.text
-
-
 def _common_amp_denominator(amps: list[complex]) -> int | None:
     mags = [abs(a) for a in amps]
     if max(mags) - min(mags) > 1e-10:
@@ -551,7 +538,7 @@ def _common_amp_denominator(amps: list[complex]) -> int | None:
     return k_int
 
 
-def relabel(state: StateVector, role: QubitRole) -> LabeledState:
+def relabel(state: StateVector, role: QubitRole) -> str:
     """Render a state's amplitudes in the physical labels of ``role``.
 
     Terms are listed excitation-leftmost first (descending basis index),
@@ -578,4 +565,4 @@ def relabel(state: StateVector, role: QubitRole) -> LabeledState:
             return f"{a.real:.6g}" if abs(a.imag) <= 1e-12 else f"({a:.6g})"
 
         text = " + ".join(f"{coeff(amp)}|{label}⟩" for label, amp in terms)
-    return LabeledState(text=text, terms=terms)
+    return text

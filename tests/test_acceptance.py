@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from wexpand.cli import CHECKS, run_verification
-from wexpand.wcircuit import EXPANSION_MATRIX, DoublingPlan, double_w, standard_expansion_circuit
+from wexpand.wcircuit import EXPANSION_MATRIX, double_w, standard_expansion_circuit
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +45,7 @@ def test_criterion_05_doubling_all_strategies():
     t0 = time.perf_counter()
     for n in (1, 2, 3, 4):
         for mode in ("block", "sequential"):
-            double_w(DoublingPlan(n, mode))
+            double_w(n, mode)
     elapsed = time.perf_counter() - t0
     print(f"n=1..4 x 2 modes in {elapsed:.2f}s (< 5s)")
     assert elapsed < 5.0

@@ -361,7 +361,7 @@ def test_cavity_sweep_rejects_bad_grid_points_with_exit_2(tmp_path, capsys, argv
 @pytest.mark.parametrize(
     "argv, message",
     [
-        # Each range is checked once, by the callee: DoublingPlan, noise.sweep
+        # Each range is checked once, by the callee: wcircuit.double_w, noise.sweep
         # or cavity.reflection_grid, all before anything is written.
         (["prepare", "--n", "0"], "n must be >= 1, got 0"),
         (["prepare", "--n", "9", "--mode", "block"], "block mode supports n <= 8, got n=9"),

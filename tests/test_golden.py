@@ -45,6 +45,10 @@ g_ratio = 0.5, where 2g = sqrt(kappa * gamma_decay) and r nearly vanishes.
 So besides the fast path's fixed-notation cells it holds the cells that
 the formatter hands to Python's `%` (0, -0 and 8.5e-17) and cells in
 exponent notation (|x| < 1e-4).
+
+The stdout of three `prepare` runs is pinned as well, with its hashes
+recorded before `prepare` stopped building its own |W_2n> and began to
+print the overlap that the doubling run reports.
 """
 import hashlib
 import math
@@ -113,6 +117,24 @@ def test_benchmark_sized_cavity_csv_matches_its_golden_hash(tmp_path, capsys):
     assert any(0.0 < abs(float(c)) < 1e-6 for c in cells)
     assert any("e" in c and 1e-6 < abs(float(c)) < 1e-4 for c in cells)
     assert all(math.isfinite(float(c)) for c in cells)
+
+
+# The stdout of `prepare`: the relabeled state, its fidelity line and the
+# ancilla purities.
+PREPARE_STDOUT_SHA256 = {
+    "prepare": "94ff8520b4bdfa8b41db04670d10647b8b2c58079f3dce7bcc2597cb7fa7a8aa",
+    "prepare --n 7 --mode sequential --trace":
+        "fba598dc9459b7117acc04039dde69f2e785c3de56e4b70793f4ee4da766db59",
+    "prepare --n 5 --mode block --full --trace --role spin":
+        "5de2a81654011228eca30c604a887a36c5c379a504ec7b09e8158d36f8b842b6",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PREPARE_STDOUT_SHA256))
+def test_prepare_stdout_matches_its_golden_hash(command, tmp_path, capsys):
+    assert main([*command.split(), "--out", str(tmp_path / "out.csv")]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == PREPARE_STDOUT_SHA256[command]
 
 
 VERIFY_STDOUT_SHA256 = "74386488dccfd191fce699a80096e1c8c461c3e5f8bdce0cc7501b0ddf4ab355"

@@ -1,7 +1,8 @@
 """Source hygiene: every import in a wexpand module is used there, every
-top-level private name is used somewhere in the package, and every raise is
-one that the CLI reports."""
+top-level private name is used somewhere in the package, every raise is one
+that the CLI reports, and every name the benchmark traces still exists."""
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -142,3 +143,46 @@ def test_the_gate_sees_a_raise_the_cli_cannot_report():
         "    raise TypeError('x') from None\n"
     )
     assert _unreportable_raises({"a.py": source}) == ["a.py:11: RuntimeError", "a.py:12: TypeError"]
+
+
+# The benchmark traces these methods by name, and drives the CLI through
+# `main` and `run_verification`; a cut one would break only traced runs.
+_TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _traced_methods(source: str) -> dict:
+    """The `METHODS` table of the tracing module's source, read without importing it."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "METHODS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("no METHODS table")
+
+
+def _missing_traced_names(methods: dict) -> list[str]:
+    """Each class and method of `methods`, and each CLI entry point, that wexpand lacks."""
+    missing = []
+    for layer, pairs in methods.items():
+        module = importlib.import_module(f"wexpand.{layer}")
+        for cls_name, meth in pairs:
+            cls = getattr(module, cls_name, None)
+            if cls is None or meth not in vars(cls):
+                missing.append(f"{layer}.{cls_name}.{meth}")
+    cli = importlib.import_module("wexpand.cli")
+    missing += [f"cli.{name}" for name in ("main", "run_verification") if not hasattr(cli, name)]
+    return missing
+
+
+def test_every_name_the_benchmark_traces_exists():
+    assert _missing_traced_names(_traced_methods(_TRACING.read_text())) == []
+
+
+def test_the_gate_sees_a_traced_name_that_is_gone():
+    source = (
+        'METHODS = {\n    "statevec": (("StateVector", "__post_init__"), ("Gone", "run")),\n'
+        '    "wcircuit": (("ExpansionCircuit", "vanished"),),\n}\n'
+    )
+    assert _missing_traced_names(_traced_methods(source)) == [
+        "statevec.Gone.run", "wcircuit.ExpansionCircuit.vanished",
+    ]

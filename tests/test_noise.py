@@ -21,7 +21,6 @@ from wexpand.noise import (
 )
 from wexpand.statevec import fidelity_pure, zero_state
 from wexpand.wcircuit import (
-    DoublingPlan,
     build_w_state,
     double_w,
     expansion_unitaries,
@@ -34,7 +33,7 @@ THETA_MAX = np.pi / 60.0
 
 def _simulated(n, params, mode="block"):
     """Post-selected overlap fidelity of the dense noisy doubling run."""
-    return double_w(DoublingPlan(n, mode), params)[1].fidelity
+    return double_w(n, mode, params)[1].fidelity
 
 
 def _noisy_operator(alpha, beta, gamma):
@@ -116,7 +115,7 @@ def test_simulation_is_one_for_ideal_gates_under_both_definitions():
     # kept state's overlap) and the kept state's own overlap with |W_2n>.
     for n in (1, 2, 3):
         for mode in ("block", "sequential"):
-            out, report = double_w(DoublingPlan(n, mode), NoiseParams())
+            out, report = double_w(n, mode, NoiseParams())
             assert abs(report.fidelity - 1.0) < 1e-12
             assert abs(fidelity_pure(out, build_w_state(2 * n)) - 1.0) < 1e-12
 
@@ -331,7 +330,7 @@ def test_structured_overlap_serves_sizes_past_the_dense_cap():
 # on that one value returning something comparable with ==, and the name the
 # value is rejected under.
 _SIZED_ENTRY_POINTS = {
-    "DoublingPlan": (lambda n: DoublingPlan(n, "block"), "n"),
+    "double_w": (lambda n: double_w(n, "block")[0].amplitudes.tobytes(), "n"),
     "build_w_state": (lambda n: build_w_state(n).amplitudes.tobytes(), "n"),
     "doubling_overlap_fidelity": (
         lambda n: doubling_overlap_fidelity(expansion_unitaries(0.01, 0.02, 0.03), n).tobytes(),
@@ -346,11 +345,28 @@ _SIZED_ENTRY_POINTS = {
 }
 
 
+# Integer values each entry point rejects as out of range, by the same name.
+_OUT_OF_RANGE = {
+    "double_w": (0, 9),
+    "build_w_state": (0,),
+    "doubling_overlap_fidelity": (0,),
+    "sweep n": (0, 9),
+    "sweep steps": (1,),
+    "zero_state": (0, -1),
+    "interleave_permutation": (0, -1),
+    "round_permutation n": (0,),
+    "round_permutation k": (-1, 5),
+}
+
+
 @pytest.mark.parametrize("entry", sorted(_SIZED_ENTRY_POINTS))
 def test_sizes_must_be_integers_at_the_boundary(entry):
     call, name = _SIZED_ENTRY_POINTS[entry]
     for bad in (True, np.True_, 2.5, 2.0, "2", None):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            call(bad)
+    for bad in _OUT_OF_RANGE[entry]:
+        with pytest.raises(ValueError, match=rf"\b{name}\b.*\D{bad}$"):
             call(bad)
     # numpy integers are sizes too, with the same result as a Python int.
     for good in (np.int64(3), np.int32(3), np.uint8(3)):

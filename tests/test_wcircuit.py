@@ -1,6 +1,7 @@
 """Expansion circuit, W-state growth and the doubling protocol."""
 import csv
 import math
+import re
 import sys
 import tracemalloc
 
@@ -31,7 +32,6 @@ from wexpand.wcircuit import (
     PHOTON,
     SPIN,
     AncillaStateError,
-    DoublingPlan,
     ExpansionCircuit,
     apply_O,
     build_w_state,
@@ -429,7 +429,7 @@ def test_doubling_reaches_w2n(n, mode, schedule, tmp_path):
         dumped[int(r["index"])] = complex(float(r["re"]), float(r["im"]))
     np.testing.assert_allclose(dumped, build_w_state(2 * n).amplitudes, atol=1e-12)
 
-    out, report = double_w(DoublingPlan(n, mode))
+    out, report = double_w(n, mode)
     assert abs(1.0 - report.fidelity) < 1e-10
     assert abs(1.0 - fidelity_pure(out, build_w_state(2 * n))) < 1e-10
     assert all(abs(p - 1.0) < 1e-12 for p in report.ancilla_purities)
@@ -441,7 +441,7 @@ def test_doubling_n1_equals_epr():
     # |100> with the ancilla projected out, bit for bit.  The exact ideal
     # operator puts fl(1/sqrt 2) on |100> and |001>, so the projection
     # probability is 2 fl(1/sqrt 2)^2, one ulp below 1.
-    out, _ = double_w(DoublingPlan(1, "block"))
+    out, _ = double_w(1, "block")
     projected, prob = postselect_zero(apply_O(basis_state("100"), 0, 1, 2), [1])
     assert prob == 2 * (1 / np.sqrt(2)) ** 2 == 0.9999999999999998
     assert np.array_equal(out.amplitudes, projected.amplitudes)
@@ -450,8 +450,8 @@ def test_doubling_n1_equals_epr():
 
 def test_block_and_sequential_agree_under_noise():
     noise = NoiseParams(0.03, 0.02, 0.05)
-    out_b, rep_b = double_w(DoublingPlan(2, "block"), noise)
-    out_s, rep_s = double_w(DoublingPlan(2, "sequential"), noise)
+    out_b, rep_b = double_w(2, "block", noise)
+    out_s, rep_s = double_w(2, "sequential", noise)
     rho_b = np.outer(out_b.amplitudes, out_b.amplitudes.conj())
     rho_s = np.outer(out_s.amplitudes, out_s.amplitudes.conj())
     assert np.max(np.abs(rho_b - rho_s)) < 1e-10
@@ -459,20 +459,24 @@ def test_block_and_sequential_agree_under_noise():
 
 
 def test_noisy_ancilla_purity_below_one_is_recorded():
-    _, report = double_w(DoublingPlan(2, "sequential"), NoiseParams(0.1, 0.1, 0.2))
+    out, report = double_w(2, "sequential", NoiseParams(0.1, 0.1, 0.2))
     assert all(p < 1.0 - 1e-6 for p in report.ancilla_purities)
     assert report.success_probability < 1.0
+    assert report.overlap == fidelity_pure(out, build_w_state(4))
+    assert report.fidelity == report.success_probability * report.overlap
 
 
-def test_doubling_plan_caps():
-    with pytest.raises(ValueError):
-        DoublingPlan(9, "block")
-    with pytest.raises(ValueError):
-        DoublingPlan(9, "sequential")
-    with pytest.raises(ValueError):
-        DoublingPlan(2, "giant")
-    with pytest.raises(ValueError):
-        DoublingPlan(0, "block")
+def test_double_w_caps():
+    for n, mode, message in (
+        (9, "block", "block mode supports n <= 8, got n=9"),
+        (9, "sequential", "sequential mode supports n <= 8, got n=9"),
+        (2, "giant", "mode must be 'block' or 'sequential', got 'giant'"),
+        (0, "block", "n must be >= 1, got 0"),
+        # n is checked before the mode.
+        (0, "giant", "n must be >= 1, got 0"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            double_w(n, mode)
 
 
 def test_interleave_matches_pairwise_swap_list_on_doubling_input():
@@ -511,7 +515,7 @@ def _assert_matches_fixed_register(n, noise=None):
     # over 1500 noise points at n <= 6 the amplitudes sat within 4.9e-32,
     # the probabilities and fidelities were equal and the purities within
     # 2.2e-16.
-    out, report = double_w(DoublingPlan(n, "sequential"), noise)
+    out, report = double_w(n, "sequential", noise)
     ref, fidelity, prob, purities = _fixed_register_sequential_doubling(n, noise)
     if noise is None:
         assert np.array_equal(out.amplitudes, ref.amplitudes)
@@ -564,7 +568,7 @@ def _assert_matches_block_register(n, noise=None):
     # probabilities and fidelities were equal and the amplitudes within
     # 2.5e-32, and over 400 points in [0, pi/30]^3 (seed 7) the purities sat
     # within 3.2e-15 of the renormalized oracle's (9.1e-15 without it).
-    out, report = double_w(DoublingPlan(n, "block"), noise)
+    out, report = double_w(n, "block", noise)
     ref, fidelity, prob, purities = _block_register_doubling(n, noise)
     if noise is None:
         assert np.array_equal(out.amplitudes, ref.amplitudes)
@@ -586,7 +590,7 @@ def test_block_doubling_matches_the_3n_qubit_register(n):
 def test_block_doubling_reaches_w2n_past_the_3n_register_oracle(n):
     # The 3n-qubit oracle would need 2^24 amplitudes at n = 8; block mode
     # holds at most 2n qubits.
-    out, report = double_w(DoublingPlan(n, "block"))
+    out, report = double_w(n, "block")
     assert np.max(np.abs(out.amplitudes - build_w_state(2 * n).amplitudes)) <= 1e-15
     assert abs(1.0 - report.fidelity) <= 1e-14
 
@@ -607,7 +611,7 @@ def test_sequential_register_grows_by_one_qubit_per_round(n, monkeypatch):
         return real_expand_qubit(psi, *args, **kwargs)
 
     monkeypatch.setattr(wcircuit, "expand_qubit", recording_expand_qubit)
-    double_w(DoublingPlan(n, "sequential"))
+    double_w(n, "sequential")
     assert sizes == list(range(n, 2 * n))
 
 
@@ -646,7 +650,7 @@ def test_ideal_ancillas_are_exactly_zero_and_never_gathered(mode, n, monkeypatch
         return real_contiguous(*args, **kwargs)
 
     monkeypatch.setattr(np, "ascontiguousarray", counting_contiguous)
-    double_w(DoublingPlan(n, mode))
+    double_w(n, mode)
     assert gathers == []
 
 
@@ -745,11 +749,11 @@ def test_expand_qubit_writes_every_amplitude_of_its_buffer(noise, monkeypatch):
     assert nan_numpy.empty_calls == 5
 
 
-@pytest.mark.parametrize("plan, bound_mib", [(DoublingPlan(6, "block"), 0.25),
-                                            (DoublingPlan(8, "sequential"), 4.5),
-                                            (DoublingPlan(8, "block"), 3.5)],
+@pytest.mark.parametrize("n, mode, bound_mib", [(6, "block", 0.25),
+                                               (8, "sequential", 4.5),
+                                               (8, "block", 3.5)],
                          ids=["block-6", "sequential-8", "block-8"])
-def test_doubling_peak_memory_stays_below_the_old_register(plan, bound_mib):
+def test_doubling_peak_memory_stays_below_the_old_register(n, mode, bound_mib):
     # Block n = 6's old 3n-qubit register peaked at 12.1 MiB; it peaks at
     # 0.19 MiB now that every new qubit is appended last, with no regroup.
     # Sequential n = 8 peaks at 4.0 MiB (9.0 on the old appended fresh
@@ -757,10 +761,10 @@ def test_doubling_peak_memory_stays_below_the_old_register(plan, bound_mib):
     # writes 2^16 amplitudes, 1 MiB, beside the rounds it keeps, the
     # normalized copy and the target |W_16>.  Block n = 8 peaks at 3.0 MiB
     # on the same 2^16-amplitude register, keeping no rounds.
-    double_w(plan)  # a first call's one-off allocations are not the run's
+    double_w(n, mode)  # a first call's one-off allocations are not the run's
     tracemalloc.start()
     try:
-        double_w(plan)
+        double_w(n, mode)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -802,7 +806,7 @@ def _chain_rounds(n, noise=None):
 
 
 def _assert_rounds_match_the_chain(n, noise=None):
-    out, report = double_w(DoublingPlan(n, "sequential"), noise)
+    out, report = double_w(n, "sequential", noise)
     chain = _chain_rounds(n, noise)
     assert len(report.rounds) == n + 1
     assert report.rounds[-1] is out
@@ -824,13 +828,13 @@ def test_noisy_sequential_rounds_match_the_noisy_chain(n, alpha, beta, gamma):
 
 
 def test_block_mode_keeps_no_rounds():
-    _, report = double_w(DoublingPlan(3, "block"))
+    _, report = double_w(3, "block")
     assert report.rounds == ()
 
 
 def test_doubling_is_deterministic():
-    a, _ = double_w(DoublingPlan(3, "sequential"))
-    b, _ = double_w(DoublingPlan(3, "sequential"))
+    a, _ = double_w(3, "sequential")
+    b, _ = double_w(3, "sequential")
     assert np.array_equal(a.amplitudes, b.amplitudes)
 
 
@@ -839,19 +843,20 @@ def test_doubling_is_deterministic():
 # ---------------------------------------------------------------------------
 
 def test_relabel_photonic_bell():
-    assert relabel(create_epr(), PHOTON).text == "(|LR⟩+|RL⟩)/√2"
+    assert relabel(create_epr(), PHOTON) == "(|LR⟩+|RL⟩)/√2"
 
 
 def test_relabel_spin_bell():
-    assert relabel(create_epr(), SPIN).text == "(|-+⟩+|+-⟩)/√2"
+    assert relabel(create_epr(), SPIN) == "(|-+⟩+|+-⟩)/√2"
 
 
 def test_relabel_all_zero_photonic():
-    assert relabel(zero_state(4), PHOTON).text == "|RRRR⟩"
+    assert relabel(zero_state(4), PHOTON) == "|RRRR⟩"
 
 
 def test_relabel_does_not_change_amplitudes():
-    state = build_w_state(3)
-    labeled = relabel(state, SPIN)
-    amps = dict(labeled.terms)
-    assert abs(amps["-++"] - 1 / np.sqrt(3)) < 1e-12
+    # Equal amplitudes are written over their common denominator, unequal
+    # ones each beside its relabeled term, as the state holds them.
+    assert relabel(build_w_state(3), SPIN) == "(|-++⟩+|+-+⟩+|++-⟩)/√3"
+    grown = expand_by_one(build_w_state(2), 0)
+    assert relabel(grown, SPIN) == "0.5|-++⟩ + 0.5|+-+⟩ + 0.707107|++-⟩"
