@@ -67,7 +67,7 @@ from .wcircuit import (
     create_epr,
     double_w,
     expand_by_one,
-    expansion_unitaries,
+    expansion_maps,
     interleave_permutation,
     relabel,
     standard_expansion_circuit,

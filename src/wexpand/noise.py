@@ -2,8 +2,8 @@
 
 Closed-form fidelities of |W_n> -> |W_2n> under shared coherent gate errors
 (Hadamard angle ``alpha``, T' angle ``beta``, controlled-phase ``gamma``),
-the same fidelity read exactly from the noisy 8x8 expansion operator, and
-sweep generation.
+the same fidelity read exactly from the noisy expansion map V, and sweep
+generation.
 
 Fidelity definition.  The doubling fidelity is the post-selected overlap
 |<W_2n, anc-ideal | psi_final>|^2: the squared overlap of the full final
@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .statevec import _require_int
-from .wcircuit import DOUBLING_MAX_N, expansion_unitaries
+from .wcircuit import DOUBLING_MAX_N, expansion_maps
 
 _S8 = np.sin(np.pi / 8.0)
 _C8 = np.cos(np.pi / 8.0)
@@ -118,32 +118,33 @@ def fidelity_combined(alpha, beta, gamma):
     return np.abs(amp) ** 2
 
 
-def doubling_overlap_fidelity(u: np.ndarray, n: int) -> np.ndarray:
-    """Post-selected overlap fidelity of |W_n> -> |W_2n> from the noisy 8x8s.
+def doubling_overlap_fidelity(v: np.ndarray, n: int) -> np.ndarray:
+    """Post-selected overlap fidelity of |W_n> -> |W_2n> from the noisy maps V.
 
-    ``u`` holds 8x8 expansion unitaries along its leading axes (for example
-    the (k, 8, 8) stack of ``expansion_unitaries``); the result has the
-    leading shape.  It equals the dense
-    ``double_w(n, "block", noise)[1].fidelity`` without
-    building its 2n-qubit register: the final state is
+    ``v`` holds maps V = <q1',0,q2'|U|x,0,0>, indexed [..., q1', q2', x],
+    along its leading axes (for example the (k, 2, 2, 2) V of
+    ``expansion_maps``); the result has the leading shape.  It equals the
+    dense ``double_w(n, "block", noise)[1].fidelity`` without building its
+    2n-qubit register: the final state is
     (1/sqrt n) sum_i U|100>_i (x) prod_{j != i} U|000>_j, a sum of n product
     states, so its overlap with |W_2n>|0..0>_anc needs only
-    a = U[0,0], b = U[4,0] + U[1,0], c = U[0,4] and d = U[4,4] + U[1,4]:
+    a = V[0,0,0], b = V[1,0,0] + V[0,1,0], c = V[0,0,1] and
+    d = V[1,0,1] + V[0,1,1]:
 
         amplitude = (n d a^(n-1) + n(n-1) c b a^(n-2)) / (n sqrt 2).
     """
     n = _require_int("n", n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    u = np.asarray(u)
-    if u.shape[-2:] != (8, 8):
-        raise ValueError(f"expected 8x8 unitaries along the last two axes, got {u.shape}")
-    a = u[..., 0, 0]
-    d = u[..., 4, 4] + u[..., 1, 4]
+    v = np.asarray(v)
+    if v.shape[-3:] != (2, 2, 2):
+        raise ValueError(f"expected 4x2 maps V along the last three axes, got {v.shape}")
+    a = v[..., 0, 0, 0]
+    d = v[..., 1, 0, 1] + v[..., 0, 1, 1]
     amp = n * d * a ** (n - 1)
     if n > 1:
-        b = u[..., 4, 0] + u[..., 1, 0]
-        c = u[..., 0, 4]
+        b = v[..., 1, 0, 0] + v[..., 0, 1, 0]
+        c = v[..., 0, 0, 1]
         amp = amp + n * (n - 1) * c * b * a ** (n - 2)
     return np.abs(amp / (n * np.sqrt(2.0))) ** 2
 
@@ -154,8 +155,8 @@ def sweep(theta_max: float, steps: int, n: int = 2) -> list[FidelityRecord]:
     The three single-imperfection series each set the other two angles to
     zero; the combined series (closed-form and simulated) drives all three
     with the same theta.  Each closed form is evaluated once over the whole
-    grid.  The simulated series composes the noisy 8x8 at every grid point
-    in one batch and reads each fidelity from two of its columns
+    grid.  The simulated series composes the noisy map V at every grid point
+    in one batch and reads each fidelity from it
     (``doubling_overlap_fidelity``); ``double_w`` run in block mode with the
     same noise is its dense oracle.
 
@@ -188,7 +189,7 @@ def sweep(theta_max: float, steps: int, n: int = 2) -> list[FidelityRecord]:
             fidelity_t_prime(thetas),
             fidelity_controlled_phase(thetas),
             fidelity_combined(thetas, thetas, thetas),
-            doubling_overlap_fidelity(expansion_unitaries(thetas, thetas, thetas), n),
+            doubling_overlap_fidelity(expansion_maps(thetas, thetas, thetas)[0], n),
         ])
     if not np.isfinite(table).all():
         raise ValueError(

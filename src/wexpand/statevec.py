@@ -257,10 +257,14 @@ def apply_unitary(state: StateVector, matrix, qubits: Iterable[int]) -> StateVec
     for q in qubits:
         if not 0 <= q < n:
             raise ValueError(f"qubit {q} out of range for {n} qubits")
-    psi = state.tensor_view()
+    return StateVector(_seal(_contract(m, state.tensor_view(), qubits).reshape(-1)))
+
+
+def _contract(m: np.ndarray, psi: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    """``m`` on axes ``qubits`` of ``psi``, in ``psi``'s axis order; trailing axes pass through."""
+    k = len(qubits)
     out = np.tensordot(m.reshape((2,) * (2 * k)), psi, axes=(list(range(k, 2 * k)), list(qubits)))
-    out = np.moveaxis(out, list(range(k)), list(qubits))
-    return StateVector(_seal(out.reshape(-1)))
+    return np.moveaxis(out, list(range(k)), list(qubits))
 
 
 # ---------------------------------------------------------------------------

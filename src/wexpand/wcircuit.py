@@ -38,6 +38,7 @@ from .statevec import (
     DensityMatrix,
     QubitPermutation,
     StateVector,
+    _contract,
     _normalized,
     _qubit_density,
     _require_int,
@@ -138,20 +139,11 @@ class ExpansionCircuit:
         return state
 
     def matrix(self) -> np.ndarray:
-        """Composed 8x8 matrix of the circuit on a standalone (q1, anc, q2) register."""
-        eye2 = np.eye(2, dtype=complex)
-        u = np.eye(8, dtype=complex)
+        """Composed 8x8 of the circuit on (q1, anc, q2): its columns contracted gate by gate."""
+        u = np.eye(8, dtype=complex).reshape(2, 2, 2, 8)
         for gate, slots in self.steps:
-            if gate.arity == 1:
-                mats = [eye2, eye2, eye2]
-                mats[slots[0]] = gate.matrix
-                embedded = np.kron(np.kron(mats[0], mats[1]), mats[2])
-            elif slots[0] == 0:
-                embedded = np.kron(gate.matrix, eye2)
-            else:
-                embedded = np.kron(eye2, gate.matrix)
-            u = embedded @ u
-        return u
+            u = _contract(gate.matrix, u, slots)
+        return u.reshape(8, 8)
 
     def stepwise_states(self, initial: StateVector) -> list[StateVector]:
         """States of a standalone three-qubit register after each of the 12 steps."""
@@ -176,14 +168,15 @@ def standard_expansion_circuit(noise: NoiseParams | None = None) -> ExpansionCir
     return ExpansionCircuit(hadamard(p.alpha), t_prime(p.beta), controlled_phase(p.gamma))
 
 
-def expansion_unitaries(alpha, beta, gamma) -> np.ndarray:
-    """Composed 8x8s of the 12-gate circuit at k noise points, shape (k, 8, 8).
+def expansion_maps(alpha, beta, gamma) -> tuple[np.ndarray, np.ndarray]:
+    """The maps V and W of the 12-gate circuit at k noise points.
 
-    ``alpha``, ``beta`` and ``gamma`` broadcast to one length-k axis; point
-    j is ``standard_expansion_circuit(NoiseParams(alpha[j], beta[j],
-    gamma[j])).matrix()`` up to rounding (within 1e-15).  No gate or 8x8
-    embedding is built: the partial products are held as an (8, 8, k)
-    stack, a rotation [[cos, sin], [sin, -cos]] on slot t mixes the two
+    V = <q1',0,q2'|U|x,0,0> and its ancilla-|1> complement W, each of shape
+    (k, 2, 2, 2) and indexed [point, q1', q2', x]: columns 0 and 4 of point
+    j's ``standard_expansion_circuit(NoiseParams(alpha[j], beta[j],
+    gamma[j])).matrix()`` within 1e-14, the angles broadcast to one
+    length-k axis.  Only those two columns are composed, as an (8, 2, k)
+    stack: a rotation [[cos, sin], [sin, -cos]] on slot t mixes the two
     halves of that slot's row axis, and a controlled phase scales the rows
     where both of its slots are |1>.
     """
@@ -198,7 +191,7 @@ def expansion_unitaries(alpha, beta, gamma) -> np.ndarray:
         for kind, theta in (("h", HADAMARD_ANGLE - alpha), ("tp", T_PRIME_ANGLE - beta))
     }
     phase = -np.exp(-1j * gamma)
-    u = np.eye(8, dtype=complex)[:, :, None] * np.ones(k)
+    u = np.eye(8, dtype=complex)[:, [0, 4], None] * np.ones(k)
     for kind, targets in EXPANSION_LAYOUT:
         if kind == "cp":
             # Slot t is bit 2 - t of the row index.
@@ -208,34 +201,26 @@ def expansion_unitaries(alpha, beta, gamma) -> np.ndarray:
             c, s = cos_sin[kind]
             halves = u.reshape(1 << targets[0], 2, -1, k)
             u0, u1 = halves[:, 0], halves[:, 1]
-            u = np.stack([c * u0 + s * u1, s * u0 - c * u1], axis=1).reshape(8, 8, k)
-    return np.ascontiguousarray(np.moveaxis(u, -1, 0))
-
-
-def _expansion_unitary(noise: NoiseParams) -> np.ndarray:
-    """The 8x8 expansion operator under ``noise``.
-
-    Ideal gates give ``EXPANSION_MATRIX`` itself, whose exact zeros return
-    every ancilla exactly to |0>; other noise gives the composed 8x8 of
-    ``expansion_unitaries``, composed afresh on every call (one per
-    doubling run or ``expand_by_one``; ``apply_O`` is only an oracle).
-    """
-    if noise.is_ideal:
-        return EXPANSION_MATRIX
-    return expansion_unitaries(noise.alpha, noise.beta, noise.gamma)[0]
+            u = np.stack([c * u0 + s * u1, s * u0 - c * u1], axis=1).reshape(8, 2, k)
+    u = np.moveaxis(u.reshape(2, 2, 2, 2, k), -1, 0)
+    return u[:, :, 0], u[:, :, 1]
 
 
 def _expansion_map(noise: NoiseParams) -> tuple[np.ndarray, np.ndarray]:
     """The expansion operator on the protocol's inputs |x,0,0>, split by ancilla.
 
-    Returns V = <q1',0,q2'|U|x,0,0> and its complement W = <q1',1,q2'|U|x,0,0>,
-    each indexed [q1', q2', x]: columns 0 and 4 of the 8x8, copied out of
-    ``_expansion_unitary(noise)`` on every call.  V is the 4x2 map the
-    post-selected protocol applies; W is what leaks to ancilla |1>, exactly
-    zero for ``EXPANSION_MATRIX``.
+    Returns V and W, each indexed [q1', q2', x] (see ``expansion_maps``).
+    V is the 4x2 map the post-selected protocol applies; W is what leaks to
+    ancilla |1>.  Ideal gates split the columns of ``EXPANSION_MATRIX``, so
+    W is exactly zero; other noise gives point 0 of ``expansion_maps``,
+    composed afresh on every call (one per doubling run or
+    ``expand_by_one``).
     """
-    u = _expansion_unitary(noise).reshape(2, 2, 2, 8)[..., [0, 4]]
-    return u[:, 0], u[:, 1]
+    if noise.is_ideal:
+        u = EXPANSION_MATRIX.reshape(2, 2, 2, 8)[..., [0, 4]]
+        return u[:, 0], u[:, 1]
+    v, w = expansion_maps(noise.alpha, noise.beta, noise.gamma)
+    return v[0], w[0]
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +255,10 @@ def apply_O(
 
     ``anc`` and ``q2`` must hold |0> (their reduced states are verified);
     ``q1`` carries the qubit whose excitation is being split.  The 12 gates
-    act as one 8x8 in one contraction (``EXPANSION_MATRIX`` itself for
-    ideal gates); ``ExpansionCircuit.apply`` runs them one by one.  The
-    protocols apply only its post-selected 4x2 part, through
-    ``expand_qubit``; this is that kernel's dense oracle.
+    act as one 8x8 in one contraction: ``EXPANSION_MATRIX`` for ideal
+    gates, the circuit's ``matrix()`` under noise; ``ExpansionCircuit.apply``
+    runs them one by one.  The protocols apply only its post-selected 4x2
+    part, through ``expand_qubit``; this is that kernel's dense oracle.
     """
     q1, anc, q2 = _require_int("q1", q1), _require_int("anc", anc), _require_int("q2", q2)
     n = state.num_qubits
@@ -284,7 +269,8 @@ def apply_O(
             raise ValueError(f"qubit {q} out of range for {n} qubits")
     _require_zero_slot(state, anc, "ancilla")
     _require_zero_slot(state, q2, "second input")
-    u = _expansion_unitary(noise if noise is not None else NoiseParams())
+    ideal = noise is None or noise.is_ideal
+    u = EXPANSION_MATRIX if ideal else standard_expansion_circuit(noise).matrix()
     return apply_unitary(state, u, (q1, anc, q2))
 
 
@@ -323,6 +309,7 @@ def expand_qubit(psi: np.ndarray, target: int, v: np.ndarray) -> np.ndarray:
     squared norm is the probability that the ancilla the 8x8 would use
     returns to |0>.  Terms with an exactly zero coefficient are skipped.
     """
+    target = _require_int("target", target)
     m = psi.size.bit_length() - 1
     if not 0 <= target < m:
         raise ValueError(f"target {target} out of range for {m} qubits")

@@ -23,7 +23,7 @@ from wexpand.statevec import fidelity_pure, zero_state
 from wexpand.wcircuit import (
     build_w_state,
     double_w,
-    expansion_unitaries,
+    expansion_maps,
     interleave_permutation,
     round_permutation,
 )
@@ -305,23 +305,23 @@ def test_sweep_takes_python_and_numpy_reals_as_theta_max():
     st.sampled_from(["block", "sequential"]),
 )
 def test_structured_overlap_matches_the_dense_simulation(angles, n, mode):
-    # Differential: the two-column formula against the full register, in
-    # either layout, over (alpha, beta, gamma) in [0, pi/30]^3.
-    structured = doubling_overlap_fidelity(expansion_unitaries(*angles), n)[0]
+    # Differential: the formula on V against the full register, in either
+    # layout, over (alpha, beta, gamma) in [0, pi/30]^3.
+    structured = doubling_overlap_fidelity(expansion_maps(*angles)[0], n)[0]
     assert abs(structured - _simulated(n, NoiseParams(*angles), mode)) < 1e-13
 
 
 def test_structured_overlap_serves_sizes_past_the_dense_cap():
-    u = expansion_unitaries(0.0, 0.0, 0.0)
+    v, _ = expansion_maps(0.0, 0.0, 0.0)
     for n in (1, 7, 1000):
-        assert abs(doubling_overlap_fidelity(u, n)[0] - 1.0) < 1e-12
+        assert abs(doubling_overlap_fidelity(v, n)[0] - 1.0) < 1e-12
     p = NoiseParams(0.02, 0.015, 0.03)
-    noisy = expansion_unitaries(p.alpha, p.beta, p.gamma)
+    noisy, _ = expansion_maps(p.alpha, p.beta, p.gamma)
     assert abs(
         doubling_overlap_fidelity(noisy, 50)[0] - fidelity_combined(p.alpha, p.beta, p.gamma)
     ) < 1e-12
     with pytest.raises(ValueError):
-        doubling_overlap_fidelity(u, 0)
+        doubling_overlap_fidelity(v, 0)
     with pytest.raises(ValueError):
         doubling_overlap_fidelity(np.eye(4), 2)
 
@@ -333,7 +333,7 @@ _SIZED_ENTRY_POINTS = {
     "double_w": (lambda n: double_w(n, "block")[0].amplitudes.tobytes(), "n"),
     "build_w_state": (lambda n: build_w_state(n).amplitudes.tobytes(), "n"),
     "doubling_overlap_fidelity": (
-        lambda n: doubling_overlap_fidelity(expansion_unitaries(0.01, 0.02, 0.03), n).tobytes(),
+        lambda n: doubling_overlap_fidelity(expansion_maps(0.01, 0.02, 0.03)[0], n).tobytes(),
         "n",
     ),
     "sweep n": (lambda n: sweep(THETA_MAX, 5, n=n), "n"),

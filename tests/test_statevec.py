@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from wexpand.gates import hadamard
+from wexpand.gates import NoiseParams, hadamard
 from wexpand.statevec import (
     DensityMatrix,
     QubitPermutation,
@@ -19,7 +19,7 @@ from wexpand.statevec import (
     tensor,
     zero_state,
 )
-from wexpand.wcircuit import apply_O, build_w_state, expand_by_one
+from wexpand.wcircuit import _expansion_map, apply_O, build_w_state, expand_by_one, expand_qubit
 
 S2 = 1.0 / np.sqrt(2.0)
 H = np.array([[1, 1], [1, -1]], dtype=complex) * S2
@@ -353,6 +353,12 @@ _QUBIT_INDEX_ENTRY_POINTS = {
     "QubitPermutation": (lambda q: QubitPermutation((q, 0)), "permutation entry"),
     "QubitPermutation.swap": (lambda q: QubitPermutation.swap(3, q, 0), "i"),
     "expand_by_one": (lambda q: expand_by_one(build_w_state(2), q), "target_qubit"),
+    "expand_qubit": (
+        lambda q: expand_qubit(
+            build_w_state(2).amplitudes, q, _expansion_map(NoiseParams())[0]
+        ).tobytes(),
+        "target",
+    ),
     "apply_O q1": (lambda q: apply_O(basis_state("010"), q, 0, 2), "q1"),
     "apply_O anc": (lambda q: apply_O(basis_state("100"), 0, q, 2), "anc"),
     "apply_O q2": (lambda q: apply_O(basis_state("100"), 0, 2, q), "q2"),

@@ -39,11 +39,10 @@ from wexpand.wcircuit import (
     double_w,
     expand_by_one,
     expand_qubit,
-    expansion_unitaries,
+    expansion_maps,
     interleave_permutation,
     _ancilla_density,
     _expansion_map,
-    _expansion_unitary,
     _require_zero_slot,
     relabel,
     round_permutation,
@@ -286,8 +285,17 @@ def test_fused_apply_O_matches_the_12_gate_circuit(reg_slots, alpha, beta, gamma
     state, (q1, anc, q2) = reg_slots
     noise = NoiseParams(alpha, beta, gamma)
     # A random register has no |0> slots: contract the 8x8 directly.
-    fused = apply_unitary(state, _expansion_unitary(noise), (q1, anc, q2))
-    stepwise = standard_expansion_circuit(noise).apply(state, q1, anc, q2)
+    circuit = standard_expansion_circuit(noise)
+    fused = apply_unitary(state, circuit.matrix(), (q1, anc, q2))
+    stepwise = circuit.apply(state, q1, anc, q2)
+    assert np.max(np.abs(fused.amplitudes - stepwise.amplitudes)) < 1e-14
+
+
+def test_noisy_apply_O_matches_the_12_gate_circuit():
+    noise = NoiseParams(0.02, 0.01, 0.05)
+    reg = tensor(build_w_state(3), zero_state(2))
+    fused = apply_O(reg, 1, 3, 4, noise)
+    stepwise = standard_expansion_circuit(noise).apply(reg, 1, 3, 4)
     assert np.max(np.abs(fused.amplitudes - stepwise.amplitudes)) < 1e-14
 
 
@@ -299,27 +307,26 @@ def test_fused_apply_O_matches_the_12_gate_circuit(reg_slots, alpha, beta, gamma
         max_size=12,
     )
 )
-def test_batched_expansion_unitaries_match_the_circuit_matrix(points):
+def test_batched_expansion_maps_match_the_circuit_matrix(points):
+    # V and W are the ancilla-|0> and ancilla-|1> rows of columns 0 and 4.
     alpha, beta, gamma = (np.array(x) for x in zip(*points))
-    stack = expansion_unitaries(alpha, beta, gamma)
-    assert stack.shape == (len(points), 8, 8)
-    for u, p in zip(stack, points):
+    v, w = expansion_maps(alpha, beta, gamma)
+    assert v.shape == w.shape == (len(points), 2, 2, 2)
+    for vj, wj, p in zip(v, w, points):
         dense = standard_expansion_circuit(NoiseParams(*p)).matrix()
-        assert np.max(np.abs(u - dense)) < 1e-14
+        columns = dense.reshape(2, 2, 2, 8)[..., [0, 4]]
+        assert np.max(np.abs(vj - columns[:, 0])) < 1e-14
+        assert np.max(np.abs(wj - columns[:, 1])) < 1e-14
 
 
-def test_batched_expansion_unitaries_broadcast_scalars_and_reject_grids():
-    u = expansion_unitaries(0.0, [0.0, 0.01], 0.0)
-    assert u.shape == (2, 8, 8)
-    assert np.max(np.abs(u[0] - EXPANSION_MATRIX)) < 1e-14
+def test_batched_expansion_maps_broadcast_scalars_and_reject_grids():
+    v, w = expansion_maps(0.0, [0.0, 0.01], 0.0)
+    assert v.shape == w.shape == (2, 2, 2, 2)
+    columns = EXPANSION_MATRIX.reshape(2, 2, 2, 8)[..., [0, 4]]
+    assert np.max(np.abs(v[0] - columns[:, 0])) < 1e-14
+    assert np.max(np.abs(w[0])) < 1e-14
     with pytest.raises(ValueError):
-        expansion_unitaries(np.zeros((2, 2)), 0.0, 0.0)
-
-
-def test_cached_expansion_unitary_is_the_read_only_operator():
-    assert _expansion_unitary(NoiseParams()) is EXPANSION_MATRIX
-    noise = NoiseParams(0.01, -0.02, 0.03)
-    assert np.array_equal(_expansion_unitary(noise), expansion_unitaries(0.01, -0.02, 0.03)[0])
+        expansion_maps(np.zeros((2, 2)), 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +496,22 @@ def test_interleave_matches_pairwise_swap_list_on_doubling_input():
     assert np.max(np.abs(via_perm.amplitudes - via_swaps.amplitudes)) < 1e-12
 
 
+def _kernel_apply_O(reg, q1, anc, q2, noise=None):
+    """``apply_O`` with columns 0 and 4 of its noisy 8x8 taken from ``_expansion_map``.
+
+    On the protocol's inputs |x,0,0> only those two columns are read, so an
+    oracle built on this differs from the kernel only in how the register
+    is contracted.  ``apply_O`` itself composes the noisy 8x8 from the 12
+    gates, whose columns agree with ``expansion_maps`` within 1e-14 but not
+    bit for bit (``test_batched_expansion_maps_match_the_circuit_matrix``).
+    """
+    if noise is None or noise.is_ideal:
+        return apply_O(reg, q1, anc, q2)
+    u = standard_expansion_circuit(noise).matrix()
+    u.reshape(2, 2, 2, 8)[..., [0, 4]] = np.stack(_expansion_map(noise), axis=1)
+    return apply_unitary(reg, u, (q1, anc, q2))
+
+
 def _fixed_register_sequential_doubling(n, noise=None):
     """Sequential doubling on the dense register (anc, w_0..w_{n-1}, new_0..new_i) of round i.
 
@@ -501,7 +524,7 @@ def _fixed_register_sequential_doubling(n, noise=None):
     prob, purities = 1.0, []
     for i in range(n):
         reg = tensor(tensor(zero_state(1), reg), zero_state(1))
-        reg = apply_O(reg, 1 + i, 0, 1 + n + i, noise)
+        reg = _kernel_apply_O(reg, 1 + i, 0, 1 + n + i, noise)
         purities.append(partial_trace(reg, {0}).purity())
         reg, p = postselect_zero(reg, [0])
         prob *= p
@@ -555,7 +578,7 @@ def _block_register_doubling(n, noise=None):
     """
     reg = tensor(zero_state(n), tensor(build_w_state(n), zero_state(n)))
     for i in range(n):
-        reg = apply_O(reg, n + i, i, 2 * n + i, noise)
+        reg = _kernel_apply_O(reg, n + i, i, 2 * n + i, noise)
     unit = StateVector(reg.amplitudes / np.linalg.norm(reg.amplitudes))
     purities = [partial_trace(unit, {a}).purity() for a in range(n)]
     out, prob = postselect_zero(reg, range(n))
@@ -624,9 +647,15 @@ def test_ideal_operator_is_the_expansion_matrix_and_noisy_is_the_batched_one(mon
         raise AssertionError("the operator must not be composed from the 12 gates")
 
     monkeypatch.setattr(ExpansionCircuit, "matrix", no_composition)
-    assert _expansion_unitary(NoiseParams()) is EXPANSION_MATRIX
-    noise = NoiseParams(0.01, 0.02, 0.03)
-    assert np.array_equal(_expansion_unitary(noise), expansion_unitaries(0.01, 0.02, 0.03)[0])
+    v, w = _expansion_map(NoiseParams())
+    columns = EXPANSION_MATRIX.reshape(2, 2, 2, 8)[..., [0, 4]]
+    assert np.array_equal(v, columns[:, 0])
+    assert not w.any()
+    for angles in ((0.01, 0.02, 0.03), (0.01, -0.02, 0.03)):
+        v, w = _expansion_map(NoiseParams(*angles))
+        batched_v, batched_w = expansion_maps(*angles)
+        assert np.array_equal(v, batched_v[0])
+        assert np.array_equal(w, batched_w[0])
 
 
 _DOUBLING_RUNS = [(mode, n) for mode in ("block", "sequential") for n in range(1, 9)]
@@ -678,7 +707,7 @@ def _dense_expansion(state, target, noise):
     terms.
     """
     reg = tensor(tensor(zero_state(1), state), zero_state(1))
-    return apply_O(reg, 1 + target, 0, state.num_qubits + 1, noise)
+    return _kernel_apply_O(reg, 1 + target, 0, state.num_qubits + 1, noise)
 
 
 @settings(max_examples=200, deadline=None)
