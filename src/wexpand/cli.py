@@ -14,13 +14,13 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import cavity as cav
 from . import noise as noi
-from .csvcells import WIDTH, format_cells, padded_cells
+from .csvcells import write_csv
 from .gates import (
     HolonomicParams,
     NoiseParams,
@@ -56,17 +56,6 @@ from .wcircuit import (
     round_permutation,
     standard_expansion_circuit,
 )
-
-
-def _write_rows(path: str, header: Sequence[str], row_format: str, rows) -> None:
-    """Write a CSV with one %-format string per row.
-
-    Floats are written `%.17g` and ints and bools `%d`; a `%s` cell must be
-    a string that needs no CSV quoting.
-    """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines([row_format % row for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -428,20 +417,16 @@ _ROLES = {role.kind: role for role in (PHOTON, SPIN)}
 def cmd_prepare(args) -> int:
     role = _ROLES[args.role]
     out_state, report = double_w(args.n, args.mode)
-
-    rows = []
-
-    full = args.full
     labels = str.maketrans({"0": role.zero_label, "1": role.one_label})
+    cells, amplitudes = [], []  # one "stage,index,basis,label" cell a row, and its amplitude
 
     def add_rows(stage: str, state) -> None:
-        nbits = state.num_qubits
         amps = state.amplitudes
-        kept = range(amps.size) if full else np.flatnonzero(np.abs(amps) > 1e-12).tolist()
-        for idx in kept:
-            amp = amps[idx]
-            bits = format(idx, f"0{nbits}b")
-            rows.append((stage, idx, bits, bits.translate(labels), amp.real, amp.imag))
+        kept = np.arange(amps.size) if args.full else np.flatnonzero(np.abs(amps) > 1e-12)
+        for idx in kept.tolist():
+            bits = format(idx, f"0{state.num_qubits}b")
+            cells.append(f"{stage},{idx},{bits},{bits.translate(labels)}")
+        amplitudes.append(amps[kept])
 
     if args.trace:
         # Each sequential round, with every joined qubit right after its source.
@@ -450,12 +435,9 @@ def cmd_prepare(args) -> int:
         for k, grown in enumerate(rounds[1:], start=1):
             add_rows(f"round_{k}", permute(grown, round_permutation(args.n, k)))
     add_rows("final", out_state)
-    _write_rows(
-        args.out,
-        ["stage", "index", "basis", "label", "re", "im"],
-        "%s,%d,%s,%s,%.17g,%.17g\n",
-        rows,
-    )
+    amps = np.concatenate(amplitudes)
+    header = ["stage", "index", "basis", "label", "re", "im"]
+    write_csv(args.out, header, [(cells, np.arange(len(cells))), amps.real, amps.imag])
 
     print(relabel(out_state, role))
     print(f"fidelity vs |W_{2 * args.n}>: " + "%.17g" % report.overlap)
@@ -469,9 +451,8 @@ def cmd_prepare(args) -> int:
 
 def cmd_fidelity_sweep(args) -> int:
     records = noi.sweep(args.theta_max, args.steps, args.n)
-    _write_rows(
-        args.out, noi.FidelityRecord._fields, "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n", records
-    )
+    # n is a small integer, which `%.17g` writes as `%d` does.
+    write_csv(args.out, noi.FidelityRecord._fields, [list(column) for column in zip(*records)])
     print(f"wrote {len(records)} sweep rows to {args.out}")
     return 0
 
@@ -479,11 +460,6 @@ def cmd_fidelity_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # cavity-sweep
 # ---------------------------------------------------------------------------
-
-# The CSV is assembled and written this many rows at a time, so that its
-# byte matrices stay a few hundred KiB whatever the grid's size.
-_CAVITY_BLOCK_ROWS = 2048
-
 
 def cmd_cavity_sweep(args) -> int:
     # An overflowing linspace gives non-finite points; reflection_grid
@@ -502,35 +478,14 @@ def cmd_cavity_sweep(args) -> int:
             f"{err.reason} at the grid point with detuning {float(detunings[i])!r}, "
             f"g_ratio {float(g_ratios[j])!r} (g = {float(g[j])!r})"
         ) from None
-    # The detuning, g_ratio and phi_0 cells repeat along an axis (the
-    # uncoupled phase depends on the detuning alone): format each once.
-    d_cells = padded_cells(["%.17g," % d for d in detunings.tolist()])
-    g_cells = padded_cells(["%.17g," % ratio for ratio in g_ratios.tolist()])
-    phi0_cells = padded_cells(["%.17g," % p for p in grid.phi_0[:, 0].tolist()])
-    columns = (grid.r.real.ravel(), grid.r.imag.ravel(), grid.phi.ravel())
-    cz_pass = grid.cz_pass.ravel()
-    # A row of the block: the detuning and g_ratio cells; re_r, im_r and phi,
-    # each in WIDTH columns and then a comma; the phi_0 cell, cz_pass and LF.
-    at = np.cumsum(
-        [0, d_cells.shape[1], g_cells.shape[1], *[WIDTH + 1] * 3, phi0_cells.shape[1], 1, 1]
-    )
-    block = np.zeros((min(_CAVITY_BLOCK_ROWS, cz_pass.size), at[-1]), dtype=np.uint8)
-    block[:, at[3] - 1 : at[5] : WIDTH + 1] = ord(",")
-    block[:, -1] = ord("\n")
-    with open(args.out, "wb") as fh:
-        fh.write(b"detuning,g_ratio,re_r,im_r,phi,phi_0,cz_pass\n")
-        for start in range(0, cz_pass.size, _CAVITY_BLOCK_ROWS):
-            stop = min(start + _CAVITY_BLOCK_ROWS, cz_pass.size)
-            rows = block[: stop - start]
-            i, j = np.divmod(np.arange(start, stop), g_ratios.size)
-            rows[:, at[0] : at[1]] = d_cells[i]
-            rows[:, at[1] : at[2]] = g_cells[j]
-            cells = format_cells(np.concatenate([column[start:stop] for column in columns]))
-            for k, column_cells in enumerate(np.split(cells, 3)):
-                rows[:, at[2 + k] : at[3 + k] - 1] = column_cells
-            rows[:, at[5] : at[6]] = phi0_cells[i]
-            rows[:, at[6]] = cz_pass[start:stop] + ord("0")
-            fh.write(rows.tobytes().translate(None, b"\0"))
+    # Cells that repeat along an axis (phi_0 depends on the detuning alone) are formatted once.
+    i, j = np.divmod(np.arange(grid.cz_pass.size), g_ratios.size)
+    axes = (detunings, g_ratios, grid.phi_0[:, 0])
+    d_cells, g_cells, phi0_cells = (["%.17g" % x for x in axis.tolist()] for axis in axes)
+    floats = [grid.r.real.ravel(), grid.r.imag.ravel(), grid.phi.ravel()]
+    cz_cells = (["0", "1"], grid.cz_pass.ravel().astype(np.intp))
+    header = ["detuning", "g_ratio", "re_r", "im_r", "phi", "phi_0", "cz_pass"]
+    write_csv(args.out, header, [(d_cells, i), (g_cells, j), *floats, (phi0_cells, i), cz_cells])
     print(f"wrote {grid.cz_pass.size} cavity rows to {args.out}")
     return 0
 

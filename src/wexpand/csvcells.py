@@ -1,10 +1,12 @@
-"""The bytes of `'%.17g' % x` for a whole float64 array at once.
+"""The package's one CSV writer, and the bytes of `'%.17g' % x` it writes.
+
+`write_csv(path, header, columns)` writes every CSV the CLI makes.  A small
+table is formatted one `%` per row; a larger one BLOCK_ROWS rows at a time,
+as a uint8 matrix of cells padded with 0 bytes and separators in fixed
+columns, that `matrix.tobytes().translate(None, b"\\0")` compacts to rows.
 
 `format_cells(values)` returns an (n, WIDTH) uint8 matrix whose row k holds
-the ASCII bytes of `'%.17g' % values[k]`, padded with 0 bytes.  `%.17g`
-never writes a 0 byte, so `matrix.tobytes().translate(None, b"\\0")` is the
-cells run together, and a wider matrix of such rows, with separators in
-fixed columns, compacts to CSV rows the same way.
+the ASCII bytes of `'%.17g' % values[k]`, padded with 0 bytes.
 
 For 1e-6 < |x| < 1e16 the 17 significant digits come from integer
 arithmetic that is exact.  Take the decimal exponent E (x in [10^E,
@@ -18,6 +20,7 @@ by Python's `%` alone, one cell each.
 from __future__ import annotations
 
 import functools
+from typing import Sequence
 
 import numpy as np
 
@@ -67,8 +70,7 @@ _TAILS = _words(
 )
 
 
-# Built on first use, so that a process that never formats a cavity grid
-# does not hold it.
+# Built on first use: a process that writes no large table (`verify`) never holds it.
 @functools.cache
 def _group_table() -> np.ndarray:
     """Row m: the four digits of m, each followed by an empty slot; row
@@ -150,7 +152,7 @@ def _format_fast(a: np.ndarray, negative: np.ndarray) -> np.ndarray:
     return rows
 
 
-def padded_cells(cells: list[str]) -> np.ndarray:
+def _padded_cells(cells: list[str]) -> np.ndarray:
     """Row k: the ASCII bytes of cells[k], padded with 0 bytes to the longest."""
     return np.array([cell.encode() for cell in cells]).view(np.uint8).reshape(len(cells), -1)
 
@@ -168,6 +170,47 @@ def format_cells(values) -> np.ndarray:
         return _format_fast(a, np.signbit(x))
     rows = np.zeros((x.size, WIDTH), dtype=np.uint8)
     rows[fast] = _format_fast(a[fast], np.signbit(x[fast]))
-    slow = padded_cells(["%.17g" % v for v in x[~fast].tolist()])
+    slow = _padded_cells(["%.17g" % v for v in x[~fast].tolist()])
     rows[~fast, : slow.shape[1]] = slow
     return rows
+
+
+BLOCK_ROWS = 2048  # so that a block's byte matrices stay a few hundred KiB
+_PER_ROW_MAX = 1000  # float cells; for fewer, a block's fixed cost exceeds `%` per row
+
+
+def write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
+    """Write `header` and then one LF-terminated row per index of `columns`.
+
+    A column is a sequence of floats, written `%.17g`, or a pair (strings,
+    index) of a list and an int array whose row k holds strings[index[k]]:
+    a cell repeated along an axis is formatted once.  There is at least one
+    float column, and no header or string cell needs CSV quoting.
+    """
+    strings = [k for k, c in enumerate(columns) if isinstance(c, tuple)]
+    floats = [k for k in range(len(columns)) if k not in strings]
+    n_rows, *others = {len(c[1]) if k in strings else len(c) for k, c in enumerate(columns)}
+    if others:
+        raise ValueError(f"columns must have one length, got {sorted([n_rows, *others])}")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        if n_rows * len(floats) < _PER_ROW_MAX:
+            row = ",".join("%s" if k in strings else "%.17g" for k in range(len(columns))) + "\n"
+            cells = [np.take(c[0], c[1]) if k in strings else c for k, c in enumerate(columns)]
+            fh.write("".join([row % r for r in zip(*cells)]).encode())
+            return
+        padded = [_padded_cells(c[0]) if k in strings else None for k, c in enumerate(columns)]
+        # Each cell, then its comma; the last cell's comma becomes LF.
+        at = np.cumsum([0] + [WIDTH + 1 if p is None else p.shape[1] + 1 for p in padded])
+        block = np.zeros((min(BLOCK_ROWS, n_rows), at[-1]), dtype=np.uint8)
+        block[:, at[1:] - 1] = ord(",")
+        block[:, -1] = ord("\n")
+        for start in range(0, n_rows, BLOCK_ROWS):
+            rows, stop = block[: n_rows - start], start + BLOCK_ROWS
+            for k in strings:
+                rows[:, at[k] : at[k + 1] - 1] = padded[k][columns[k][1][start:stop]]
+            # One format_cells call a block: each call has a fixed cost.
+            cells = format_cells(np.concatenate([columns[k][start:stop] for k in floats]))
+            for k, part in zip(floats, np.split(cells, len(floats))):
+                rows[:, at[k] : at[k + 1] - 1] = part
+            fh.write(rows.tobytes().translate(None, b"\0"))

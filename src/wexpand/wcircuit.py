@@ -310,6 +310,8 @@ def expand_qubit(psi: np.ndarray, target: int, v: np.ndarray) -> np.ndarray:
     returns to |0>.  Terms with an exactly zero coefficient are skipped.
     """
     target = _require_int("target", target)
+    if np.shape(v) != (2, 2, 2):
+        raise ValueError(f"v must be one 4x2 map of shape (2, 2, 2), got shape {np.shape(v)}")
     m = psi.size.bit_length() - 1
     if not 0 <= target < m:
         raise ValueError(f"target {target} out of range for {m} qubits")

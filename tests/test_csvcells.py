@@ -1,8 +1,10 @@
-"""The vectorised `%.17g` formatter and the cavity-sweep CSV writer built on it.
+"""The package's one CSV writer, `csvcells.write_csv`, and the vectorised
+`%.17g` formatter it is built on.
 
-The formatter is held to Python's `'%.17g' % x`, byte for byte, and the
-writer to the per-row `%` writer it replaced, which is kept below as the
-oracle.
+The formatter is held to Python's `'%.17g' % x`, byte for byte.  The writer,
+and through it every command's CSV (`prepare`, `fidelity-sweep` and
+`cavity-sweep`), is held to the per-row `%` writer it replaced, which is
+kept below as the oracle.
 """
 import math
 
@@ -11,10 +13,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wexpand import cli
+from wexpand import csvcells, noise
 from wexpand.cavity import reflection_grid
 from wexpand.cli import main
-from wexpand.csvcells import WIDTH, format_cells
+from wexpand.csvcells import BLOCK_ROWS, WIDTH, format_cells, write_csv
+from wexpand.statevec import permute
+from wexpand.wcircuit import PHOTON, SPIN, double_w, round_permutation
 
 
 def _assert_formats_like_percent(values):
@@ -74,39 +78,181 @@ def test_format_cells_falls_back_for_what_the_fast_path_leaves():
 
 
 # ---------------------------------------------------------------------------
-# The cavity-sweep writer against the per-row `%` writer
+# The per-row `%` writer: the oracle
 # ---------------------------------------------------------------------------
 
-def _per_row_cavity_csv(d_min, d_max, d_steps, g_min, g_max, g_steps, gamma_decay) -> bytes:
-    """The CSV as the per-row `%` writer wrote it: the oracle."""
+def _write_rows(path, header, row_format, rows) -> None:
+    """Write a CSV with one %-format string per row.
+
+    Floats are written `%.17g` and ints and bools `%d`; a `%s` cell must be
+    a string that needs no CSV quoting.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines([row_format % row for row in rows])
+
+
+def _per_row_csv(path, header, row_format, rows) -> bytes:
+    _write_rows(path, header, row_format, rows)
+    return path.read_bytes()
+
+
+# Cells the fast path leaves to Python's `%`, or that sit at its edges.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, math.inf, -math.inf, math.nan,
+                1e-7, -9.5e-7, 1e-6, 1e16, 1e17, -1.2345678901234567e300, 1.7976931348623157e308]
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from(_EDGE_FLOATS),
+)
+# No comma, quote, line break or 0 byte: cells that need no CSV quoting.
+_TEXT = st.text(alphabet="abcLR+-.|01_ ", max_size=12)
+
+
+@st.composite
+def _tables(draw):
+    """(header, columns for write_csv, row format and rows for the oracle)."""
+    n_rows = draw(st.integers(0, 40))
+    kinds = draw(st.lists(st.booleans(), min_size=1, max_size=6).filter(lambda k: not all(k)))
+    columns, cells = [], []
+    for is_string in kinds:
+        if is_string:
+            strings = draw(st.lists(_TEXT, min_size=1, max_size=5))
+            rows = st.integers(0, len(strings) - 1)
+            index = draw(st.lists(rows, min_size=n_rows, max_size=n_rows))
+            columns.append((strings, np.array(index, dtype=np.intp)))
+            cells.append([strings[i] for i in index])
+        else:
+            values = draw(st.lists(_FLOATS, min_size=n_rows, max_size=n_rows))
+            # A float column may be a list, as fidelity-sweep passes, or an array.
+            columns.append(values if draw(st.booleans()) else np.array(values, dtype=np.float64))
+            cells.append(values)
+    row_format = ",".join("%s" if is_string else "%.17g" for is_string in kinds) + "\n"
+    return [f"c{k}" for k in range(len(kinds))], columns, row_format, list(zip(*cells))
+
+
+@pytest.mark.parametrize("per_row_max", [10**9, 0], ids=["per-row path", "block path"])
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_tables())
+def test_write_csv_matches_the_per_row_writer(tmp_path, monkeypatch, per_row_max, table):
+    # Every table of either size through each of write_csv's two paths.
+    monkeypatch.setattr(csvcells, "_PER_ROW_MAX", per_row_max)
+    header, columns, row_format, rows = table
+    write_csv(tmp_path / "got.csv", header, columns)
+    want = _per_row_csv(tmp_path / "want.csv", header, row_format, rows)
+    assert (tmp_path / "got.csv").read_bytes() == want
+
+
+@pytest.mark.parametrize("n_rows", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 5])
+def test_write_csv_matches_the_per_row_writer_across_block_edges(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    # A fifth of the cells from the edge list, the rest normal values across
+    # the fixed and exponent forms of %g.
+    scaled = rng.standard_normal((n_rows, 2)) * 10.0 ** rng.integers(-9, 19, (n_rows, 2))
+    edges = rng.choice(_EDGE_FLOATS, (n_rows, 2))
+    values = np.where(rng.random((n_rows, 2)) < 0.2, edges, scaled)
+    strings = ["alpha", "b", "", "x|y"]
+    index = rng.integers(0, len(strings), n_rows)
+    columns = [(strings, index), values[:, 0], values[:, 1], (["0", "1"], index % 2)]
+    rows = [(strings[k], a, b, k % 2) for k, (a, b) in zip(index.tolist(), values.tolist())]
+    write_csv(tmp_path / "got.csv", ["s", "a", "b", "bit"], columns)
+    want = _per_row_csv(tmp_path / "want.csv", ["s", "a", "b", "bit"], "%s,%.17g,%.17g,%d\n", rows)
+    assert (tmp_path / "got.csv").read_bytes() == want
+
+
+def test_write_csv_rejects_columns_of_different_lengths(tmp_path):
+    with pytest.raises(ValueError, match=r"columns must have one length, got \[2, 3\]"):
+        write_csv(tmp_path / "out.csv", ["a", "b"], [np.zeros(3), (["x"], np.zeros(2, dtype=int))])
+
+
+# ---------------------------------------------------------------------------
+# Each command's CSV against the per-row writer
+# ---------------------------------------------------------------------------
+
+def _cli_csv(path, argv) -> bytes:
+    assert main([*argv, "--out", str(path)]) == 0
+    return path.read_bytes()
+
+
+def _per_row_prepare_csv(path, n, mode, role, trace, full) -> bytes:
+    """The rows `prepare` wrote through the per-row writer."""
+    out_state, report = double_w(n, mode)
+    labels = str.maketrans({"0": role.zero_label, "1": role.one_label})
+    stages = []
+    if trace:
+        rounds = report.rounds or double_w(n, "sequential")[1].rounds
+        stages += [("round_0", rounds[0])]
+        stages += [(f"round_{k}", permute(grown, round_permutation(n, k)))
+                   for k, grown in enumerate(rounds[1:], start=1)]
+    rows = []
+    for stage, state in stages + [("final", out_state)]:
+        amps = state.amplitudes
+        kept = range(amps.size) if full else np.flatnonzero(np.abs(amps) > 1e-12).tolist()
+        for idx in kept:
+            bits = format(idx, f"0{state.num_qubits}b")
+            rows.append((stage, idx, bits, bits.translate(labels), amps[idx].real, amps[idx].imag))
+    header = ["stage", "index", "basis", "label", "re", "im"]
+    return _per_row_csv(path, header, "%s,%d,%s,%s,%.17g,%.17g\n", rows)
+
+
+@pytest.mark.parametrize(
+    "n, mode, role, trace, full",
+    [
+        (1, "block", "photon", False, False),
+        (2, "sequential", "spin", True, False),
+        (3, "block", "photon", True, True),
+        (4, "sequential", "spin", False, True),
+        (6, "sequential", "photon", True, True),  # 4096 final rows: two blocks
+        (8, "sequential", "spin", False, False),
+    ],
+)
+def test_prepare_csv_matches_the_per_row_writer(tmp_path, capsys, n, mode, role, trace, full):
+    argv = ["prepare", "--n", str(n), "--mode", mode, "--role", role]
+    argv += ["--trace"] * trace + ["--full"] * full
+    got = _cli_csv(tmp_path / "got.csv", argv)
+    role = {"photon": PHOTON, "spin": SPIN}[role]
+    assert got == _per_row_prepare_csv(tmp_path / "want.csv", n, mode, role, trace, full)
+
+
+@pytest.mark.parametrize(
+    "steps, n, theta_max",
+    [(2, 1, 0.05), (200, 2, math.pi / 60), (BLOCK_ROWS - 1, 1, 1.0),
+     (BLOCK_ROWS, 3, 1e-4), (BLOCK_ROWS + 1, 2, -0.3)],
+)
+def test_fidelity_sweep_csv_matches_the_per_row_writer(tmp_path, capsys, steps, n, theta_max):
+    argv = ["fidelity-sweep", "--steps", str(steps), "--n", str(n), f"--theta-max={theta_max!r}"]
+    got = _cli_csv(tmp_path / "got.csv", argv)
+    records = noise.sweep(theta_max, steps, n)
+    row_format = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n"
+    assert got == _per_row_csv(tmp_path / "want.csv", noise.FidelityRecord._fields, row_format, records)
+
+
+def _per_row_cavity_csv(path, d_min, d_max, d_steps, g_min, g_max, g_steps, gamma_decay) -> bytes:
+    """The rows `cavity-sweep` wrote through the per-row writer."""
     detunings = np.linspace(d_min, d_max, d_steps)
     g_ratios = np.linspace(g_min, g_max, g_steps)
     g = g_ratios * np.sqrt(gamma_decay)
     grid = reflection_grid(detunings[:, None], g[None, :], gamma_decay)
     n_g = g_ratios.size
-    d_cells = ["%.17g," % d for d in detunings.tolist()]
-    phi0_cells = [",%.17g," % p for p in grid.phi_0[:, 0].tolist()]
     rows = zip(
-        [cell for cell in d_cells for _ in range(n_g)],
-        ["%.17g," % ratio for ratio in g_ratios.tolist()] * detunings.size,
+        np.repeat(detunings, n_g).tolist(),
+        np.tile(g_ratios, detunings.size).tolist(),
         grid.r.real.ravel().tolist(),
         grid.r.imag.ravel().tolist(),
         grid.phi.ravel().tolist(),
-        [cell for cell in phi0_cells for _ in range(n_g)],
+        np.repeat(grid.phi_0[:, 0], n_g).tolist(),
         grid.cz_pass.ravel().tolist(),
     )
-    header = "detuning,g_ratio,re_r,im_r,phi,phi_0,cz_pass\n"
-    return (header + "".join(["%s%s%.17g,%.17g,%.17g%s%d\n" % row for row in rows])).encode()
+    header = ["detuning", "g_ratio", "re_r", "im_r", "phi", "phi_0", "cz_pass"]
+    return _per_row_csv(path, header, "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n", rows)
 
 
 def _cli_cavity_csv(path, d_min, d_max, d_steps, g_min, g_max, g_steps, gamma_decay) -> bytes:
     argv = [
         "cavity-sweep", f"--detuning-min={d_min!r}", f"--detuning-max={d_max!r}",
         "--detuning-steps", str(d_steps), f"--g-min={g_min!r}", f"--g-max={g_max!r}",
-        "--g-steps", str(g_steps), f"--gamma-decay={gamma_decay!r}", "--out", str(path),
+        "--g-steps", str(g_steps), f"--gamma-decay={gamma_decay!r}",
     ]
-    assert main(argv) == 0
-    return path.read_bytes()
+    return _cli_csv(path, argv)
 
 
 _BOUND = st.floats(-6.0, 6.0)
@@ -121,10 +267,11 @@ _COUPLING = st.floats(0.0, 12.0)
     )
 )
 def test_cavity_csv_matches_the_per_row_writer(tmp_path, capsys, grid):
-    assert _cli_cavity_csv(tmp_path / "out.csv", *grid) == _per_row_cavity_csv(*grid)
+    got = _cli_cavity_csv(tmp_path / "got.csv", *grid)
+    assert got == _per_row_cavity_csv(tmp_path / "want.csv", *grid)
 
 
-BLOCK = cli._CAVITY_BLOCK_ROWS
+BLOCK = BLOCK_ROWS
 
 
 @pytest.mark.parametrize(
@@ -134,7 +281,8 @@ BLOCK = cli._CAVITY_BLOCK_ROWS
 def test_cavity_csv_matches_the_per_row_writer_at_block_edges(tmp_path, capsys, d_steps, g_steps):
     # 23 x 89, 32 x 64 and 3 x 683 are BLOCK - 1, BLOCK and BLOCK + 1 rows.
     grid = (-2.5, 3.25, d_steps, 0.0, 1.5, g_steps, 1.3)
-    assert _cli_cavity_csv(tmp_path / "out.csv", *grid) == _per_row_cavity_csv(*grid)
+    got = _cli_cavity_csv(tmp_path / "got.csv", *grid)
+    assert got == _per_row_cavity_csv(tmp_path / "want.csv", *grid)
 
 
 def test_the_block_edge_grids_straddle_one_block():

@@ -1,6 +1,7 @@
 """Source hygiene: every import in a wexpand module is used there, every
 top-level private name is used somewhere in the package, every raise is one
-that the CLI reports, and every name the benchmark traces still exists."""
+that the CLI reports, every file is written through `csvcells`, and every
+name the benchmark traces still exists."""
 import ast
 import importlib
 from pathlib import Path
@@ -143,6 +144,63 @@ def test_the_gate_sees_a_raise_the_cli_cannot_report():
         "    raise TypeError('x') from None\n"
     )
     assert _unreportable_raises({"a.py": source}) == ["a.py:11: RuntimeError", "a.py:12: TypeError"]
+
+
+def _file_writers(sources: dict[str, str]) -> list[str]:
+    """Calls of `open` outside `csvcells` whose mode writes: "w", "a" or "x".
+
+    `csvcells.write_csv` is the package's one CSV writer.  A mode that is not
+    a string literal is listed too, since what it opens cannot be read off
+    the source.
+    """
+    found = []
+    for module, source in sources.items():
+        if module == "csvcells.py":
+            continue
+        calls = [
+            node for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and _exception_name(node.func) == "open"
+        ]
+        for node in sorted(calls, key=lambda node: node.lineno):
+            modes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+            for mode in modes:
+                if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+                    found.append(f"{module}:{node.lineno}: open with a computed mode")
+                elif set(mode.value) & set("wax"):
+                    found.append(f"{module}:{node.lineno}: open(..., {mode.value!r})")
+    return found
+
+
+def test_only_csvcells_opens_a_file_for_writing():
+    sources = {p.name: p.read_text() for p in _MODULES}
+    assert _file_writers(sources) == []
+
+
+def test_the_gate_sees_a_second_writer():
+    # The per-row writer that `cli` held before `csvcells.write_csv`.
+    old_writer = (
+        "def _write_rows(path, header, row_format, rows):\n"
+        "    with open(path, \"w\", newline=\"\") as fh:\n"
+        "        fh.write(\",\".join(header) + \"\\n\")\n"
+        "        fh.writelines([row_format % row for row in rows])\n"
+    )
+    others = (
+        "import io, os\n"
+        "def read(path, config):\n"
+        "    with open(config) as fh, open(path, mode='rb') as raw:\n"
+        "        return fh.read(), raw.read()\n"
+        "def log(path, mode):\n"
+        "    io.open(path, mode='a').close()\n"
+        "    os.open(path, os.O_WRONLY)\n"
+        "    open(path, mode).close()\n"
+    )
+    sources = {"cli.py": old_writer, "b.py": others, "csvcells.py": "open(path, 'wb')\n"}
+    assert _file_writers(sources) == [
+        "cli.py:2: open(..., 'w')",
+        "b.py:6: open(..., 'a')",
+        "b.py:7: open with a computed mode",
+        "b.py:8: open with a computed mode",
+    ]
 
 
 # The benchmark traces these methods by name, and drives the CLI through

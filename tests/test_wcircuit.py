@@ -742,6 +742,16 @@ def test_expand_qubit_rejects_a_target_out_of_range():
         expand_qubit(build_w_state(3).amplitudes, 3, v)
 
 
+@pytest.mark.parametrize(
+    "v",
+    [expansion_maps([0.01, 0.02], 0, 0)[0], np.ones((2, 2, 3))],
+    ids=["a stack of two maps", "a 2x2x3 map"],
+)
+def test_expand_qubit_rejects_a_map_of_the_wrong_shape(v):
+    with pytest.raises(ValueError, match=r"v must be one 4x2 map of shape \(2, 2, 2\)"):
+        expand_qubit(build_w_state(3).amplitudes, 1, v)
+
+
 class _NanEmptyNumpy:
     """numpy, but ``empty`` returns arrays filled with NaN (real and imaginary)."""
 
