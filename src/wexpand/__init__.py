@@ -45,10 +45,8 @@ from .statevec import (
     apply_unitary,
     basis_state,
     fidelity_pure,
-    operation_matrix,
     partial_trace,
     permute,
-    postselect_zero,
     tensor,
     zero_state,
 )

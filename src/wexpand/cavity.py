@@ -137,7 +137,9 @@ class ReflectionGrid:
 
     Every field has the broadcast shape of the grid's inputs.  The errors
     are how far phi is from 0, phi_0 from pi and |r| from 1; `cz_pass`
-    holds where all three stay under their thresholds.
+    holds where all three stay under their thresholds.  `r_0`, `phi_0` and
+    `phi0_error` depend on the cavity detuning alone: they are read-only
+    views that broadcast the detuning's own values to the grid's shape.
     """
 
     r: np.ndarray
@@ -195,6 +197,17 @@ def _square(v: float) -> float:
         return math.inf
 
 
+def _require_threshold(name: str, value) -> None:
+    # A bool or NaN would compare without error and silently decide every point.
+    real = not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+    try:
+        ok = real and math.isfinite(value) and value > 0
+    except OverflowError:  # a Python int past the float range
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+
+
 def _wrap(angle):
     return (angle + np.pi) % (2.0 * np.pi) - np.pi
 
@@ -221,7 +234,8 @@ def reflection_grid(
     libm `pow` (`_square`) as in the scalar code, which differs from
     `g * g` in the last bit for some g.
 
-    Raises ValueError for non-finite rates; and GridPointError (a
+    Raises ValueError for non-finite rates and for a threshold that is not
+    a positive finite number (a bool is not one); and GridPointError (a
     ValueError), naming the first offending grid point, for non-finite
     or negative grid inputs, a vanishing denominator, or a reflection
     that overflows to a non-finite value.
@@ -231,17 +245,19 @@ def reflection_grid(
             raise ValueError(f"{name} must be finite, got {rate!r}")
         if rate <= 0.0:
             raise ValueError(f"{name} must be positive, got {rate}")
+    _require_threshold("phase_tol", phase_tol)
+    _require_threshold("modulus_tol", modulus_tol)
     coresonant = emitter_detuning is None
-    g = np.asarray(g, dtype=float)
+    detuning, g = np.asarray(detuning, dtype=float), np.asarray(g, dtype=float)
     x_c, x_e, g, g2 = np.broadcast_arrays(
-        np.asarray(detuning, dtype=float),
+        detuning,
         np.asarray(detuning if coresonant else emitter_detuning, dtype=float),
         g,
         np.array([_square(v) for v in g.ravel().tolist()]).reshape(g.shape),
     )
 
     def fail(reason: str, bad: np.ndarray):
-        k = int(np.argmax(bad))
+        k = int(np.argmax(np.broadcast_to(bad, g.shape)))
         point = f"detuning {float(x_c.flat[k])!r}, g {float(g.flat[k])!r}"
         if not coresonant:
             point += f", emitter detuning {float(x_e.flat[k])!r}"
@@ -259,7 +275,8 @@ def reflection_grid(
     with np.errstate(all="ignore"):
         # 1j * complex(x) as complex(0, 1) * complex(x, 0); then dc -+ kappa/2
         # and de + gamma_decay/2, each real made complex as in the oracle.
-        dc_re, dc_im = 0.0 * x_c - 0.0, 0.0 + x_c
+        # dc, and with it r_0, is computed on the detuning's own shape.
+        dc_re, dc_im = 0.0 * detuning - 0.0, 0.0 + detuning
         a_re, a_im = dc_re - k2, dc_im - 0.0
         c_re, c_im = dc_re + k2, dc_im + 0.0
         b_re, b_im = (0.0 * x_e - 0.0) + gamma_decay / 2.0, (0.0 + x_e) + 0.0
@@ -281,15 +298,15 @@ def reflection_grid(
         modulus_error = np.abs(np.hypot(r_re, r_im) - 1.0)
     r = np.empty(g.shape, dtype=complex)
     r.real, r.imag = r_re, r_im
-    r_0 = np.empty(g.shape, dtype=complex)
+    r_0 = np.empty(detuning.shape, dtype=complex)
     r_0.real, r_0.imag = r0_re, r0_im
     return ReflectionGrid(
         r=r,
-        r_0=r_0,
+        r_0=np.broadcast_to(r_0, g.shape),
         phi=phi,
-        phi_0=phi_0,
+        phi_0=np.broadcast_to(phi_0, g.shape),
         phi_error=phi_error,
-        phi0_error=phi0_error,
+        phi0_error=np.broadcast_to(phi0_error, g.shape),
         modulus_error=modulus_error,
         cz_pass=(phi_error < phase_tol) & (phi0_error < phase_tol) & (modulus_error < modulus_tol),
     )
@@ -328,7 +345,7 @@ def cz_quality(
         phi_error=float(grid.phi_error),
         phi0_error=float(grid.phi0_error),
         modulus_error=float(grid.modulus_error),
-        strong_coupling=p.g > 5.0 * np.sqrt(p.kappa * p.gamma_decay),
+        strong_coupling=bool(p.g > 5.0 * np.sqrt(p.kappa * p.gamma_decay)),
         passed=bool(grid.cz_pass),
         phase_tol=phase_tol,
         modulus_tol=modulus_tol,

@@ -259,6 +259,17 @@ def _noisy_agreement(rng) -> float:
     )
 
 
+def _vacuum_fixed_point(rng) -> float:
+    # U|000> = |000> under any gate errors, so column 0 and row 0 are e_0:
+    # why the doubling fidelity does not depend on n.
+    e0 = np.eye(8)[0]
+    dev = 0.0
+    for p, _ in _fixed_noise_sample()[0]:
+        u = standard_expansion_circuit(p).matrix()
+        dev = max(dev, _max_abs(u[:, 0] - e0), _max_abs(u[0] - e0))
+    return dev
+
+
 def _size_independence(rng) -> float:
     spreads = []
     for p in (NoiseParams(0.02, 0.015, 0.03), NoiseParams(0.025, 0.018, 0.033)):
@@ -344,6 +355,8 @@ CHECKS: tuple[Check, ...] = (
           "unity at zero, reductions exact; combined at pi/60 > 0.97", _closed_forms),
     Check("noisy-circuit agreement", 1e-9,
           "closed form vs full simulation, n = 1..3", _noisy_agreement),
+    Check("noisy operator fixes |000>", 1e-12,
+          "column and row 0 of the 12-gate 8x8 at 50 fixed noise points", _vacuum_fixed_point),
     Check("size independence", 1e-9,
           "n = 1..4 at two fixed imperfection triples", _size_independence),
     Check("cavity resonant reflection", 1e-14,

@@ -9,10 +9,11 @@ Fidelity definition.  The doubling fidelity is the post-selected overlap
 |<W_2n, anc-ideal | psi_final>|^2: the squared overlap of the full final
 state with the target joined to all ancillas in their ideal |0> state
 (``RunReport.fidelity`` of ``wcircuit.double_w``, the dense oracle).  It
-reproduces the closed forms exactly and is independent of n: each round
-acts as the exact identity on the n-1 terms whose control qubit is |0>,
-even with imperfect gates, so the overlap amplitude is the same
-single-triple quantity for every n.
+reproduces the closed forms exactly and is independent of n: the 12-gate
+operator fixes |000> for every (alpha, beta, gamma) (``wexpand verify``
+checks it), so each round acts as the exact identity on the n-1 terms
+whose qubit is |0>, and the overlap amplitude is the same single-triple
+quantity for every n.
 
 Closed forms on arrays.  Each of the four closed forms is one array
 implementation: an array of angles in gives an array of fidelities of the
@@ -118,35 +119,25 @@ def fidelity_combined(alpha, beta, gamma):
     return np.abs(amp) ** 2
 
 
-def doubling_overlap_fidelity(v: np.ndarray, n: int) -> np.ndarray:
-    """Post-selected overlap fidelity of |W_n> -> |W_2n> from the noisy maps V.
+def doubling_overlap_fidelity(v: np.ndarray) -> np.ndarray:
+    """Post-selected overlap fidelity of |W_n> -> |W_2n> from the noisy maps V, for every n.
 
     ``v`` holds maps V = <q1',0,q2'|U|x,0,0>, indexed [..., q1', q2', x],
     along its leading axes (for example the (k, 2, 2, 2) V of
     ``expansion_maps``); the result has the leading shape.  It equals the
-    dense ``double_w(n, "block", noise)[1].fidelity`` without building its
-    2n-qubit register: the final state is
-    (1/sqrt n) sum_i U|100>_i (x) prod_{j != i} U|000>_j, a sum of n product
-    states, so its overlap with |W_2n>|0..0>_anc needs only
-    a = V[0,0,0], b = V[1,0,0] + V[0,1,0], c = V[0,0,1] and
-    d = V[1,0,1] + V[0,1,1]:
-
-        amplitude = (n d a^(n-1) + n(n-1) c b a^(n-2)) / (n sqrt 2).
+    dense ``double_w(n, "block", noise)[1].fidelity`` at every n, because
+    U|000> = |000> for every (alpha, beta, gamma): on |000> each controlled
+    phase acts while one of its slots holds |0>, and the rotations around it
+    come in equal pairs, each a reflection that squares to the identity.  So
+    V|0> = |00>, the post-selected block output is (1/sqrt n) sum_i V|1> on
+    pair i with |0..0> elsewhere, and its overlap amplitude with
+    |W_2n>|0..0>_anc is d / sqrt 2 with d = V[1,0,1] + V[0,1,1].
     """
-    n = _require_int("n", n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     v = np.asarray(v)
     if v.shape[-3:] != (2, 2, 2):
         raise ValueError(f"expected 4x2 maps V along the last three axes, got {v.shape}")
-    a = v[..., 0, 0, 0]
     d = v[..., 1, 0, 1] + v[..., 0, 1, 1]
-    amp = n * d * a ** (n - 1)
-    if n > 1:
-        b = v[..., 1, 0, 0] + v[..., 0, 1, 0]
-        c = v[..., 0, 0, 1]
-        amp = amp + n * (n - 1) * c * b * a ** (n - 2)
-    return np.abs(amp / (n * np.sqrt(2.0))) ** 2
+    return np.abs(d / np.sqrt(2.0)) ** 2
 
 
 def sweep(theta_max: float, steps: int, n: int = 2) -> list[FidelityRecord]:
@@ -158,7 +149,8 @@ def sweep(theta_max: float, steps: int, n: int = 2) -> list[FidelityRecord]:
     grid.  The simulated series composes the noisy map V at every grid point
     in one batch and reads each fidelity from it
     (``doubling_overlap_fidelity``); ``double_w`` run in block mode with the
-    same noise is its dense oracle.
+    same noise is its dense oracle.  ``n`` (1..``DOUBLING_MAX_N``) only
+    labels the records: no fidelity depends on it.
 
     ``theta_max`` must be a real number (a Python or numpy int or float,
     not a bool).  One whose grid gives a non-finite fidelity (past |theta|
@@ -189,7 +181,7 @@ def sweep(theta_max: float, steps: int, n: int = 2) -> list[FidelityRecord]:
             fidelity_t_prime(thetas),
             fidelity_controlled_phase(thetas),
             fidelity_combined(thetas, thetas, thetas),
-            doubling_overlap_fidelity(expansion_maps(thetas, thetas, thetas)[0], n),
+            doubling_overlap_fidelity(expansion_maps(thetas, thetas, thetas)[0]),
         ])
     if not np.isfinite(table).all():
         raise ValueError(

@@ -19,14 +19,14 @@ objects and never mutate their inputs.  A state's amplitude array is
 read-only.  ``StateVector`` copies the array it is given unless that array
 is sealed: read-only, and viewing only read-only arrays down to the one
 that owns its memory.  Every kernel here (``apply_unitary``, ``tensor``,
-``permute``, ``postselect_zero``, ...) seals the array it has just
-allocated, which nothing else holds, so the new state adopts it without a
-copy; a caller's writable array, or a read-only view of one, is copied.
+``permute``, ...) seals the array it has just allocated, which nothing
+else holds, so the new state adopts it without a copy; a caller's
+writable array, or a read-only view of one, is copied.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -318,24 +318,6 @@ def permute(state: StateVector, perm: QubitPermutation) -> StateVector:
     return StateVector(_seal(out.reshape(-1)))
 
 
-def postselect_zero(state: StateVector, qubits: Iterable[int]) -> tuple[StateVector, float]:
-    """Project the given qubits onto |0>, drop them, and renormalize.
-
-    Returns the renormalized state over the remaining qubits (ascending
-    original order) and the projection probability.
-    """
-    qs = sorted(set(_require_int("qubit", q) for q in qubits))
-    n = state.num_qubits
-    if not qs or qs[0] < 0 or qs[-1] >= n:
-        raise ValueError(f"invalid qubit set {qs} for {n} qubits")
-    if len(qs) == n:
-        raise ValueError("cannot project away every qubit")
-    sel: list = [slice(None)] * n
-    for q in qs:
-        sel[q] = 0
-    return _normalized(state.tensor_view()[tuple(sel)].reshape(-1))
-
-
 def _normalized(sub: np.ndarray) -> tuple[StateVector, float]:
     """The projected amplitudes ``sub`` renormalized, and their squared norm.
 
@@ -346,12 +328,3 @@ def _normalized(sub: np.ndarray) -> tuple[StateVector, float]:
     if prob < 1e-12:
         raise ValueError(f"projection onto |0...0> has vanishing probability {prob!r}")
     return StateVector(_seal(sub / np.sqrt(prob))), prob
-
-
-def operation_matrix(op: Callable[[StateVector], StateVector], num_qubits: int) -> np.ndarray:
-    """Full 2^n x 2^n matrix of a state transformation, column by column."""
-    dim = 1 << num_qubits
-    cols = np.empty((dim, dim), dtype=complex)
-    for i in range(dim):
-        cols[:, i] = op(basis_state(format(i, f"0{num_qubits}b"))).amplitudes
-    return cols

@@ -217,6 +217,28 @@ def test_cz_quality_reports_the_scalar_errors():
         assert (q.phase_tol, q.modulus_tol) == (0.05, 0.1)
 
 
+def test_cz_quality_flags_are_python_bools():
+    for g in (1.0, 5.0, 10.0):
+        q = cz_quality(CavityParams.resonant(g))
+        assert type(q.strong_coupling) is bool and type(q.passed) is bool
+
+
+@pytest.mark.parametrize("name", ["phase_tol", "modulus_tol"])
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf, 0.0, -0.01, True, np.True_, "0.01", None, 10**400],
+    ids=repr,
+)
+def test_cz_thresholds_must_be_positive_finite_numbers(name, bad):
+    # NaN would fail every point and True read as 1.0, both silently.
+    message = rf"^{name} must be a positive finite number, got "
+    with pytest.raises(ValueError, match=message):
+        reflection_grid(0.0, 5.0, 1.0, **{name: bad})
+    with pytest.raises(ValueError, match=message):
+        cz_quality(CavityParams.resonant(5.0), **{name: bad})
+    for good in (1, np.int64(1), np.float32(0.5)):
+        assert bool(reflection_grid(0.0, 10.0, 1.0, **{name: good}).cz_pass)
+
+
 def test_reflection_grid_at_a_single_point_is_zero_dimensional():
     grid = reflection_grid(0.0, 5.0, 1.0)
     assert grid.r.shape == grid.cz_pass.shape == ()
@@ -276,3 +298,10 @@ def test_reflection_grid_error_gives_the_reason_and_index_of_the_point():
     assert str(info.value) == (
         "reflection is not finite at the grid point with detuning 0.0, g 1e+200"
     )
+    # The bare cavity's denominator depends on the detuning alone; the error
+    # still names the first grid point that has it.
+    with pytest.raises(GridPointError) as info:
+        reflection_grid(np.array([1.0, 0.0])[:, None], np.array([1.0, 2.0])[None, :], 1.0,
+                        kappa=1e-310)
+    assert info.value.index == (1, 0)
+    assert str(info.value).endswith("at the grid point with detuning 0.0, g 1.0")

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import postselect_zero
 from wexpand import cli, wcircuit
 from wexpand.cli import CHECKS, _build_parser, main, run_verification
 from wexpand.gates import rotation_gate
@@ -19,7 +20,6 @@ from wexpand.statevec import (
     QubitPermutation,
     apply_unitary,
     permute,
-    postselect_zero,
     tensor,
     zero_state,
 )

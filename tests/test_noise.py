@@ -21,11 +21,13 @@ from wexpand.noise import (
 )
 from wexpand.statevec import fidelity_pure, zero_state
 from wexpand.wcircuit import (
+    EXPANSION_LAYOUT,
     build_w_state,
     double_w,
     expansion_maps,
     interleave_permutation,
     round_permutation,
+    standard_expansion_circuit,
 )
 
 THETA_MAX = np.pi / 60.0
@@ -298,32 +300,70 @@ def test_sweep_takes_python_and_numpy_reals_as_theta_max():
         sweep(10**400, 3)
 
 
+def _fixed_point_deviation_40_digits(alpha, beta, gamma):
+    """How far the 12 gates of ``EXPANSION_LAYOUT`` take |000>, composed in mpmath."""
+    with mpmath.workdps(40):
+        angles = {"h": mpmath.pi / 4 - alpha, "tp": mpmath.pi / 8 - beta}
+        phase = -mpmath.expj(-gamma)
+        psi = [mpmath.mpc(1)] + [mpmath.mpc(0)] * 7
+        for kind, slots in EXPANSION_LAYOUT:
+            if kind == "cp":
+                for i in range(8):
+                    if all((i >> (2 - t)) & 1 for t in slots):
+                        psi[i] *= phase
+                continue
+            c, s = mpmath.cos(angles[kind]), mpmath.sin(angles[kind])
+            bit = 1 << (2 - slots[0])
+            for i in range(8):
+                if not i & bit:
+                    a, b = psi[i], psi[i | bit]
+                    psi[i], psi[i | bit] = c * a + s * b, s * a - c * b
+        return max(abs(psi[0] - 1), *(abs(x) for x in psi[1:]))
+
+
+def test_the_noisy_operator_fixes_000_at_40_digits():
+    # Why the doubling fidelity has no n: U|000> = |000> for every error.
+    third, half, tenth = mpmath.mpf(1) / 3, mpmath.mpf(1) / 2, mpmath.mpf(1) / 10
+    for angles in ((0, 0, 0), (1, third, -half), (3 * tenth, -2 * tenth, tenth),
+                   (-half, 3 * tenth, 2), (2, -1, -3)):
+        assert _fixed_point_deviation_40_digits(*(mpmath.mpf(a) for a in angles)) < 1e-35
+
+
+def test_the_noisy_operator_and_its_maps_fix_000():
+    a, b, g = np.random.default_rng(22).uniform(-0.3, 0.3, size=(3, 300))
+    e0 = np.eye(8)[0]
+    for p in zip(a.tolist(), b.tolist(), g.tolist()):
+        u = standard_expansion_circuit(NoiseParams(*p)).matrix()
+        assert np.max(np.abs(u[:, 0] - e0)) < 1e-15
+        assert np.max(np.abs(u[0] - e0)) < 1e-15
+    v, w = expansion_maps(a, b, g)
+    assert np.max(np.abs(v[..., 0] - np.eye(4)[0].reshape(2, 2))) < 1e-15
+    assert np.max(np.abs(w[..., 0])) < 1e-15
+
+
 @settings(max_examples=50, deadline=None)
 @given(
-    st.tuples(*(st.floats(0.0, 2.0 * THETA_MAX) for _ in range(3))),
+    st.tuples(*(st.floats(-0.3, 0.3) for _ in range(3))),
     st.integers(1, 8),
     st.sampled_from(["block", "sequential"]),
 )
 def test_structured_overlap_matches_the_dense_simulation(angles, n, mode):
     # Differential: the formula on V against the full register, in either
-    # layout, over (alpha, beta, gamma) in [0, pi/30]^3.
-    structured = doubling_overlap_fidelity(expansion_maps(*angles)[0], n)[0]
+    # layout, over (alpha, beta, gamma) in [-0.3, 0.3]^3.
+    structured = doubling_overlap_fidelity(expansion_maps(*angles)[0])[0]
     assert abs(structured - _simulated(n, NoiseParams(*angles), mode)) < 1e-13
 
 
 def test_structured_overlap_serves_sizes_past_the_dense_cap():
+    # One value serves every n, so nothing drifts with n: it is the closed
+    # form to rounding, however large the register it describes.
     v, _ = expansion_maps(0.0, 0.0, 0.0)
-    for n in (1, 7, 1000):
-        assert abs(doubling_overlap_fidelity(v, n)[0] - 1.0) < 1e-12
-    p = NoiseParams(0.02, 0.015, 0.03)
-    noisy, _ = expansion_maps(p.alpha, p.beta, p.gamma)
-    assert abs(
-        doubling_overlap_fidelity(noisy, 50)[0] - fidelity_combined(p.alpha, p.beta, p.gamma)
-    ) < 1e-12
+    assert abs(doubling_overlap_fidelity(v)[0] - 1.0) < 1e-15
+    a, b, g = np.random.default_rng(23).uniform(-0.3, 0.3, size=(3, 2000))
+    structured = doubling_overlap_fidelity(expansion_maps(a, b, g)[0])
+    assert np.max(np.abs(structured - fidelity_combined(a, b, g))) < 1e-14
     with pytest.raises(ValueError):
-        doubling_overlap_fidelity(v, 0)
-    with pytest.raises(ValueError):
-        doubling_overlap_fidelity(np.eye(4), 2)
+        doubling_overlap_fidelity(np.eye(4))
 
 
 # Each library entry point that takes a register size or count, as a call
@@ -332,10 +372,6 @@ def test_structured_overlap_serves_sizes_past_the_dense_cap():
 _SIZED_ENTRY_POINTS = {
     "double_w": (lambda n: double_w(n, "block")[0].amplitudes.tobytes(), "n"),
     "build_w_state": (lambda n: build_w_state(n).amplitudes.tobytes(), "n"),
-    "doubling_overlap_fidelity": (
-        lambda n: doubling_overlap_fidelity(expansion_maps(0.01, 0.02, 0.03)[0], n).tobytes(),
-        "n",
-    ),
     "sweep n": (lambda n: sweep(THETA_MAX, 5, n=n), "n"),
     "sweep steps": (lambda steps: sweep(THETA_MAX, steps), "steps"),
     "zero_state": (lambda n: zero_state(n).amplitudes.tobytes(), "num_qubits"),
@@ -349,7 +385,6 @@ _SIZED_ENTRY_POINTS = {
 _OUT_OF_RANGE = {
     "double_w": (0, 9),
     "build_w_state": (0,),
-    "doubling_overlap_fidelity": (0,),
     "sweep n": (0, 9),
     "sweep steps": (1,),
     "zero_state": (0, -1),

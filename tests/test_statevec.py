@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from oracles import operation_matrix, postselect_zero
 from wexpand.gates import NoiseParams, hadamard
 from wexpand.statevec import (
     DensityMatrix,
@@ -12,10 +13,8 @@ from wexpand.statevec import (
     apply_unitary,
     basis_state,
     fidelity_pure,
-    operation_matrix,
     partial_trace,
     permute,
-    postselect_zero,
     tensor,
     zero_state,
 )
@@ -294,7 +293,10 @@ def test_statevector_copies_a_callers_array():
 
 
 def _kernel_outputs(state):
-    """(name, input state, output state) for every kernel that allocates a register."""
+    """(name, input state, output state) for every kernel that allocates a register.
+
+    The post-selection oracle's state comes from the library's `_normalized`.
+    """
     n = state.num_qubits
     yield "apply_unitary", state, apply_unitary(state, H, (n - 1,))
     yield "apply_unitary in order", state, apply_unitary(state, np.kron(H, TP), (0, 1))

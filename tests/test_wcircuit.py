@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import operation_matrix, postselect_zero
 from wexpand import wcircuit
 from wexpand.cli import main
 from wexpand.gates import NoiseParams, controlled_phase, hadamard, t_prime
@@ -23,7 +24,6 @@ from wexpand.statevec import (
     fidelity_pure,
     partial_trace,
     permute,
-    postselect_zero,
     tensor,
     zero_state,
 )
@@ -131,8 +131,6 @@ def test_composed_matrix_against_independent_kron_oracle():
 
 
 def test_matrix_agrees_with_engine_application():
-    from wexpand.statevec import operation_matrix
-
     circ = standard_expansion_circuit(NoiseParams(0.02, 0.01, 0.05))
     via_engine = operation_matrix(lambda s: circ.apply(s, 0, 1, 2), 3)
     assert np.max(np.abs(via_engine - circ.matrix())) < 1e-14
