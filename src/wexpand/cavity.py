@@ -36,7 +36,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class CavityParams:
-    """Physical parameters of the emitter-cavity reflection."""
+    """Physical parameters of the emitter-cavity reflection.
+
+    Each field must be a finite real number: an int or a float, Python or
+    numpy, but not a bool.
+    """
 
     omega_p: float
     omega_c: float
@@ -47,9 +51,7 @@ class CavityParams:
 
     def __post_init__(self):
         for name in ("omega_p", "omega_c", "omega_0", "g", "kappa", "gamma_decay"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            _require_finite_real(name, getattr(self, name))
         if self.kappa <= 0.0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
         if self.gamma_decay <= 0.0:
@@ -197,14 +199,29 @@ def _square(v: float) -> float:
         return math.inf
 
 
+def _is_real(value) -> bool:
+    # A bool would otherwise read as 0 or 1 and a numeric string escape as a TypeError.
+    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+
+
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # a Python int past the float range
+        return False
+
+
+def _require_finite_real(name: str, value) -> None:
+    """Reject, by name, a rate or frequency that is not a finite real number."""
+    if not _is_real(value):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not _is_finite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _require_threshold(name: str, value) -> None:
     # A bool or NaN would compare without error and silently decide every point.
-    real = not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
-    try:
-        ok = real and math.isfinite(value) and value > 0
-    except OverflowError:  # a Python int past the float range
-        ok = False
-    if not ok:
+    if not (_is_real(value) and _is_finite(value) and value > 0):
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
@@ -234,15 +251,15 @@ def reflection_grid(
     libm `pow` (`_square`) as in the scalar code, which differs from
     `g * g` in the last bit for some g.
 
-    Raises ValueError for non-finite rates and for a threshold that is not
-    a positive finite number (a bool is not one); and GridPointError (a
+    Raises ValueError for a rate that is not a finite real number (a bool
+    or a string is not one) and for a threshold that is not a positive
+    finite number; and GridPointError (a
     ValueError), naming the first offending grid point, for non-finite
     or negative grid inputs, a vanishing denominator, or a reflection
     that overflows to a non-finite value.
     """
     for name, rate in (("kappa", kappa), ("gamma_decay", gamma_decay)):
-        if not math.isfinite(rate):
-            raise ValueError(f"{name} must be finite, got {rate!r}")
+        _require_finite_real(name, rate)
         if rate <= 0.0:
             raise ValueError(f"{name} must be positive, got {rate}")
     _require_threshold("phase_tol", phase_tol)

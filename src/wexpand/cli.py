@@ -50,6 +50,7 @@ from .wcircuit import (
     build_w_state,
     create_epr,
     double_w,
+    double_w_weight_one,
     expand_by_one,
     interleave_permutation,
     relabel,
@@ -429,24 +430,34 @@ _ROLES = {role.kind: role for role in (PHOTON, SPIN)}
 
 def cmd_prepare(args) -> int:
     role = _ROLES[args.role]
-    out_state, report = double_w(args.n, args.mode)
+    out_state, report = double_w_weight_one(args.n, args.mode)
     labels = str.maketrans({"0": role.zero_label, "1": role.one_label})
     cells, amplitudes = [], []  # one "stage,index,basis,label" cell a row, and its amplitude
 
-    def add_rows(stage: str, state) -> None:
-        amps = state.amplitudes
-        kept = np.arange(amps.size) if args.full else np.flatnonzero(np.abs(amps) > 1e-12)
-        for idx in kept.tolist():
-            bits = format(idx, f"0{state.num_qubits}b")
+    def add_rows(stage: str, state, perm=None) -> None:
+        # Rows in ascending basis index, after moving each qubit p to perm.map[p].
+        m = state.num_qubits
+        index = state.indices() if perm is None else 1 << (m - 1 - np.array(perm.map))
+        order = np.argsort(index)
+        index, amps = index[order], state.amplitudes[order]
+        if args.full:
+            dense = np.zeros(1 << m, dtype=complex)
+            dense[index] = amps
+            index, amps = np.arange(1 << m), dense
+        else:
+            kept = np.abs(amps) > 1e-12
+            index, amps = index[kept], amps[kept]
+        for idx in index.tolist():
+            bits = format(idx, f"0{m}b")
             cells.append(f"{stage},{idx},{bits},{bits.translate(labels)}")
-        amplitudes.append(amps[kept])
+        amplitudes.append(amps)
 
     if args.trace:
         # Each sequential round, with every joined qubit right after its source.
-        rounds = report.rounds or double_w(args.n, "sequential")[1].rounds
+        rounds = report.rounds or double_w_weight_one(args.n, "sequential")[1].rounds
         add_rows("round_0", rounds[0])
         for k, grown in enumerate(rounds[1:], start=1):
-            add_rows(f"round_{k}", permute(grown, round_permutation(args.n, k)))
+            add_rows(f"round_{k}", grown, round_permutation(args.n, k))
     add_rows("final", out_state)
     amps = np.concatenate(amplitudes)
     header = ["stage", "index", "basis", "label", "re", "im"]

@@ -13,9 +13,10 @@ arithmetic that is exact.  Take the decimal exponent E (x in [10^E,
 10^(E+1))) and s = 16 - E, in 1..22, so that 10^s is an exact double.
 Dekker's product splits |x| * 10^s into hi + lo exactly, with hi >= 1e16 >
 2^53 an even integer, so hi + rint(lo) is the product rounded half-even to
-an integer: the 17 digits that a correctly rounded `%.17g` writes.  Every
-other value (zeros, non-finite values, |x| outside that range) is formatted
-by Python's `%` alone, one cell each.
+an integer: the 17 digits that a correctly rounded `%.17g` writes.  A zero
+is written `0` or `-0` by its sign bit.  Every other value (non-finite
+values, |x| outside that range) is formatted by Python's `%` alone, one
+cell each.
 """
 from __future__ import annotations
 
@@ -164,14 +165,21 @@ def format_cells(values) -> np.ndarray:
     """
     x = np.asarray(values, dtype=np.float64).ravel()
     a = np.abs(x)
+    negative = np.signbit(x)
     # The double nearest 1e-6 lies below 10^-6, so the lower bound is open.
     fast = (a > 1e-6) & (a < 1e16)
     if fast.all():
-        return _format_fast(a, np.signbit(x))
+        return _format_fast(a, negative)
     rows = np.zeros((x.size, WIDTH), dtype=np.uint8)
-    rows[fast] = _format_fast(a[fast], np.signbit(x[fast]))
-    slow = _padded_cells(["%.17g" % v for v in x[~fast].tolist()])
-    rows[~fast, : slow.shape[1]] = slow
+    rows[fast] = _format_fast(a[fast], negative[fast])
+    # A zero is "0" or "-0" by its sign bit; a `prepare --full` table is mostly zeros.
+    zero = a == 0.0
+    rows[zero & ~negative, 0] = ord("0")
+    rows[zero & negative, :2] = np.frombuffer(b"-0", dtype=np.uint8)
+    slow = ~(fast | zero)
+    if slow.any():
+        cells = _padded_cells(["%.17g" % v for v in x[slow].tolist()])
+        rows[slow, : cells.shape[1]] = cells
     return rows
 
 

@@ -92,9 +92,7 @@ class StateVector:
             raise ValueError(
                 f"amplitude array of length {amps.size} is not a power of two >= 2"
             )
-        norm2 = float(np.vdot(amps, amps).real)
-        if not abs(norm2 - 1.0) <= ATOL_ALGEBRA:
-            raise ValueError(f"state is not normalized: |psi|^2 = {norm2!r}")
+        _require_normalized(amps)
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -139,9 +137,7 @@ class DensityMatrix:
             raise ValueError(f"density-matrix dimension {dim} is not a power of two")
         if not np.max(np.abs(rho - rho.conj().T)) <= ATOL_ALGEBRA:
             raise ValueError("density matrix is not Hermitian")
-        tr = complex(np.trace(rho))
-        if not abs(tr - 1.0) <= ATOL_ALGEBRA:
-            raise ValueError(f"density matrix trace {tr!r} differs from 1")
+        _require_unit_trace(complex(np.trace(rho)))
         pur = float(np.vdot(rho, rho).real)
         if not (1.0 / dim - 1e-10 <= pur <= 1.0 + 1e-10):
             raise ValueError(f"purity {pur!r} outside [{1.0 / dim}, 1]")
@@ -318,8 +314,21 @@ def permute(state: StateVector, perm: QubitPermutation) -> StateVector:
     return StateVector(_seal(out.reshape(-1)))
 
 
-def _normalized(sub: np.ndarray) -> tuple[StateVector, float]:
-    """The projected amplitudes ``sub`` renormalized, and their squared norm.
+def _require_unit_trace(tr: complex) -> None:
+    """Reject a density matrix whose trace ``tr`` is not within ATOL_ALGEBRA of 1."""
+    if not abs(tr - 1.0) <= ATOL_ALGEBRA:
+        raise ValueError(f"density matrix trace {tr!r} differs from 1")
+
+
+def _require_normalized(amps: np.ndarray) -> None:
+    """Reject amplitudes whose squared norm is not within ATOL_ALGEBRA of 1."""
+    norm2 = float(np.vdot(amps, amps).real)
+    if not abs(norm2 - 1.0) <= ATOL_ALGEBRA:
+        raise ValueError(f"state is not normalized: |psi|^2 = {norm2!r}")
+
+
+def _postselected(sub: np.ndarray) -> tuple[np.ndarray, float]:
+    """The projected amplitudes ``sub`` renormalized, as a new array, and their squared norm.
 
     The norm is one ``vdot`` over ``sub`` as laid out, so a strided view
     rounds as the same view always has.
@@ -327,4 +336,10 @@ def _normalized(sub: np.ndarray) -> tuple[StateVector, float]:
     prob = float(np.vdot(sub, sub).real)
     if prob < 1e-12:
         raise ValueError(f"projection onto |0...0> has vanishing probability {prob!r}")
-    return StateVector(_seal(sub / np.sqrt(prob))), prob
+    return sub / np.sqrt(prob), prob
+
+
+def _normalized(sub: np.ndarray) -> tuple[StateVector, float]:
+    """``_postselected`` as a state: ``sub`` renormalized, and its squared norm."""
+    amps, prob = _postselected(sub)
+    return StateVector(_seal(amps)), prob

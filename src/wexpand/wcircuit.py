@@ -18,6 +18,12 @@ V = <q1',0,q2'|U|x,0,0>.  The protocols run on ``expand_qubit``, which
 applies V to one qubit and returns a register one qubit larger;
 ``apply_O`` and ``ExpansionCircuit`` are the full operation and its
 dense oracles.
+
+Ideal V keeps the number of excitations (|0> -> |00>, |1> -> (|10> +
+|01>)/sqrt(2)), so from |W_n> every state of the ideal doubling has
+exactly one.  ``double_w_weight_one`` runs it on a ``WeightOneState``,
+one amplitude per qubit, 2n numbers where ``double_w`` holds 2^(2n);
+``prepare`` writes and prints that run, and ``double_w`` is its oracle.
 """
 from __future__ import annotations
 
@@ -40,8 +46,12 @@ from .statevec import (
     StateVector,
     _contract,
     _normalized,
+    _postselected,
     _qubit_density,
+    _readonly,
     _require_int,
+    _require_normalized,
+    _require_unit_trace,
     _seal,
     apply_unitary,
     fidelity_pure,
@@ -238,6 +248,43 @@ def build_w_state(n: int) -> StateVector:
     return StateVector(_seal(amps))
 
 
+@dataclass(frozen=True, eq=False)
+class WeightOneState:
+    """Normalized pure state with exactly one excitation, over ``num_qubits`` qubits.
+
+    ``amplitudes[p]`` is the coefficient of the basis string whose only 1
+    is qubit p: index 2^(num_qubits - 1 - p) of the dense ``StateVector``
+    (qubit 0 is the most significant bit).  Every other string has
+    amplitude zero.  The array is a read-only copy of the one given.
+    """
+
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        amps = _readonly(np.ravel(self.amplitudes))
+        if amps.size < 1:
+            raise ValueError("a weight-one state needs at least one qubit")
+        _require_normalized(amps)
+        object.__setattr__(self, "amplitudes", amps)
+
+    @property
+    def num_qubits(self) -> int:
+        return self.amplitudes.size
+
+    def indices(self) -> np.ndarray:
+        """Dense basis index of each amplitude: 2^(num_qubits - 1 - p) for qubit p."""
+        return 1 << (self.num_qubits - 1 - np.arange(self.num_qubits))
+
+    def terms(self, tol: float = 1e-10) -> list[tuple[str, complex]]:
+        """Nonzero basis terms as (bit string, amplitude) pairs, as ``StateVector.terms``
+        lists them: basis index ascending, so the last qubit's excitation first."""
+        m = self.num_qubits
+        return [
+            ("0" * p + "1" + "0" * (m - 1 - p), complex(self.amplitudes[p]))
+            for p in np.flatnonzero(np.abs(self.amplitudes) > tol)[::-1].tolist()
+        ]
+
+
 def _require_zero_slot(state: StateVector, qubit: int, slot: str) -> None:
     rho = _qubit_density(state, qubit)
     if not float(np.max(np.abs(rho - np.array([[1.0, 0.0], [0.0, 0.0]])))) <= 1e-10:
@@ -388,14 +435,14 @@ class RunReport:
 
     ``overlap`` is |<W_2n|out>|^2 of the post-selected output.  ``rounds``
     holds the post-selected register of each sequential round, round 0
-    being |W_n> and round i ordered (w_0..w_{n-1}, new_0..new_{i-1}); it is
-    empty in block mode.
+    being |W_n> and round i ordered (w_0..w_{n-1}, new_0..new_{i-1}), in
+    the run's own representation; it is empty in block mode.
     """
 
     overlap: float
     ancilla_purities: tuple[float, ...]
     success_probability: float
-    rounds: tuple[StateVector, ...]
+    rounds: tuple[StateVector | WeightOneState, ...]
 
     @property
     def fidelity(self) -> float:
@@ -441,6 +488,18 @@ def round_permutation(n: int, k: int) -> QubitPermutation:
     return QubitPermutation(tuple(dest))
 
 
+def _require_doubling(n: int, mode: str) -> int:
+    """The doubling's size as an int, once it and the mode are checked, in this order."""
+    n = _require_int("n", n)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if mode not in ("block", "sequential"):
+        raise ValueError(f"mode must be 'block' or 'sequential', got {mode!r}")
+    if n > DOUBLING_MAX_N:
+        raise ValueError(f"{mode} mode supports n <= {DOUBLING_MAX_N}, got n={n}")
+    return n
+
+
 def double_w(
     n: int, mode: str = "sequential", noise: NoiseParams | None = None
 ) -> tuple[StateVector, RunReport]:
@@ -457,13 +516,7 @@ def double_w(
     the projection probability, each ancilla's pre-projection purity and,
     in sequential mode, the register after each round.
     """
-    n = _require_int("n", n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if mode not in ("block", "sequential"):
-        raise ValueError(f"mode must be 'block' or 'sequential', got {mode!r}")
-    if n > DOUBLING_MAX_N:
-        raise ValueError(f"{mode} mode supports n <= {DOUBLING_MAX_N}, got n={n}")
+    n = _require_doubling(n, mode)
     target = build_w_state(2 * n)
     v, w = _expansion_map(noise if noise is not None else NoiseParams())
     w_n = build_w_state(n)
@@ -490,6 +543,81 @@ def double_w(
 
     report = RunReport(
         overlap=fidelity_pure(out, target),
+        ancilla_purities=tuple(purities),
+        success_probability=float(prob),
+        rounds=tuple(rounds),
+    )
+    return out, report
+
+
+def _require_weight_preserving(v: np.ndarray, w: np.ndarray) -> None:
+    """Reject maps under which one amplitude per qubit no longer describes the state.
+
+    V[q1', q2', x] with q1' + q2' != x moves amplitude to a string with a
+    different number of excitations, and a nonzero W leaves the ancilla
+    mixed; for ideal gates all of these are exactly zero.
+    """
+    for q1, q2, x in np.ndindex(2, 2, 2):
+        if q1 + q2 != x and v[q1, q2, x] != 0:
+            raise ValueError(
+                f"V[{q1}, {q2}, {x}] = {complex(v[q1, q2, x])!r} changes the number of "
+                "excitations; the weight-one doubling needs it to be exactly 0"
+            )
+    if w.any():
+        raise ValueError("W, the map onto ancilla |1>, is not zero; the weight-one "
+                         "doubling needs the ancilla to stay in |0>")
+
+
+def _diagonal_purity(p0: float) -> float:
+    """Purity of an ancilla whose 2x2 is diag(p0, 0), once its trace p0 is checked."""
+    _require_unit_trace(complex(p0))
+    return p0 * p0
+
+
+def double_w_weight_one(n: int, mode: str = "sequential") -> tuple[WeightOneState, RunReport]:
+    """``double_w(n, mode)`` for ideal gates, on one amplitude per qubit.
+
+    Expanding target i multiplies every amplitude by V[0,0,0], then sets
+    a_i V[1,0,1] in place and appends a_i V[0,1,1] last: the products
+    ``expand_qubit`` makes, on the 2n weight-one entries alone.  Norms,
+    the post-selection probability and the overlap with |W_2n> are
+    ``vdot``s over these entries; each ancilla's 2x2 is diag(p0, 0), so
+    its purity is p0^2.  The output, the report and its rounds are those
+    of ``double_w``, with ``WeightOneState`` for ``StateVector``.  Raises
+    ValueError unless V keeps one excitation and W is zero (see
+    ``_require_weight_preserving``).
+    """
+    n = _require_doubling(n, mode)
+    v, w = _expansion_map(NoiseParams())
+    _require_weight_preserving(v, w)
+    stay, split, moved = (complex(v[q1, q2, x]) for q1, q2, x in ((0, 0, 0), (1, 0, 1), (0, 1, 1)))
+    w_n = WeightOneState(np.full(n, 1.0 / np.sqrt(n), dtype=complex))
+    block = mode == "block"
+
+    # Round i expands w_i and appends new_i last, after the i already joined.
+    out, amps, prob = w_n, w_n.amplitudes, 1.0
+    purities, rounds = [], [w_n]
+    for i in range(n):
+        grown = np.empty(amps.size + 1, dtype=complex)
+        np.multiply(stay, amps, out=grown[:-1])
+        grown[i] = split * amps[i]
+        grown[-1] = moved * amps[i]
+        amps = grown
+        if not block:
+            normed, p = _postselected(amps)
+            purities.append(_diagonal_purity(p))
+            out, amps, prob = WeightOneState(normed), normed, prob * p
+            rounds.append(out)
+    if block:
+        # Ancilla i reads w_i's 2x2 in |W_n> alone, of trace |W_n|^2; then
+        # one joint post-selection of all n ancillas.
+        purities = [_diagonal_purity(float(np.vdot(w_n.amplitudes, w_n.amplitudes).real))] * n
+        normed, prob = _postselected(amps)
+        out, rounds = WeightOneState(normed), []
+
+    target = np.full(2 * n, 1.0 / np.sqrt(2 * n), dtype=complex)
+    report = RunReport(
+        overlap=float(abs(np.vdot(target, out.amplitudes)) ** 2),
         ancilla_purities=tuple(purities),
         success_probability=float(prob),
         rounds=tuple(rounds),
@@ -527,7 +655,7 @@ def _common_amp_denominator(amps: list[complex]) -> int | None:
     return k_int
 
 
-def relabel(state: StateVector, role: QubitRole) -> str:
+def relabel(state: StateVector | WeightOneState, role: QubitRole) -> str:
     """Render a state's amplitudes in the physical labels of ``role``.
 
     Terms are listed excitation-leftmost first (descending basis index),

@@ -136,6 +136,33 @@ def test_params_validation():
                 CavityParams(*values)
 
 
+@pytest.mark.parametrize("bad", [True, np.False_, "1.0", None, 1.0 + 0j], ids=repr)
+def test_rates_and_fields_must_be_real_numbers(bad):
+    # True read as 1.0 and "1.0" escaped as a TypeError, which the CLI does not report.
+    message = r" must be a real number, got "
+    with pytest.raises(ValueError, match="^gamma_decay" + message):
+        reflection_grid(0.0, 5.0, bad)
+    with pytest.raises(ValueError, match="^kappa" + message):
+        reflection_grid(0.0, 5.0, 1.0, kappa=bad)
+    fields = ("omega_p", "omega_c", "omega_0", "g", "kappa", "gamma_decay")
+    for i, field in enumerate(fields):
+        values = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+        values[i] = bad
+        with pytest.raises(ValueError, match=f"^{field}" + message):
+            CavityParams(*values)
+
+
+def test_rates_and_fields_take_any_real_number_in_the_float_range():
+    with pytest.raises(ValueError, match=r"^gamma_decay must be finite, got 1000"):
+        reflection_grid(0.0, 5.0, 10**400)
+    with pytest.raises(ValueError, match=r"^kappa must be finite, got 1000"):
+        CavityParams(0, 0, 0, 1, 10**400, 1)
+    want = reflection_grid(0.0, 5.0, 1.0).r
+    for one in (1, np.int64(1), np.float32(1.0)):
+        assert reflection_grid(0.0, 5.0, one, kappa=one).r == want
+        assert reflection_coupled(CavityParams(0, 0, 0, 5, one, one)) == want
+
+
 # ---------------------------------------------------------------------------
 # reflection_grid: the vectorised kernel against the scalar oracle
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,6 +26,7 @@ from wexpand.statevec import (
 )
 from wexpand.wcircuit import (
     build_w_state,
+    double_w,
     round_permutation,
     standard_expansion_circuit,
 )
@@ -187,7 +189,7 @@ def _dumped_stages(path):
 
 
 @pytest.mark.parametrize(
-    "mode, n", [("sequential", n) for n in range(1, 9)] + [("block", n) for n in range(1, 7)]
+    "mode, n", [("sequential", n) for n in range(1, 9)] + [("block", n) for n in range(1, 9)]
 )
 def test_prepare_trace_matches_the_expand_by_one_chain(tmp_path, monkeypatch, mode, n):
     # The trace reads the doubling's own rounds.  The oracle grows the
@@ -214,6 +216,67 @@ def test_prepare_trace_matches_the_expand_by_one_chain(tmp_path, monkeypatch, mo
         assert np.max(np.abs(stages[f"round_{k}"] - want.amplitudes)) <= 1e-15
     final = permute(chain[-1], round_permutation(n, n).inverse())
     assert np.max(np.abs(stages["final"] - final.amplitudes)) <= 1e-15
+
+
+def _dense_stages(n, mode):
+    """Each stage `prepare --trace` writes, from the dense `double_w` run."""
+    out, report = double_w(n, mode)
+    rounds = report.rounds or double_w(n, "sequential")[1].rounds
+    stages = {"round_0": rounds[0].amplitudes, "final": out.amplitudes}
+    for k, grown in enumerate(rounds[1:], start=1):
+        stages[f"round_{k}"] = permute(grown, round_permutation(n, k)).amplitudes
+    return stages
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["plain", "full"])
+@pytest.mark.parametrize("mode", ["sequential", "block"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_prepare_rows_match_the_dense_doubling(tmp_path, n, mode, full):
+    # prepare runs on the 2n weight-one amplitudes; each norm sums those
+    # alone, so an amplitude may differ from the dense run's in its last bit.
+    out = tmp_path / "out.csv"
+    argv = ["prepare", "--n", str(n), "--mode", mode, "--trace", "--out", str(out)]
+    assert main(argv + ["--full"] * full) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    dense = _dense_stages(n, mode)
+    assert list(dict.fromkeys(r[0] for r in rows)) == [*(f"round_{k}" for k in range(n + 1)), "final"]
+    for stage, want in dense.items():
+        got = [r for r in rows if r[0] == stage]
+        index = np.array([int(r[1]) for r in got])
+        kept = np.arange(want.size) if full else np.flatnonzero(np.abs(want) > 1e-12)
+        assert np.array_equal(index, kept)
+        amps = np.array([complex(float(r[4]), float(r[5])) for r in got])
+        assert np.max(np.abs(amps - want[kept])) <= 2.2e-16
+        off = [r[4:] for r, i in zip(got, index.tolist()) if bin(i).count("1") != 1]
+        assert all(cells == ["0", "0"] for cells in off)
+
+
+def test_prepare_never_runs_the_dense_engine(tmp_path, monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("prepare must not run the dense engine")
+
+    for name in ("expand_qubit", "double_w"):
+        monkeypatch.setattr(wcircuit, name, dense)
+    monkeypatch.setattr(cli, "double_w", dense)
+    for mode in ("sequential", "block"):
+        for extra in ([], ["--trace"], ["--full", "--trace"]):
+            argv = ["prepare", "--n", "4", "--mode", mode, *extra, "--out", str(tmp_path / "o.csv")]
+            assert main(argv) == 0
+
+
+def test_prepare_holds_no_register_of_the_doubled_state(tmp_path, capsys):
+    # The dense run peaked at 4.0 MiB here, on its last round's 2^16
+    # amplitudes and the rounds it kept; the weight-one run holds 2n numbers.
+    argv = ["prepare", "--n", "8", "--mode", "sequential", "--trace", "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == 0  # a first call's one-off allocations are not the run's
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 2**20
 
 
 @pytest.mark.parametrize("mode, n", [("sequential", 4), ("block", 5), ("sequential", 6)])

@@ -36,7 +36,9 @@ from wexpand.wcircuit import (
     apply_O,
     build_w_state,
     create_epr,
+    WeightOneState,
     double_w,
+    double_w_weight_one,
     expand_by_one,
     expand_qubit,
     expansion_maps,
@@ -472,16 +474,72 @@ def test_noisy_ancilla_purity_below_one_is_recorded():
 
 
 def test_double_w_caps():
-    for n, mode, message in (
+    # Both doubling engines check n and the mode with the same messages.
+    cases = (
         (9, "block", "block mode supports n <= 8, got n=9"),
         (9, "sequential", "sequential mode supports n <= 8, got n=9"),
         (2, "giant", "mode must be 'block' or 'sequential', got 'giant'"),
         (0, "block", "n must be >= 1, got 0"),
         # n is checked before the mode.
         (0, "giant", "n must be >= 1, got 0"),
-    ):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            double_w(n, mode)
+        (2.0, "block", "n must be an integer, got 2.0"),
+    )
+    for engine in (double_w, double_w_weight_one):
+        for n, mode, message in cases:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                engine(n, mode)
+
+
+@pytest.mark.parametrize("mode", ["block", "sequential"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_weight_one_doubling_matches_the_dense_run(n, mode):
+    # The same products as expand_qubit; each norm sums the 2n weight-one
+    # amplitudes alone, so values may differ from the dense run's in the last bit.
+    out, report = double_w_weight_one(n, mode)
+    dense_out, dense_report = double_w(n, mode)
+    assert len(report.rounds) == len(dense_report.rounds) == (0 if mode == "block" else n + 1)
+    for got, want in zip((out, *report.rounds), (dense_out, *dense_report.rounds)):
+        assert isinstance(got, WeightOneState) and got.num_qubits == want.num_qubits
+        scattered = np.zeros_like(want.amplitudes)
+        scattered[got.indices()] = got.amplitudes
+        assert np.max(np.abs(scattered - want.amplitudes)) <= 2.2e-16
+        assert not want.amplitudes[scattered == 0].any()
+    # The report's numbers are sums of up to 2n terms, taken in another order
+    # (at most 1.8e-15 apart for n <= 8).
+    for field in ("overlap", "success_probability"):
+        assert abs(getattr(report, field) - getattr(dense_report, field)) <= 1e-14
+    assert np.max(np.abs(np.subtract(report.ancilla_purities, dense_report.ancilla_purities))) <= 1e-14
+    for role in (PHOTON, SPIN):
+        assert relabel(out, role) == relabel(dense_out, role)
+
+
+@pytest.mark.parametrize("entry", [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1), (0, 0, 1)])
+def test_weight_one_doubling_rejects_a_map_that_changes_the_weight(entry, monkeypatch):
+    v, w = (m.copy() for m in _expansion_map(NoiseParams()))
+    v[entry] = 1e-300
+    monkeypatch.setattr(wcircuit, "_expansion_map", lambda noise: (v, w))
+    message = r"^V\[%d, %d, %d\] = \(1e-300\+0j\) changes the number of excitations" % entry
+    for mode in ("block", "sequential"):
+        with pytest.raises(ValueError, match=message):
+            double_w_weight_one(2, mode)
+
+
+def test_weight_one_doubling_rejects_a_leaking_ancilla(monkeypatch):
+    v, w = (m.copy() for m in _expansion_map(NoiseParams()))
+    w[1, 0, 1] = 1e-300
+    monkeypatch.setattr(wcircuit, "_expansion_map", lambda noise: (v, w))
+    with pytest.raises(ValueError, match=r"^W, the map onto ancilla \|1>, is not zero"):
+        double_w_weight_one(2, "sequential")
+
+
+def test_weight_one_state_is_normalized_and_lists_terms_as_the_dense_state():
+    with pytest.raises(ValueError, match=r"^state is not normalized"):
+        WeightOneState(np.array([1.0, 1.0]))
+    amps = np.array([0.6, 0.0, -0.8j])
+    state = WeightOneState(amps)
+    assert state.terms() == StateVector(vec({4: 0.6, 1: -0.8j}, 3)).terms()
+    assert state.indices().tolist() == [4, 2, 1]
+    assert not state.amplitudes.flags.writeable and state.amplitudes is not amps
 
 
 def test_interleave_matches_pairwise_swap_list_on_doubling_input():
