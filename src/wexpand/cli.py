@@ -434,12 +434,10 @@ def cmd_prepare(args) -> int:
     labels = str.maketrans({"0": role.zero_label, "1": role.one_label})
     cells, amplitudes = [], []  # one "stage,index,basis,label" cell a row, and its amplitude
 
-    def add_rows(stage: str, state, perm=None) -> None:
-        # Rows in ascending basis index, after moving each qubit p to perm.map[p].
+    def add_rows(stage: str, state) -> None:
+        # Rows in ascending basis index: the last qubit's excitation first.
         m = state.num_qubits
-        index = state.indices() if perm is None else 1 << (m - 1 - np.array(perm.map))
-        order = np.argsort(index)
-        index, amps = index[order], state.amplitudes[order]
+        index, amps = state.indices()[::-1], state.amplitudes[::-1]
         if args.full:
             dense = np.zeros(1 << m, dtype=complex)
             dense[index] = amps
@@ -457,7 +455,7 @@ def cmd_prepare(args) -> int:
         rounds = report.rounds or double_w_weight_one(args.n, "sequential")[1].rounds
         add_rows("round_0", rounds[0])
         for k, grown in enumerate(rounds[1:], start=1):
-            add_rows(f"round_{k}", grown, round_permutation(args.n, k))
+            add_rows(f"round_{k}", grown.permuted(round_permutation(args.n, k)))
     add_rows("final", out_state)
     amps = np.concatenate(amplitudes)
     header = ["stage", "index", "basis", "label", "re", "im"]

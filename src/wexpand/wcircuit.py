@@ -275,13 +275,22 @@ class WeightOneState:
         """Dense basis index of each amplitude: 2^(num_qubits - 1 - p) for qubit p."""
         return 1 << (self.num_qubits - 1 - np.arange(self.num_qubits))
 
-    def terms(self, tol: float = 1e-10) -> list[tuple[str, complex]]:
+    def permuted(self, perm: QubitPermutation) -> "WeightOneState":
+        """The state with the qubit at position p moved to position perm.map[p],
+        as ``permute`` moves it: the amplitudes reordered, with no register."""
+        if perm.size != self.num_qubits:
+            raise ValueError(f"permutation size {perm.size} != {self.num_qubits} qubits")
+        amps = np.empty_like(self.amplitudes)
+        amps[list(perm.map)] = self.amplitudes
+        return WeightOneState(amps)
+
+    def terms(self) -> list[tuple[str, complex]]:
         """Nonzero basis terms as (bit string, amplitude) pairs, as ``StateVector.terms``
         lists them: basis index ascending, so the last qubit's excitation first."""
         m = self.num_qubits
         return [
             ("0" * p + "1" + "0" * (m - 1 - p), complex(self.amplitudes[p]))
-            for p in np.flatnonzero(np.abs(self.amplitudes) > tol)[::-1].tolist()
+            for p in np.flatnonzero(np.abs(self.amplitudes) > 1e-10)[::-1].tolist()
         ]
 
 

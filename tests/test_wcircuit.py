@@ -542,6 +542,27 @@ def test_weight_one_state_is_normalized_and_lists_terms_as_the_dense_state():
     assert not state.amplitudes.flags.writeable and state.amplitudes is not amps
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_weight_one_permuted_moves_qubits_as_permute(n):
+    # Each traced round of `prepare` is permuted this way, not through a register.
+    rng = np.random.default_rng(n)
+    for k in range(1, n + 1):
+        amps = rng.normal(size=n + k) + 1j * rng.normal(size=n + k)
+        state = WeightOneState(amps / np.linalg.norm(amps))
+        perm = round_permutation(n, k)
+        dense = np.zeros(1 << state.num_qubits, dtype=complex)
+        dense[state.indices()] = state.amplitudes
+        want = permute(StateVector(dense), perm).amplitudes
+        got = state.permuted(perm)
+        assert np.array_equal(want[got.indices()], got.amplitudes)
+        assert np.count_nonzero(want) == np.count_nonzero(got.amplitudes)
+
+
+def test_weight_one_permuted_rejects_a_permutation_of_another_size():
+    with pytest.raises(ValueError, match=r"^permutation size 4 != 3 qubits$"):
+        WeightOneState(np.full(3, 1 / np.sqrt(3))).permuted(round_permutation(2, 2))
+
+
 def test_interleave_matches_pairwise_swap_list_on_doubling_input():
     # 1-based pairs (2,7), (3,4), (5,9) applied in that order.
     reg = tensor(build_w_state(3), zero_state(6))
