@@ -219,6 +219,23 @@ def _require_finite_real(name: str, value) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _grid_axis(name: str, value) -> np.ndarray:
+    """A grid input as a float array.
+
+    By name, a ValueError for a bool, string, complex or other entry that is
+    not a real number: `np.asarray(..., dtype=float)` would read "1e0" as 1.0
+    and True as 1.0, and let a complex value escape as a TypeError.
+    """
+    values = np.asarray(value)
+    kind = values.dtype.kind
+    if not (kind in "iuf" or kind == "O" and all(_is_real(v) for v in values.flat)):
+        raise ValueError(f"{name} must hold real numbers, got {value!r}")
+    try:
+        return values.astype(float)
+    except OverflowError:  # a Python int past the float range
+        raise ValueError(f"{name} must be finite, got {value!r}") from None
+
+
 def _require_threshold(name: str, value) -> None:
     # A bool or NaN would compare without error and silently decide every point.
     if not (_is_real(value) and _is_finite(value) and value > 0):
@@ -249,11 +266,15 @@ def reflection_grid(
     on real and imaginary parts in their order of operations (each real
     operand made complex, so signed zeros survive), and g^2 is the same
     libm `pow` (`_square`) as in the scalar code, which differs from
-    `g * g` in the last bit for some g.
+    `g * g` in the last bit for some g.  What depends on the detunings
+    alone (r_0, and the products that g^2 is added to) is computed on
+    their own shape, with the same operations in the same order; only the
+    sums with g^2 and what follows from them take the whole grid.
 
-    Raises ValueError for a rate that is not a finite real number (a bool
-    or a string is not one) and for a threshold that is not a positive
-    finite number; and GridPointError (a
+    Raises ValueError for a grid input that does not hold real numbers
+    (ints or floats; a bool, a string or a complex number is not one), for
+    a rate that is not a finite real number and for a threshold that is
+    not a positive finite number; and GridPointError (a
     ValueError), naming the first offending grid point, for non-finite
     or negative grid inputs, a vanishing denominator, or a reflection
     that overflows to a non-finite value.
@@ -265,13 +286,10 @@ def reflection_grid(
     _require_threshold("phase_tol", phase_tol)
     _require_threshold("modulus_tol", modulus_tol)
     coresonant = emitter_detuning is None
-    detuning, g = np.asarray(detuning, dtype=float), np.asarray(g, dtype=float)
-    x_c, x_e, g, g2 = np.broadcast_arrays(
-        detuning,
-        np.asarray(detuning if coresonant else emitter_detuning, dtype=float),
-        g,
-        np.array([_square(v) for v in g.ravel().tolist()]).reshape(g.shape),
-    )
+    detuning, g = _grid_axis("detuning", detuning), _grid_axis("g", g)
+    emitter = detuning if coresonant else _grid_axis("emitter_detuning", emitter_detuning)
+    g2 = np.array([_square(v) for v in g.ravel().tolist()]).reshape(g.shape)
+    x_c, x_e, g = np.broadcast_arrays(detuning, emitter, g)
 
     def fail(reason: str, bad: np.ndarray):
         k = int(np.argmax(np.broadcast_to(bad, g.shape)))
@@ -292,11 +310,13 @@ def reflection_grid(
     with np.errstate(all="ignore"):
         # 1j * complex(x) as complex(0, 1) * complex(x, 0); then dc -+ kappa/2
         # and de + gamma_decay/2, each real made complex as in the oracle.
-        # dc, and with it r_0, is computed on the detuning's own shape.
+        # dc, and with it r_0, is computed on the detuning's own shape, and
+        # the products (dc -+ kappa/2) * b, imaginary parts in full, on the
+        # detunings' shape; only the real g^2 is added on the whole grid.
         dc_re, dc_im = 0.0 * detuning - 0.0, 0.0 + detuning
         a_re, a_im = dc_re - k2, dc_im - 0.0
         c_re, c_im = dc_re + k2, dc_im + 0.0
-        b_re, b_im = (0.0 * x_e - 0.0) + gamma_decay / 2.0, (0.0 + x_e) + 0.0
+        b_re, b_im = (0.0 * emitter - 0.0) + gamma_decay / 2.0, (0.0 + emitter) + 0.0
         num_re, num_im = (a_re * b_re - a_im * b_im) + g2, (a_re * b_im + a_im * b_re) + 0.0
         den_re, den_im = (c_re * b_re - c_im * b_im) + g2, (c_re * b_im + c_im * b_re) + 0.0
         for re, im in ((den_re, den_im), (c_re, c_im)):

@@ -1,9 +1,13 @@
 """The package's one CSV writer, and the bytes of `'%.17g' % x` it writes.
 
-`write_csv(path, header, columns)` writes every CSV the CLI makes.  A small
-table is formatted one `%` per row; a larger one BLOCK_ROWS rows at a time,
-as a uint8 matrix of cells padded with 0 bytes and separators in fixed
-columns, that `matrix.tobytes().translate(None, b"\\0")` compacts to rows.
+`write_csv(path, header, columns)` writes every CSV the CLI makes.  It checks
+its inputs before it opens the file.  A small table is formatted one `%` per
+row; a larger one BLOCK_ROWS rows at a time, in a bytearray of 8-byte words.
+Each cell of a block row takes whole words, padded with 0 bytes, and holds its
+separator (a comma, or the row's LF) in its own last byte.  Each run of
+adjacent float columns is formatted by one call straight into its words, each
+string cell is copied in whole words from a table of its column's strings, and
+`bytearray.translate(None, b"\\0")` compacts the block to rows.
 
 `format_cells(values)` returns an (n, WIDTH) uint8 matrix whose row k holds
 the ASCII bytes of `'%.17g' % values[k]`, padded with 0 bytes.
@@ -25,19 +29,19 @@ from typing import Sequence
 
 import numpy as np
 
-# Row layout, in six 8-byte words: the sign; the "0.", "0.0", "0.00" or
-# "0.000" of a value in [1e-4, 1); each of the 17 digits followed by its own
-# slot for the decimal point, so that where the digits sit does not depend on
-# the exponent; and, in the last word, the "e-05" or "e-06" of a value in
-# [1e-6, 1e-4).  %g switches to the exponent form below 1e-4 and at 1e17.
+# A cell is four little-endian 8-byte words:
+# - word 0: the sign; the "0.", "0.0", "0.00" or "0.000" of a value in
+#   [1e-4, 1); the first digit; and a slot for the point after it;
+# - words 1 and 2: the other 16 digits side by side, as four groups of four,
+#   with trailing zeros left as 0 bytes;
+# - word 3: the "e-05" or "e-06" of a value in [1e-6, 1e-4), and a last byte
+#   that no cell uses (`write_csv` puts the separator there).
+# %g switches to the exponent form below 1e-4 and at 1e17.  The point of a
+# value with 10 <= |x| < 1e16 and a fraction falls among the 16 digits: those
+# cells move the digits after it on by one byte, the last into word 3.
 _PREFIX = 5
-_DIGITS = 17
-_EXPONENT = 1 + _PREFIX + 2 * _DIGITS
-WIDTH = _EXPONENT + 8
-
-_E_MIN, _E_MAX = -6, 15
-# 10^s for s in 0..22, each exact.
-_POW10 = np.array([float(10**s) for s in range(23)])
+WIDTH = 32
+_WORD = np.dtype("<u8")
 
 
 def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -47,115 +51,173 @@ def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return high, v - high
 
 
-_POW10_HIGH, _POW10_LOW = _split(_POW10)
-
-
 def _words(rows: list[bytes]) -> np.ndarray:
-    """Byte strings of 8 bytes each, one uint64 per string."""
-    return np.frombuffer(b"".join(rows), dtype=np.uint64)
+    """Byte strings of 8 bytes each (or a multiple), as words."""
+    return np.frombuffer(b"".join(rows), dtype=_WORD)
 
 
-# Indexed by E - _E_MIN, for E in -6..16 (a rounded value can reach 10^16).
+# The per-exponent tables are indexed by k = E - _E_MIN, for E in -6..16 (a
+# rounded value can reach 10^16).
+_E_MIN = -6
 _EXPONENTS = range(_E_MIN, 17)
-# The first word, less the sign, at index 10 * (E - _E_MIN) + first digit.
+# 10^(16 - E), exact, and Veltkamp's split of it.
+_SCALES = np.array([float(10 ** (16 - e)) for e in _EXPONENTS])
+_SCALES_HIGH, _SCALES_LOW = _split(_SCALES)
+# Word 0 at index 4 * (10 * k + first digit) + 2 * point + sign,
+# where point says that a later digit is nonzero.  The slot takes the point
+# at E = 0 and in the exponent form; below 1 the prefix holds it, and above
+# 10 it falls among the later digits.
 _HEADS = _words(
     [
-        ("0." + "0" * (-e - 1) if -4 <= e < 0 else "").encode().rjust(_PREFIX + 1, b"\0")
-        + b"%d\0" % d
+        (b"-" if negative else b"\0")
+        + ("0." + "0" * (-e - 1) if -4 <= e < 0 else "").encode().rjust(_PREFIX, b"\0")
+        + b"%d" % d
+        + (b"." if point and (e == 0 or e < -4) else b"\0")
         for e in _EXPONENTS
         for d in range(10)
+        for point in (False, True)
+        for negative in (False, True)
     ]
 )
 _TAILS = _words(
     [("e-%02d" % -e if e < -4 else "").encode().ljust(8, b"\0") for e in _EXPONENTS]
 )
+_ZERO, _NEGATIVE_ZERO = _words([b"0".ljust(8, b"\0"), b"-0".ljust(8, b"\0")])
+# Indexed by p in 0..16, the digits after the first that come before the
+# point: a mask of their bytes in words 1 and 2, and the point just after them.
+_BEFORE_POINT = _words([(b"\xff" * p).ljust(16, b"\0") for p in range(17)]).reshape(17, 2)
+_POINT = _words([(b"\0" * p + b".").ljust(16, b"\0")[:16] for p in range(17)]).reshape(17, 2)
 
 
 # Built on first use: a process that writes no large table (`verify`) never holds it.
 @functools.cache
 def _group_table() -> np.ndarray:
-    """Row m: the four digits of m, each followed by an empty slot; row
-    10^4 + m: the same with m's trailing zeros dropped."""
+    """Entry m: the four digits of m, as a 4-byte group; entry 10^4 + m: the
+    same with m's trailing zeros as 0 bytes."""
     scales = np.array([1000, 100, 10, 1], dtype=np.uint16)
     digits = (np.arange(10_000, dtype=np.uint16)[:, None] // scales % 10).astype(np.uint8)
     trailing = np.logical_and.accumulate(digits[:, ::-1] == 0, axis=1)[:, ::-1]
-    table = np.zeros((2, 10_000, 8), dtype=np.uint8)
-    table[:, :, ::2] = digits + ord("0")
-    table[1, :, ::2][trailing] = 0
-    return table.view(np.uint64).ravel()
+    table = np.empty((2, 10_000, 4), dtype=np.uint8)
+    table[:] = digits + ord("0")
+    table[1][trailing] = 0
+    return table.view("<u4").ravel()
 
 
-# 10^(16 - p), where p is the digit whose slot takes the decimal point (the
-# units digit in fixed notation, the first in exponent form): there is a
-# point when q mod this is nonzero.  Below 1 the prefix holds the point.
-_FRACTION = np.array(
-    [10**16 if e < -4 else 1 if e < 0 else 10 ** (16 - e) for e in _EXPONENTS], dtype=np.int64
-)
-_DOT_COLUMN = np.array([1 + _PREFIX + 1 + 2 * max(e, 0) for e in _EXPONENTS])
-
-
-def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """hi, lo with hi + lo == a * 10^(16 - e) exactly (Dekker's product)."""
-    s = 16 - e
-    hi = a * _POW10[s]
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hi, lo with hi + lo == a * 10^(16 - E) exactly (Dekker's product), for
+    k = E - _E_MIN."""
+    hi = a * _SCALES[k]
     a_high, a_low = _split(a)
-    b_high, b_low = _POW10_HIGH[s], _POW10_LOW[s]
+    b_high, b_low = _SCALES_HIGH[k], _SCALES_LOW[k]
     lo = ((a_high * b_high - hi) + a_high * b_low + a_low * b_high) + a_low * b_low
     return hi, lo
 
 
-def _format_fast(a: np.ndarray, negative: np.ndarray) -> np.ndarray:
-    """Rows for magnitudes a, each in (1e-6, 1e16)."""
-    e = np.clip(np.floor(np.log10(a)).astype(np.int64), _E_MIN, _E_MAX)
-    hi, lo = _scaled(a, e)
+def _digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """k = E - _E_MIN and the 17 digits q, in [1e16, 1e17), of each of the
+    magnitudes a, each in (1e-6, 1e16)."""
+    # k = E - _E_MIN, the row of the per-exponent tables.  Truncation keeps
+    # it at 0 or more where log10 falls just below -6.
+    k = (np.log10(a) - _E_MIN).astype(np.int64)
+    hi, lo = _scaled(a, k)
     # log10 can miss E by one next to a power of ten; the exact product
-    # says which way.  The corrected E is the true one, still in range.
-    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
-    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
-    redo = np.flatnonzero(below | above)
-    if redo.size:
-        e[redo] += above[redo].astype(np.int64) - below[redo]
-        hi[redo], lo[redo] = _scaled(a[redo], e[redo])
+    # says which way.  The corrected E is the true one, in -6..15.
+    near = (hi <= 1e16) | (hi >= 1e17)
+    if near.any():
+        hi_near, lo_near = hi[near], lo[near]
+        below = (hi_near < 1e16) | ((hi_near == 1e16) & (lo_near < 0.0))
+        above = (hi_near > 1e17) | ((hi_near == 1e17) & (lo_near >= 0.0))
+        k[near] += above.astype(np.int64) - below
+        hi[near], lo[near] = _scaled(a[near], k[near])
     q = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     carried = q == 10**17
-    q[carried] = 10**16
-    e += carried
-    at_e = e - _E_MIN  # the row of the per-exponent tables
+    if carried.any():
+        q[carried] = 10**16
+        k[carried] += 1
+    return k, q
 
-    # q's 17 digits: the first, then four groups of four.
-    first, rest = np.divmod(q, 10**16)
-    high, low = np.divmod(rest, 10**8)
-    g1, g2 = np.divmod(high, 10**4)
-    g3, g4 = np.divmod(low, 10**4)
-    # %g drops trailing zeros: each group from the trimming table when every
-    # later group is zero.
-    trim3 = g4 == 0
-    trim2 = low == 0
-    trim1 = trim2 & (g2 == 0)
+
+def _format_fast(a: np.ndarray, negative: np.ndarray, out: np.ndarray, last) -> None:
+    """Write the cells of magnitudes a, each in (1e-6, 1e16), into the words
+    `out` of shape a.shape + (4,), with `last` in each cell's last word."""
+    k, q = _digits(a)
+    # q's 17 digits: the first, then four groups of four.  Integer division
+    # by a scalar is several times faster than np.divmod.
+    first = q // 10**16
+    rest = q - first * 10**16
+    high = rest // 10**8
+    low = rest - high * 10**8
+    g1 = high // 10**4
+    g2 = high - g1 * 10**4
+    g3 = low // 10**4
+    g4 = low - g3 * 10**4
+    out[..., 0] = _HEADS[4 * (10 * k + first) + 2 * (rest != 0) + negative]
     groups = _group_table()
-    words = np.empty((a.size, WIDTH // 8), dtype=np.uint64)
-    words[:, 0] = _HEADS[10 * at_e + first]
-    words[:, 1] = groups[g1 + 10_000 * trim1]
-    words[:, 2] = groups[g2 + 10_000 * trim2]
-    words[:, 3] = groups[g3 + 10_000 * trim3]
-    words[:, 4] = groups[g4 + 10_000]
-    words[:, 5] = _TAILS[at_e]
-    rows = words.view(np.uint8)
-    rows[:, 0] = negative * ord("-")
-    fraction = q % _FRACTION[at_e] != 0
-    dotted = np.flatnonzero(fraction)
-    rows[dotted, _DOT_COLUMN[at_e[dotted]]] = ord(".")
-    # An integer above 9 keeps the zeros left of its units digit.
-    whole = np.flatnonzero(~fraction & (e > 0))
-    if whole.size:
-        words[whole, 1:5] = groups[np.stack([g1, g2, g3, g4], axis=1)[whole]]
-        rows[whole] *= np.arange(WIDTH) <= _DOT_COLUMN[at_e[whole]][:, None]
-    return rows
+    digits = out[..., 1:3].view("<u4")
+    digits[..., 0] = groups[g1]
+    digits[..., 1] = groups[g2]
+    digits[..., 2] = groups[g3]
+    digits[..., 3] = groups[g4 + 10_000]
+    # %g drops trailing zeros: where the last group is zero, each group from
+    # the trimming half of the table when every later group is zero.
+    short = g4 == 0
+    if short.any():
+        trim2 = low[short] == 0
+        trim1 = trim2 & (g2[short] == 0)
+        trimmed = [g1[short] + 10_000 * trim1, g2[short] + 10_000 * trim2, g3[short] + 10_000]
+        digits[short, :3] = groups[np.stack(trimmed, axis=1)]
+    out[..., 3] = last
+    tiny = k < -4 - _E_MIN  # E < -4: the exponent form
+    if tiny.any():
+        out[tiny, 3] |= _TAILS[k[tiny]]
+    above_10 = k > -_E_MIN  # E > 0
+    if above_10.any():
+        g = np.stack([g1[above_10], g2[above_10], g3[above_10], g4[above_10]], axis=1)
+        out[above_10] = _place_point(out[above_10], k[above_10] + _E_MIN, g)
 
 
-def _padded_cells(cells: list[str]) -> np.ndarray:
-    """Row k: the ASCII bytes of cells[k], padded with 0 bytes to the longest."""
-    return np.array([cell.encode() for cell in cells]).view(np.uint8).reshape(len(cells), -1)
+def _place_point(cells: np.ndarray, p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Cells of values with 10 <= |x| < 1e16, p digits after the first
+    before the point and the four digit groups g, with the point placed."""
+    before = _BEFORE_POINT[p]
+    after = cells[:, 1:3] & ~before
+    fraction = (after != 0).any(axis=1)
+    # A fraction: the point just after the units digit, and every later digit
+    # one byte on, the last into word 3 (which a value above 1 leaves free).
+    cells[:, 1:3] = (cells[:, 1:3] & before) | (after << 8) | _POINT[p] * fraction[:, None]
+    cells[:, 2] |= after[:, 0] >> 56
+    cells[:, 3] |= after[:, 1] >> 56
+    # A whole number keeps the zeros left of its units digit: every digit up
+    # to it, none trimmed.
+    whole = ~fraction
+    cells[whole, 1:3] = _group_table()[g[whole]].view(_WORD) & before[whole]
+    return cells
+
+
+def _write_cells(x: np.ndarray, out: np.ndarray, last) -> None:
+    """Write the cells of the float64 array x into the words `out`, of shape
+    x.shape + (4,), with `last` ORed into each cell's last word."""
+    a = np.abs(x)
+    negative = np.signbit(x)
+    # The double nearest 1e-6 lies below 10^-6, so the lower bound is open.
+    fast = (a > 1e-6) & (a < 1e16)
+    if fast.all():
+        _format_fast(a, negative, out, last)
+        return
+    cells = np.zeros(out.shape, dtype=_WORD)
+    part = np.empty((np.count_nonzero(fast), 4), dtype=_WORD)
+    _format_fast(a[fast], negative[fast], part, 0)
+    cells[fast] = part
+    # A zero is "0" or "-0" by its sign bit; a `prepare --full` table is mostly zeros.
+    zero = a == 0.0
+    cells[zero & ~negative, 0] = _ZERO
+    cells[zero & negative, 0] = _NEGATIVE_ZERO
+    slow = ~(fast | zero)
+    if slow.any():
+        text = np.array([("%.17g" % v).encode() for v in x[slow].tolist()])
+        cells.view(np.uint8)[slow, : text.itemsize] = text.view(np.uint8).reshape(text.size, -1)
+    cells[..., 3] |= last
+    out[...] = cells
 
 
 def format_cells(values) -> np.ndarray:
@@ -164,27 +226,63 @@ def format_cells(values) -> np.ndarray:
     `values` is read as a flat float64 array.
     """
     x = np.asarray(values, dtype=np.float64).ravel()
-    a = np.abs(x)
-    negative = np.signbit(x)
-    # The double nearest 1e-6 lies below 10^-6, so the lower bound is open.
-    fast = (a > 1e-6) & (a < 1e16)
-    if fast.all():
-        return _format_fast(a, negative)
-    rows = np.zeros((x.size, WIDTH), dtype=np.uint8)
-    rows[fast] = _format_fast(a[fast], negative[fast])
-    # A zero is "0" or "-0" by its sign bit; a `prepare --full` table is mostly zeros.
-    zero = a == 0.0
-    rows[zero & ~negative, 0] = ord("0")
-    rows[zero & negative, :2] = np.frombuffer(b"-0", dtype=np.uint8)
-    slow = ~(fast | zero)
-    if slow.any():
-        cells = _padded_cells(["%.17g" % v for v in x[slow].tolist()])
-        rows[slow, : cells.shape[1]] = cells
-    return rows
+    words = np.empty((x.size, WIDTH // 8), dtype=_WORD)
+    _write_cells(x, words, 0)
+    return words.view(np.uint8)
 
 
-BLOCK_ROWS = 2048  # so that a block's byte matrices stay a few hundred KiB
+BLOCK_ROWS = 2048  # so that a block's buffers stay a few hundred KiB
 _PER_ROW_MAX = 1000  # float cells; for fewer, a block's fixed cost exceeds `%` per row
+
+
+def _float_column(k: int, column) -> np.ndarray:
+    """Float column k as a 1-D float64 array, or a ValueError naming the fault.
+
+    Its values must be real numbers (bools, ints or floats): a float64
+    conversion alone would read "1.5" as 1.5 and drop the imaginary part of a
+    complex array.
+    """
+    try:
+        values = np.asarray(column)
+    except ValueError:  # a ragged nesting
+        raise ValueError(f"column {k} must be one-dimensional") from None
+    if values.dtype.kind not in "biuf":
+        raise ValueError(f"column {k} must hold real numbers, got {values.dtype} values")
+    if values.ndim != 1:
+        raise ValueError(f"column {k} must be one-dimensional, got shape {values.shape}")
+    return values.astype(np.float64, copy=False)
+
+
+def _string_index(k: int, column) -> np.ndarray:
+    """The index of string column k, checked against its strings."""
+    strings, index = column
+    index = np.asarray(index)
+    if index.ndim != 1 or index.dtype.kind not in "iu":
+        raise ValueError(f"column {k} must index its strings by a 1-D integer array")
+    if index.size and (index.min() < 0 or index.max() >= len(strings)):
+        raise ValueError(f"column {k} has a string index out of range 0..{len(strings) - 1}")
+    return index
+
+
+def _fields(strings: Sequence[str]) -> int:
+    """The number of CSV fields that each of `strings` holds, read off the
+    first and checked against the commas of all of them, counted at once."""
+    if not strings:
+        return 1
+    fields = strings[0].count(",") + 1
+    if ",".join(strings).count(",") != len(strings) * fields - 1:
+        raise ValueError("the strings of one column hold different numbers of fields")
+    return fields
+
+
+def _string_cells(strings: Sequence[str], separator: str) -> np.ndarray:
+    """Item i: strings[i] in whole words, padded with 0 bytes, and `separator`
+    in the last byte, as one opaque item (so that a gather copies whole cells)."""
+    cells = [s.encode() for s in strings]
+    width = 8 * (max(map(len, cells), default=0) // 8 + 1)
+    table = np.array(cells, dtype=f"S{width}").view(np.uint8).reshape(len(cells), width)
+    table[:, -1] = ord(separator)
+    return table.view(f"V{width}").ravel()
 
 
 def write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
@@ -192,33 +290,80 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
 
     A column is a sequence of floats, written `%.17g`, or a pair (strings,
     index) of a list and an int array whose row k holds strings[index[k]]:
-    a cell repeated along an axis is formatted once.  There is at least one
-    float column, and no header or string cell needs CSV quoting.
+    a cell repeated along an axis is formatted once.  A string cell may hold
+    several fields joined by commas, the same number in every string of its
+    column.  There is at least one float column, and no header name or
+    string field needs CSV quoting.
+
+    Raises ValueError, before the file is opened, unless the header names
+    every field of a row, each float column is a flat sequence of real
+    numbers, each index lies in the range of its strings, and all columns
+    have one length.
     """
-    strings = [k for k, c in enumerate(columns) if isinstance(c, tuple)]
+    if not columns:
+        raise ValueError("a CSV needs at least one column")
+    strings = {k: _string_index(k, c) for k, c in enumerate(columns) if isinstance(c, tuple)}
     floats = [k for k in range(len(columns)) if k not in strings]
-    n_rows, *others = {len(c[1]) if k in strings else len(c) for k, c in enumerate(columns)}
+    fields = len(floats) + sum(_fields(columns[k][0]) for k in strings)
+    if len(header) != fields:
+        raise ValueError(f"header names {len(header)} fields, but a row holds {fields}")
+    for k in floats:
+        # A list's values are checked by `%` below (a list of lists fails
+        # there too); an array's dtype and shape here.
+        if not isinstance(columns[k], list):
+            _float_column(k, columns[k])
+    lengths = {len(strings[k]) if k in strings else len(columns[k]) for k in range(len(columns))}
+    n_rows, *others = lengths
     if others:
-        raise ValueError(f"columns must have one length, got {sorted([n_rows, *others])}")
+        raise ValueError(f"columns must have one length, got {sorted(lengths)}")
+    head = (",".join(header) + "\n").encode()
+    if n_rows * len(floats) < _PER_ROW_MAX:
+        row = ",".join("%s" if k in strings else "%.17g" for k in range(len(columns))) + "\n"
+        cells = [
+            [c[0][i] for i in strings[k].tolist()] if k in strings else c
+            for k, c in enumerate(columns)
+        ]
+        try:
+            text = "".join([row % r for r in zip(*cells)]).encode()
+        except TypeError:
+            for k in floats:
+                _float_column(k, columns[k])
+            raise ValueError("a float column holds a value that `%.17g` cannot format") from None
+        with open(path, "wb") as fh:
+            fh.write(head + text)
+        return
+    values = {k: _float_column(k, columns[k]) for k in floats}
+    separators = [","] * (len(columns) - 1) + ["\n"]
+    tables = {k: _string_cells(columns[k][0], separators[k]) for k in strings}
+    widths = [tables[k].itemsize // 8 if k in strings else WIDTH // 8 for k in range(len(columns))]
+    at = np.cumsum([0] + widths)  # each cell's first word
+    # Each run of adjacent float columns: its first word, its columns, and
+    # each cell's last word, which holds its separator.
+    runs = []
+    for k in floats:
+        if runs and k == runs[-1][-1] + 1:
+            runs[-1].append(k)
+        else:
+            runs.append([k])
+    runs = [
+        (at[run[0]], [values[k] for k in run],
+         np.array([ord(separators[k]) << 56 for k in run], dtype=_WORD))
+        for run in runs
+    ]
+    block_rows = min(BLOCK_ROWS, n_rows)
+    buffer = bytearray(block_rows * at[-1] * 8)
+    block = np.frombuffer(buffer, dtype=_WORD).reshape(block_rows, at[-1])
     with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        if n_rows * len(floats) < _PER_ROW_MAX:
-            row = ",".join("%s" if k in strings else "%.17g" for k in range(len(columns))) + "\n"
-            cells = [np.take(c[0], c[1]) if k in strings else c for k, c in enumerate(columns)]
-            fh.write("".join([row % r for r in zip(*cells)]).encode())
-            return
-        padded = [_padded_cells(c[0]) if k in strings else None for k, c in enumerate(columns)]
-        # Each cell, then its comma; the last cell's comma becomes LF.
-        at = np.cumsum([0] + [WIDTH + 1 if p is None else p.shape[1] + 1 for p in padded])
-        block = np.zeros((min(BLOCK_ROWS, n_rows), at[-1]), dtype=np.uint8)
-        block[:, at[1:] - 1] = ord(",")
-        block[:, -1] = ord("\n")
+        fh.write(head)
         for start in range(0, n_rows, BLOCK_ROWS):
-            rows, stop = block[: n_rows - start], start + BLOCK_ROWS
-            for k in strings:
-                rows[:, at[k] : at[k + 1] - 1] = padded[k][columns[k][1][start:stop]]
-            # One format_cells call a block: each call has a fixed cost.
-            cells = format_cells(np.concatenate([columns[k][start:stop] for k in floats]))
-            for k, part in zip(floats, np.split(cells, len(floats))):
-                rows[:, at[k] : at[k + 1] - 1] = part
-            fh.write(rows.tobytes().translate(None, b"\0"))
+            stop = min(start + BLOCK_ROWS, n_rows)
+            rows = block[: stop - start]
+            for k, table in tables.items():
+                cells = rows[:, at[k] : at[k + 1]].view(table.dtype)[:, 0]
+                np.take(table, strings[k][start:stop], out=cells, mode="clip")
+            for first, run, last in runs:
+                cells = rows[:, first : first + 4 * len(run)].reshape(len(rows), len(run), 4)
+                _write_cells(np.stack([c[start:stop] for c in run], axis=1), cells, last)
+            # A full block is compacted in place of a copy; the last may be short.
+            full = stop - start == block_rows
+            fh.write((buffer if full else buffer[: rows.nbytes]).translate(None, b"\0"))

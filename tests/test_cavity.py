@@ -163,6 +163,37 @@ def test_rates_and_fields_take_any_real_number_in_the_float_range():
         assert reflection_coupled(CavityParams(0, 0, 0, 5, one, one)) == want
 
 
+_NOT_REAL = ["1.0", b"1.0", True, np.True_, [False, True], 1.0 + 0j, np.array([1.0 + 0j]),
+             [1.0, None], np.array(["1e0"])]
+
+
+@pytest.mark.parametrize(
+    "axis, bad",
+    # emitter_detuning=None is the co-resonant default.
+    [(axis, bad) for axis in ("detuning", "g", "emitter_detuning") for bad in _NOT_REAL]
+    + [("detuning", None), ("g", None)],
+    ids=repr,
+)
+def test_grid_axes_must_hold_real_numbers(axis, bad):
+    # Strings and bools were read as numbers ("0.0", "5.0" gave r = 0.9802,
+    # False, True r = 0.6 with g = 1) and a complex value escaped as a
+    # TypeError, which the CLI does not report.
+    inputs = {"detuning": 0.0, "g": 5.0, "emitter_detuning": 0.0, axis: bad}
+    with pytest.raises(ValueError, match=rf"^{axis} must hold real numbers, got "):
+        reflection_grid(inputs["detuning"], inputs["g"], 1.0,
+                        emitter_detuning=inputs["emitter_detuning"])
+
+
+def test_grid_axes_take_any_real_numbers_in_the_float_range():
+    want = reflection_grid(np.array([0.0, 1.0]), np.array([5.0, 1e30]), 1.0)
+    for ints in ([0, 1], np.array([0, 1], dtype=np.uint8), [0, np.int64(1)]):
+        got = reflection_grid(ints, [5, 10**30], 1.0, emitter_detuning=ints)
+        assert got.r.tobytes() == want.r.tobytes()
+    assert reflection_grid(np.float32(0.0), 5.0, 1.0).r == reflection_grid(0.0, 5.0, 1.0).r
+    with pytest.raises(ValueError, match=r"^g must be finite, got \[10000"):
+        reflection_grid(0.0, [10**400], 1.0)
+
+
 # ---------------------------------------------------------------------------
 # reflection_grid: the vectorised kernel against the scalar oracle
 # ---------------------------------------------------------------------------

@@ -90,6 +90,26 @@ def test_format_cells_falls_back_for_what_the_fast_path_leaves():
     _assert_formats_like_percent(values + [-v for v in values])
 
 
+def test_format_cells_at_every_exponent_digit_count_and_point_position():
+    # A cell packs the 16 digits after the first in four 4-digit groups and
+    # places the point of 10 <= |x| < 1e16 among them: every exponent, with
+    # its last nonzero digit at each of the 17 places (so trailing zeros end
+    # at each group boundary), zeros just before and after the point, and
+    # whole numbers with the zeros left of their units digit.
+    assert WIDTH <= 32
+    digits = "12345678912345678"
+    values = []
+    for e in range(-6, 17):
+        for n in range(1, 18):
+            values.append(float(f"{digits[0]}.{digits[1:n]}e{e}"))
+            values.append(float(f"9.{'9' * (n - 1)}e{e}"))
+        values += [float(f"1e{e}"), float(f"1.0000000000000001e{e}"), float(f"1.2e{e}")]
+        values += [float(f"1.{'0' * k}5e{e}") for k in range(15)]
+        values += [float("1" + "0" * e + ".5"), float("1" + "0" * e)] if e >= 0 else []
+    values += [float(f"{k:.{e}f}") for k in (12345678912345678, 10**16 + 2) for e in range(3)]
+    _assert_formats_like_percent(values + [-v for v in values])
+
+
 # ---------------------------------------------------------------------------
 # The per-row `%` writer: the oracle
 # ---------------------------------------------------------------------------
@@ -118,12 +138,16 @@ _FLOATS = st.one_of(_ANY_FLOAT, st.sampled_from(_EDGE_FLOATS))
 _TEXT = st.text(alphabet="abcLR+-.|01_ ", max_size=12)
 
 
+_KINDS = st.lists(st.booleans(), min_size=1, max_size=6).filter(lambda k: not all(k))
+
+
 @st.composite
-def _tables(draw, floats=_FLOATS):
+def _tables(draw, floats=_FLOATS, kinds=_KINDS):
     """(header, columns for write_csv, row format and rows for the oracle), the
-    float cells drawn from ``floats``."""
+    float cells drawn from ``floats`` and the column kinds (True for a string
+    column) from ``kinds``."""
     n_rows = draw(st.integers(0, 40))
-    kinds = draw(st.lists(st.booleans(), min_size=1, max_size=6).filter(lambda k: not all(k)))
+    kinds = draw(kinds)
     columns, cells = [], []
     for is_string in kinds:
         if is_string:
@@ -167,6 +191,36 @@ def test_write_csv_matches_the_per_row_writer_on_mostly_zero_tables(
     _assert_writes_like_per_row(tmp_path, monkeypatch, per_row_max, table)
 
 
+# Runs of adjacent float columns, each formatted by one call into its words
+# of the block, and float columns that string columns keep apart, with a
+# float or a string cell last in the row.
+_LAYOUTS = st.sampled_from([
+    [False, False, False],
+    [True, False, False, True, False],
+    [False, True, False, True, False, True],
+    [True, True, False, False, False, False, False, False, False],
+    [False, False, True, False, False, False],
+])
+# Cells of the fast path alone, which the block path formats straight into
+# the block, or mixed with those that go through `%`.
+_FAST_FLOATS = st.builds(
+    lambda v, sign: sign * v,
+    st.floats(1e-6, 1e16, exclude_min=True, exclude_max=True),
+    st.sampled_from([1.0, -1.0]),
+)
+
+
+@pytest.mark.parametrize("per_row_max", [10**9, 0], ids=["per-row path", "block path"])
+@pytest.mark.parametrize("floats", [_FAST_FLOATS, _FLOATS], ids=["fast cells", "any cells"])
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_write_csv_matches_the_per_row_writer_on_runs_of_float_columns(
+    tmp_path, monkeypatch, per_row_max, floats, data
+):
+    table = data.draw(_tables(floats, _LAYOUTS))
+    _assert_writes_like_per_row(tmp_path, monkeypatch, per_row_max, table)
+
+
 @pytest.mark.parametrize("n_rows", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 5])
 def test_write_csv_matches_the_per_row_writer_across_block_edges(tmp_path, n_rows):
     rng = np.random.default_rng(n_rows)
@@ -187,6 +241,43 @@ def test_write_csv_matches_the_per_row_writer_across_block_edges(tmp_path, n_row
 def test_write_csv_rejects_columns_of_different_lengths(tmp_path):
     with pytest.raises(ValueError, match=r"columns must have one length, got \[2, 3\]"):
         write_csv(tmp_path / "out.csv", ["a", "b"], [np.zeros(3), (["x"], np.zeros(2, dtype=int))])
+
+
+_LABELS = (["x", "y"], np.array([0, 1, 1]))
+
+
+@pytest.mark.parametrize("per_row_max", [10**9, 0], ids=["per-row path", "block path"])
+@pytest.mark.parametrize(
+    "header, columns, message",
+    [
+        # Three names over two columns: a malformed CSV before.
+        (["a", "b", "c"], [np.ones(3), _LABELS], r"^header names 3 fields, but a row holds 2$"),
+        (["a"], [np.ones(3), _LABELS], r"^header names 1 fields, but a row holds 2$"),
+        # A string cell may hold several fields, the same number in each.
+        (["a", "b"], [np.ones(3), (["x,y", "z"], np.array([0, 1, 1]))], r"^the strings of one column hold different numbers of fields$"),
+        # A TypeError before.
+        (["a", "b"], [np.ones((3, 2)), _LABELS], r"^column 0 must be one-dimensional, got shape"),
+        (["a", "b"], [[[1.0], [2.0], [3.0]], _LABELS], r"^column 0 must be one-dimensional"),
+        (["a", "b"], [np.ones(3, dtype=complex), _LABELS], r"^column 0 must hold real numbers"),
+        (["a", "b"], [["1.5", "2", "3"], _LABELS], r"^column 0 must hold real numbers"),
+        (["a", "b"], [[1.0, None, 3.0], _LABELS], r"^column 0 must hold real numbers"),
+        # An IndexError before, after the file was cut to its header.
+        (["a", "b"], [np.ones(3), (["x", "y"], np.array([0, 2, 1]))], r"^column 1 has a string "
+         r"index out of range 0\.\.1$"),
+        (["a", "b"], [np.ones(3), (["x", "y"], np.array([0, -1, 1]))], r"index out of range"),
+        (["a", "b"], [np.ones(3), (["x", "y"], np.array([0.0, 1.0, 1.0]))], r"1-D integer array"),
+        ([], [], r"^a CSV needs at least one column$"),
+    ],
+)
+def test_write_csv_checks_its_inputs_before_it_opens_the_file(
+    tmp_path, monkeypatch, per_row_max, header, columns, message
+):
+    monkeypatch.setattr(csvcells, "_PER_ROW_MAX", per_row_max)
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"earlier contents\n")
+    with pytest.raises(ValueError, match=message):
+        write_csv(out, header, columns)
+    assert out.read_bytes() == b"earlier contents\n"
 
 
 # ---------------------------------------------------------------------------
