@@ -402,8 +402,14 @@ def validate(command: str, opts: argparse.Namespace) -> None:
         raise ValueError("grid step counts must be >= 1")
     out = getattr(opts, "out", None)
     if out is not None:
-        parent = os.path.dirname(os.path.abspath(out)) or "."
-        if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
+        # An existing path is written in place: it must be writable itself,
+        # whatever its directory allows (/dev/null lies in a read-only /dev).
+        if os.path.exists(out):
+            writable = not os.path.isdir(out) and os.access(out, os.W_OK)
+        else:
+            parent = os.path.dirname(os.path.abspath(out)) or "."
+            writable = os.path.isdir(parent) and os.access(parent, os.W_OK)
+        if not writable:
             raise ValueError(f"output path {out!r} is not writable")
 
 

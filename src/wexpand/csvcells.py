@@ -9,6 +9,17 @@ adjacent float columns is formatted by one call straight into its words, each
 string cell is copied in whole words from a table of its column's strings, and
 `bytearray.translate(None, b"\\0")` compacts the block to rows.
 
+The file is written over its old bytes from offset 0 and cut to the length
+written when the writer exits, not truncated to zero when it is opened.  On
+ext4 with the default `auto_da_alloc`, a truncation to zero frees the file's
+blocks (to be discarded at the next journal commit on a `discard` mount) and
+makes `close()` allocate the new data and start its writeback; written over in
+place, a file of about the old length keeps its blocks and is left to the
+page cache.  The file keeps its inode (a temporary file renamed over it would
+not), so a symlinked or hard-linked path is written through as before.  On a
+failure after the open, the file holds the bytes written so far, as
+`open(path, "wb")` would have left it.
+
 `format_cells(values)` returns an (n, WIDTH) uint8 matrix whose row k holds
 the ASCII bytes of `'%.17g' % values[k]`, padded with 0 bytes.
 
@@ -24,7 +35,10 @@ cell each.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
+import os
+import stat
 from typing import Sequence
 
 import numpy as np
@@ -285,6 +299,20 @@ def _string_cells(strings: Sequence[str], separator: str) -> np.ndarray:
     return table.view(f"V{width}").ravel()
 
 
+@contextlib.contextmanager
+def _overwrite(path):
+    """`path` opened for binary writing at offset 0, without truncation, and
+    cut at the last byte written when the block exits, however it exits."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        try:
+            yield fh
+        finally:
+            # Only a regular file has a length to cut: /dev/null, a FIFO or a
+            # terminal is written as `open(path, "wb")` writes it.
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+
+
 def write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
     """Write `header` and then one LF-terminated row per index of `columns`.
 
@@ -299,6 +327,12 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
     every field of a row, each float column is a flat sequence of real
     numbers, each index lies in the range of its strings, and all columns
     have one length.
+
+    The file is opened without truncation and written from its first byte;
+    a regular file is cut to the bytes written when the writer exits, so it
+    holds exactly the new CSV, keeps its inode and mode, and after a failure
+    holds the prefix written before it.  Any other target (/dev/null, a
+    FIFO) is written as `open(path, "wb")` writes it.
     """
     if not columns:
         raise ValueError("a CSV needs at least one column")
@@ -329,8 +363,9 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
             for k in floats:
                 _float_column(k, columns[k])
             raise ValueError("a float column holds a value that `%.17g` cannot format") from None
-        with open(path, "wb") as fh:
-            fh.write(head + text)
+        with _overwrite(path) as fh:
+            fh.write(head)
+            fh.write(text)
         return
     values = {k: _float_column(k, columns[k]) for k in floats}
     separators = [","] * (len(columns) - 1) + ["\n"]
@@ -353,7 +388,7 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
     block_rows = min(BLOCK_ROWS, n_rows)
     buffer = bytearray(block_rows * at[-1] * 8)
     block = np.frombuffer(buffer, dtype=_WORD).reshape(block_rows, at[-1])
-    with open(path, "wb") as fh:
+    with _overwrite(path) as fh:
         fh.write(head)
         for start in range(0, n_rows, BLOCK_ROWS):
             stop = min(start + BLOCK_ROWS, n_rows)

@@ -625,3 +625,56 @@ def test_unwritable_output_path_reports_error(tmp_path, capsys):
     missing = tmp_path / "no-such-dir" / "x.csv"
     assert main(["fidelity-sweep", "--steps", "2", "--out", str(missing)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def _as_other_user(path, mode):
+    """`os.access` as a user who neither owns `path` nor is in its group,
+    which is how a non-root user sees /dev and /dev/null."""
+    try:
+        bits = os.stat(path).st_mode
+    except OSError:
+        return False
+    return bits & mode == mode
+
+
+def _unwritable_dir_holding_a_writable_file(tmp_path):
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    out = locked / "out.csv"
+    out.write_bytes(b"")
+    out.chmod(0o666)
+    locked.chmod(0o755)
+    return out
+
+
+@pytest.mark.parametrize("target", ["read-only file", "directory", "new file in a locked directory"])
+def test_an_output_the_user_cannot_write_exits_2_before_the_computation(
+    tmp_path, capsys, monkeypatch, target
+):
+    monkeypatch.setattr("wexpand.cli.os.access", _as_other_user)
+    if target == "read-only file":
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"earlier\n")
+        out.chmod(0o644)
+    elif target == "directory":
+        out = tmp_path
+    else:
+        out = _unwritable_dir_holding_a_writable_file(tmp_path).with_name("new.csv")
+    assert main(["prepare", "--n", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: output path {str(out)!r} is not writable\n"
+
+
+@pytest.mark.parametrize("target", ["/dev/null", "writable file in a locked directory"])
+def test_an_existing_output_is_judged_by_its_own_access(tmp_path, capsys, monkeypatch, target):
+    monkeypatch.setattr("wexpand.cli.os.access", _as_other_user)
+    assert not _as_other_user("/dev", os.W_OK) and _as_other_user("/dev/null", os.W_OK)
+    if target == "/dev/null":
+        out = target
+    else:
+        out = str(_unwritable_dir_holding_a_writable_file(tmp_path))
+    assert main(["prepare", "--n", "1", "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    if out != "/dev/null":
+        assert read_csv(out)[0]["stage"] == "final"

@@ -4,9 +4,12 @@
 The formatter is held to Python's `'%.17g' % x`, byte for byte.  The writer,
 and through it every command's CSV (`prepare`, `fidelity-sweep` and
 `cavity-sweep`), is held to the per-row `%` writer it replaced, which is
-kept below as the oracle.
+kept below as the oracle, and a CSV written over an existing file to a
+fresh one.
 """
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -403,3 +406,90 @@ def test_cavity_csv_matches_the_per_row_writer_at_block_edges(tmp_path, capsys, 
 
 def test_the_block_edge_grids_straddle_one_block():
     assert (23 * 89, 32 * 64, 3 * 683) == (BLOCK - 1, BLOCK, BLOCK + 1)
+
+
+# ---------------------------------------------------------------------------
+# Writing over an existing file
+# ---------------------------------------------------------------------------
+
+_COMMANDS = {
+    "prepare n=3": ["prepare", "--n", "3"],
+    "prepare n=6 full trace": ["prepare", "--n", "6", "--full", "--trace"],
+    "fidelity-sweep 50": ["fidelity-sweep", "--steps", "50"],
+    "fidelity-sweep 3000": ["fidelity-sweep", "--steps", "3000"],
+    "cavity-sweep 61x61": ["cavity-sweep", "--detuning-steps", "61", "--g-steps", "61"],
+}
+_BLOCK_PATH = {"prepare n=6 full trace", "fidelity-sweep 3000", "cavity-sweep 61x61"}
+
+
+def test_the_commands_written_over_old_files_take_both_writer_paths(tmp_path, capsys, monkeypatch):
+    block_path = set()
+    for name, argv in _COMMANDS.items():
+        calls = []
+        monkeypatch.setattr(csvcells, "_write_cells", lambda *args: calls.append(args))
+        main([*argv, "--out", str(tmp_path / "out.csv")])
+        if calls:
+            block_path.add(name)
+    assert block_path == _BLOCK_PATH
+
+
+@pytest.mark.parametrize("old_size", ["longer", "shorter"])
+@pytest.mark.parametrize("argv", list(_COMMANDS.values()), ids=list(_COMMANDS))
+def test_a_csv_written_over_an_old_file_equals_a_fresh_one(tmp_path, capsys, argv, old_size):
+    fresh = _cli_csv(tmp_path / "fresh.csv", argv)
+    rng = np.random.default_rng(len(fresh))
+    size = len(fresh) + 4097 if old_size == "longer" else len(fresh) // 2
+    out = tmp_path / "out.csv"
+    out.write_bytes(rng.integers(0, 256, size, dtype=np.uint8).tobytes())
+    out.chmod(0o640)
+    before = out.stat()
+    assert _cli_csv(out, argv) == fresh
+    after = out.stat()
+    assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o640)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_a_new_csv_gets_the_mode_of_a_fresh_open(tmp_path, capsys, umask):
+    old_umask = os.umask(umask)
+    try:
+        with open(tmp_path / "reference", "wb"):
+            pass
+        _cli_csv(tmp_path / "out.csv", _COMMANDS["prepare n=3"])
+    finally:
+        os.umask(old_umask)
+    modes = [stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("reference", "out.csv")]
+    assert modes == [0o666 & ~umask] * 2
+
+
+@pytest.mark.parametrize("argv", list(_COMMANDS.values()), ids=list(_COMMANDS))
+def test_a_csv_to_dev_null_exits_0_and_prints_what_a_file_does(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    _cli_csv(out, argv)
+    to_file = capsys.readouterr()
+    assert main([*argv, "--out", "/dev/null"]) == 0
+    to_null = capsys.readouterr()
+    assert to_null.err == to_file.err == ""
+    assert to_null.out == to_file.out.replace(str(out), "/dev/null")
+
+
+def test_a_failure_mid_write_leaves_the_rows_written_before_it(tmp_path, capsys, monkeypatch):
+    argv = ["fidelity-sweep", "--steps", "5000"]
+    fresh = _cli_csv(tmp_path / "fresh.csv", argv)
+    calls = []
+    write_cells = csvcells._write_cells
+
+    def fail_on_the_second_block(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise MemoryError
+        write_cells(*args)
+
+    monkeypatch.setattr(csvcells, "_write_cells", fail_on_the_second_block)
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"x" * (2 * len(fresh)))
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
+    # The header and then the first block's rows, as `open(path, "wb")` left it.
+    lines = fresh.splitlines(keepends=True)
+    assert out.read_bytes() == b"".join(lines[: 1 + BLOCK_ROWS])
