@@ -9,16 +9,21 @@ adjacent float columns is formatted by one call straight into its words, each
 string cell is copied in whole words from a table of its column's strings, and
 `bytearray.translate(None, b"\\0")` compacts the block to rows.
 
-The file is written over its old bytes from offset 0 and cut to the length
-written when the writer exits, not truncated to zero when it is opened.  On
-ext4 with the default `auto_da_alloc`, a truncation to zero frees the file's
-blocks (to be discarded at the next journal commit on a `discard` mount) and
-makes `close()` allocate the new data and start its writeback; written over in
-place, a file of about the old length keeps its blocks and is left to the
-page cache.  The file keeps its inode (a temporary file renamed over it would
-not), so a symlinked or hard-linked path is written through as before.  On a
-failure after the open, the file holds the bytes written so far, as
-`open(path, "wb")` would have left it.
+The file is opened without `O_TRUNC`; a regular file longer than one byte is
+cut to its first byte, and the CSV is written from offset 0, its first write
+replacing that byte.  So whenever the writer stops (it returns, raises, or its
+process is killed), the file holds a prefix of the new CSV and no other byte
+of the old file, as after `open(path, "wb")`, except that a run stopped before
+its first bytes reach the file leaves the old first byte.  It is not cut to
+zero because on ext4 with the default `auto_da_alloc` a file cut to zero has
+its new data allocated and its writeback started when it is closed (a guard of
+this very rewrite against a crash, paid on every request); a file cut to one
+byte is left to the page cache.  Written in place, the file keeps its inode,
+so a symlinked or hard-linked path is written through (a temporary file
+renamed over it would replace the inode, and `auto_da_alloc` flushes on that
+rename too).  Nothing is synced: after a power loss the file holds what the
+filesystem kept, and its first block, written over in place, is not ordered
+with the rest of the data.
 
 `format_cells(values)` returns an (n, WIDTH) uint8 matrix whose row k holds
 the ASCII bytes of `'%.17g' % values[k]`, padded with 0 bytes.
@@ -299,18 +304,20 @@ def _string_cells(strings: Sequence[str], separator: str) -> np.ndarray:
     return table.view(f"V{width}").ravel()
 
 
+def _without_truncation(path, flags):
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 @contextlib.contextmanager
 def _overwrite(path):
-    """`path` opened for binary writing at offset 0, without truncation, and
-    cut at the last byte written when the block exits, however it exits."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        try:
-            yield fh
-        finally:
-            # Only a regular file has a length to cut: /dev/null, a FIFO or a
-            # terminal is written as `open(path, "wb")` writes it.
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate()
+    """`path` opened for binary writing at offset 0, a regular file first cut
+    to its first byte (see the module docstring).  The writer must write at
+    least one byte, which replaces it."""
+    with open(path, "wb", opener=_without_truncation) as fh:
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode) and info.st_size > 1:
+            os.ftruncate(fh.fileno(), 1)
+        yield fh
 
 
 def write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
@@ -328,11 +335,10 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
     numbers, each index lies in the range of its strings, and all columns
     have one length.
 
-    The file is opened without truncation and written from its first byte;
-    a regular file is cut to the bytes written when the writer exits, so it
-    holds exactly the new CSV, keeps its inode and mode, and after a failure
-    holds the prefix written before it.  Any other target (/dev/null, a
-    FIFO) is written as `open(path, "wb")` writes it.
+    The CSV is written from offset 0 over whatever the file held, cut first
+    to its first byte (see the module docstring): the file keeps its inode,
+    ends holding exactly the new CSV, and holds a prefix of it if the writer
+    stops early.
     """
     if not columns:
         raise ValueError("a CSV needs at least one column")

@@ -9,7 +9,11 @@ fresh one.
 """
 import math
 import os
+import signal
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -493,3 +497,49 @@ def test_a_failure_mid_write_leaves_the_rows_written_before_it(tmp_path, capsys,
     # The header and then the first block's rows, as `open(path, "wb")` left it.
     lines = fresh.splitlines(keepends=True)
     assert out.read_bytes() == b"".join(lines[: 1 + BLOCK_ROWS])
+
+
+# A `fidelity-sweep` that kills itself with the signal argv[1] when
+# `_write_cells` is called for the argv[2]-th time, argv[3:] being its CLI
+# arguments.
+_KILLED_RUN = """
+import os, sys
+from wexpand import csvcells
+from wexpand.cli import main
+
+signum, call = int(sys.argv[1]), int(sys.argv[2])
+calls = []
+write_cells = csvcells._write_cells
+
+def killed_on_a_call(*args):
+    calls.append(None)
+    if len(calls) == call:
+        os.kill(os.getpid(), signum)
+    write_cells(*args)
+
+csvcells._write_cells = killed_on_a_call
+main(sys.argv[3:])
+"""
+
+
+@pytest.mark.parametrize("call", [1, 2], ids=["before the first block", "after the first block"])
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
+def test_a_run_killed_mid_write_leaves_a_prefix_of_the_new_csv(tmp_path, capsys, signum, call):
+    # The old file is a longer CSV of the same command: its rows after the
+    # new prefix would read as a well-formed CSV that mixes the two runs.
+    argv = ["fidelity-sweep", "--steps", "5000"]
+    fresh = _cli_csv(tmp_path / "fresh.csv", argv)
+    out = tmp_path / "out.csv"
+    old = _cli_csv(out, ["fidelity-sweep", "--steps", "9000"])
+    src = str(Path(csvcells.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-c", _KILLED_RUN, str(int(signum)), str(call), *argv, "--out", str(out)],
+        env=env, capture_output=True, check=False,
+    )
+    assert run.returncode == -signum, run.stderr
+    killed = out.read_bytes()
+    assert fresh.startswith(killed) and len(killed) < len(fresh) < len(old)
+    if call == 2:
+        # Some of the first block's rows reached the file before the kill.
+        assert killed.count(b"\n") > 1
