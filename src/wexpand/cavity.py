@@ -33,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .statevec import _is_finite, _is_real, _real_array, _require_finite_real
+
 
 @dataclass(frozen=True)
 class CavityParams:
@@ -199,43 +201,6 @@ def _square(v: float) -> float:
         return math.inf
 
 
-def _is_real(value) -> bool:
-    # A bool would otherwise read as 0 or 1 and a numeric string escape as a TypeError.
-    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
-
-
-def _is_finite(value) -> bool:
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # a Python int past the float range
-        return False
-
-
-def _require_finite_real(name: str, value) -> None:
-    """Reject, by name, a rate or frequency that is not a finite real number."""
-    if not _is_real(value):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not _is_finite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-def _grid_axis(name: str, value) -> np.ndarray:
-    """A grid input as a float array.
-
-    By name, a ValueError for a bool, string, complex or other entry that is
-    not a real number: `np.asarray(..., dtype=float)` would read "1e0" as 1.0
-    and True as 1.0, and let a complex value escape as a TypeError.
-    """
-    values = np.asarray(value)
-    kind = values.dtype.kind
-    if not (kind in "iuf" or kind == "O" and all(_is_real(v) for v in values.flat)):
-        raise ValueError(f"{name} must hold real numbers, got {value!r}")
-    try:
-        return values.astype(float)
-    except OverflowError:  # a Python int past the float range
-        raise ValueError(f"{name} must be finite, got {value!r}") from None
-
-
 def _require_threshold(name: str, value) -> None:
     # A bool or NaN would compare without error and silently decide every point.
     if not (_is_real(value) and _is_finite(value) and value > 0):
@@ -286,8 +251,8 @@ def reflection_grid(
     _require_threshold("phase_tol", phase_tol)
     _require_threshold("modulus_tol", modulus_tol)
     coresonant = emitter_detuning is None
-    detuning, g = _grid_axis("detuning", detuning), _grid_axis("g", g)
-    emitter = detuning if coresonant else _grid_axis("emitter_detuning", emitter_detuning)
+    detuning, g = _real_array("detuning", detuning), _real_array("g", g)
+    emitter = detuning if coresonant else _real_array("emitter_detuning", emitter_detuning)
     g2 = np.array([_square(v) for v in g.ravel().tolist()]).reshape(g.shape)
     x_c, x_e, g = np.broadcast_arrays(detuning, emitter, g)
 

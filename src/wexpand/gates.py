@@ -13,12 +13,11 @@ The whole protocol runs on three gate families:
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import ATOL_ALGEBRA, _readonly
+from .statevec import ATOL_ALGEBRA, _readonly, _require_finite_real
 
 HADAMARD_ANGLE = np.pi / 4
 T_PRIME_ANGLE = np.pi / 8
@@ -52,7 +51,8 @@ class NoiseParams:
     """Coherent gate-imperfection angles, shared across all gate instances.
 
     ``alpha`` shifts every Hadamard, ``beta`` every T', and ``gamma`` turns
-    every CZ into the controlled phase e^{i(pi-gamma)}.
+    every CZ into the controlled phase e^{i(pi-gamma)}.  Each must be a
+    finite real number: an int or a float, Python or numpy, but not a bool.
     """
 
     alpha: float = 0.0
@@ -61,9 +61,7 @@ class NoiseParams:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            _require_finite_real(name, getattr(self, name))
 
     @property
     def is_ideal(self) -> bool:

@@ -25,12 +25,11 @@ whole grid.
 from __future__ import annotations
 
 import functools
-import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .statevec import _require_int
+from .statevec import _require_finite_real, _require_int
 from .wcircuit import DOUBLING_MAX_N, expansion_maps
 
 _S8 = np.sin(np.pi / 8.0)
@@ -163,16 +162,7 @@ def sweep(theta_max: float, steps: int, n: int = 2) -> list[FidelityRecord]:
         raise ValueError(f"steps must be >= 2, got {steps}")
     if not 1 <= n <= DOUBLING_MAX_N:
         raise ValueError(f"n must be in 1..{DOUBLING_MAX_N}, got {n}")
-    if isinstance(theta_max, bool) or not isinstance(
-        theta_max, (int, float, np.integer, np.floating)
-    ):
-        raise ValueError(f"theta_max must be a real number, got {theta_max!r}")
-    try:
-        finite = math.isfinite(theta_max)
-    except OverflowError:  # a Python int past the float range
-        finite = False
-    if not finite:
-        raise ValueError(f"theta_max must be finite, got {theta_max!r}")
+    _require_finite_real("theta_max", theta_max)
     with np.errstate(over="ignore", invalid="ignore"):
         thetas = np.linspace(0.0, float(theta_max), steps)
         table = np.column_stack([

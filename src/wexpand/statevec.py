@@ -7,7 +7,9 @@ amplitudes, and dense complex128 storage is used throughout).
 
 A qubit index (and, in ``wcircuit`` and ``noise``, a register size or
 count) must be a Python or numpy integer: ``_require_int`` rejects anything
-else by name rather than truncating it.
+else by name rather than truncating it.  Likewise a rate, frequency or
+angle must be a finite real number, not a bool, string or complex value
+(``_require_finite_real``; ``_real_array`` for an array of them).
 
 Index convention: qubit 0 is the *most significant* bit of the basis index.
 For a three-qubit register ordered |q0 q1 q2>, the string |100> sits at
@@ -25,6 +27,7 @@ writable array, or a read-only view of one, is copied.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -44,6 +47,43 @@ def _require_int(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _is_real(value) -> bool:
+    # A bool would otherwise read as 0 or 1 and a numeric string escape as a TypeError.
+    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+
+
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # a Python int past the float range
+        return False
+
+
+def _require_finite_real(name: str, value) -> None:
+    """Reject, by name, a rate, frequency or angle that is not a finite real number."""
+    if not _is_real(value):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not _is_finite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _real_array(name: str, value) -> np.ndarray:
+    """An array input (a cavity grid axis, noise angles) as a float array.
+
+    By name, a ValueError for a bool, string, complex or other entry that is
+    not a real number: `np.asarray(..., dtype=float)` would read "1e0" as 1.0
+    and True as 1.0, and let a complex value escape as a TypeError.
+    """
+    values = np.asarray(value)
+    kind = values.dtype.kind
+    if not (kind in "iuf" or kind == "O" and all(_is_real(v) for v in values.flat)):
+        raise ValueError(f"{name} must hold real numbers, got {value!r}")
+    try:
+        return values.astype(float)
+    except OverflowError:  # a Python int past the float range
+        raise ValueError(f"{name} must be finite, got {value!r}") from None
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

@@ -49,6 +49,7 @@ from .statevec import (
     _postselected,
     _qubit_density,
     _readonly,
+    _real_array,
     _require_int,
     _require_normalized,
     _require_unit_trace,
@@ -178,6 +179,65 @@ def standard_expansion_circuit(noise: NoiseParams | None = None) -> ExpansionCir
     return ExpansionCircuit(hadamard(p.alpha), t_prime(p.beta), controlled_phase(p.gamma))
 
 
+def _noise_angles(alpha, beta, gamma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three noise angles as float arrays broadcast to one length-k axis, k >= 1.
+
+    By name, a ValueError for an angle that is not a real number (a bool, a
+    string or a complex value; see ``_real_array``) or not finite; then
+    numpy's for shapes that do not broadcast, and one for a grid that is
+    not one non-empty axis.
+    """
+    angles = []
+    for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
+        values = _real_array(name, value)
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = float(values[~finite].flat[0])
+            raise ValueError(f"{name} must be finite, got {bad!r}")
+        angles.append(np.atleast_1d(values))
+    alpha, beta, gamma = np.broadcast_arrays(*angles)
+    if alpha.ndim != 1:
+        raise ValueError(f"noise angles must broadcast to one axis, got shape {alpha.shape}")
+    if alpha.size == 0:
+        raise ValueError("noise angles must hold at least one point, got none")
+    return alpha, beta, gamma
+
+
+def _expansion_plan():
+    """``expansion_maps``'s steps and rotation coefficients, read from ``EXPANSION_LAYOUT``.
+
+    Slot t is bit 2 - t of the row index.  A rotation [[cos, sin], [sin,
+    -cos]] on slot t sets row i to sign_i cos u[i] + sin u[i ^ bit], with
+    sign_i -1 where row i has the bit: one gather of 16 rows (i, then
+    i ^ bit), one multiply by their coefficients (signed cosines, then
+    sines) and one add of the two halves.  Each distinct (kind, slot) is one
+    rotation j, numbered in first use.  A step is (j, its 16 gather rows),
+    or (None, the rows a controlled phase scales, where both of its slots
+    are 1, as a slice).  Coefficient row r of rotation j is sign[j, r]
+    times cos (r < 8) or sin (r >= 8) of its kind's angle: entry [kind,
+    part] of a (2, 2, k) table of (H, T') by (cos, sin), at the index
+    arrays returned second.
+    """
+    rows = np.arange(8)
+    rotations, steps = [], []
+    for kind, targets in EXPANSION_LAYOUT:
+        bits = [4 >> t for t in targets]
+        if kind == "cp":
+            first, last = (i for i in range(8) if all(i & b for b in bits))
+            steps.append((None, slice(first, last + 1, last - first)))
+            continue
+        if (kind, targets[0]) not in rotations:
+            rotations.append((kind, targets[0]))
+        steps.append((rotations.index((kind, targets[0])), np.r_[rows, rows ^ bits[0]]))
+    kinds = np.array([("h", "tp").index(kind) for kind, _ in rotations])
+    parts = np.repeat([0, 1], 8)
+    signs = np.array([np.r_[np.where(rows & (4 >> t), -1.0, 1.0), np.ones(8)] for _, t in rotations])
+    return tuple(steps), (kinds[:, None], parts[None, :]), signs[:, :, None, None]
+
+
+_EXPANSION_PLAN, _ROTATION_ROWS, _ROTATION_SIGN = _expansion_plan()
+
+
 def expansion_maps(alpha, beta, gamma) -> tuple[np.ndarray, np.ndarray]:
     """The maps V and W of the 12-gate circuit at k noise points.
 
@@ -186,33 +246,38 @@ def expansion_maps(alpha, beta, gamma) -> tuple[np.ndarray, np.ndarray]:
     j's ``standard_expansion_circuit(NoiseParams(alpha[j], beta[j],
     gamma[j])).matrix()`` within 1e-14, the angles broadcast to one
     length-k axis.  Only those two columns are composed, as an (8, 2, k)
-    stack: a rotation [[cos, sin], [sin, -cos]] on slot t mixes the two
-    halves of that slot's row axis, and a controlled phase scales the rows
-    where both of its slots are |1>.
+    stack.  Each rotation step is one gather and one in-place multiply-add
+    (see ``_expansion_plan``), and a controlled phase scales the rows where
+    both of its slots are |1> by -e^{-i gamma}.  Every entry takes the IEEE
+    operations of the gate-by-gate composition, up to exact commutation and
+    negation, so the maps equal it bit for bit.
+
+    Raises ValueError, naming the angle, for one that is not a finite real
+    number; and for angles that do not broadcast to one non-empty axis.
     """
-    alpha, beta, gamma = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (alpha, beta, gamma))
-    )
-    if alpha.ndim != 1:
-        raise ValueError(f"noise angles must broadcast to one axis, got shape {alpha.shape}")
+    alpha, beta, gamma = _noise_angles(alpha, beta, gamma)
     k = alpha.shape[0]
-    cos_sin = {
-        kind: (np.cos(theta), np.sin(theta))
-        for kind, theta in (("h", HADAMARD_ANGLE - alpha), ("tp", T_PRIME_ANGLE - beta))
-    }
+    cos_sin = np.empty((2, 2, k))
+    for kind, theta in enumerate((HADAMARD_ANGLE - alpha, T_PRIME_ANGLE - beta)):
+        np.cos(theta, out=cos_sin[kind, 0])
+        np.sin(theta, out=cos_sin[kind, 1])
+    # Full (16, 2, k) coefficients, cast to complex once: a multiply that
+    # broadcasts over the column axis runs k elements per inner loop.
+    coef = np.empty((len(_ROTATION_SIGN), 16, 2, k), dtype=complex)
+    np.multiply(_ROTATION_SIGN, cos_sin[_ROTATION_ROWS][:, :, None], out=coef)
     phase = -np.exp(-1j * gamma)
-    u = np.eye(8, dtype=complex)[:, [0, 4], None] * np.ones(k)
-    for kind, targets in EXPANSION_LAYOUT:
-        if kind == "cp":
-            # Slot t is bit 2 - t of the row index.
-            rows = [i for i in range(8) if all((i >> (2 - t)) & 1 for t in targets)]
+    u = np.zeros((8, 2, k), dtype=complex)
+    u[0, 0] = u[4, 1] = 1.0
+    terms = np.empty((16, 2, k), dtype=complex)
+    for rotation, rows in _EXPANSION_PLAN:
+        if rotation is None:
             u[rows] *= phase
-        else:
-            c, s = cos_sin[kind]
-            halves = u.reshape(1 << targets[0], 2, -1, k)
-            u0, u1 = halves[:, 0], halves[:, 1]
-            u = np.stack([c * u0 + s * u1, s * u0 - c * u1], axis=1).reshape(8, 2, k)
-    u = np.moveaxis(u.reshape(2, 2, 2, 2, k), -1, 0)
+            continue
+        # mode="wrap" (the rows are in range): the default "raise" buffers `out`.
+        u.take(rows, axis=0, out=terms, mode="wrap")
+        terms *= coef[rotation]
+        np.add(terms[:8], terms[8:], out=u)
+    u = u.reshape(2, 2, 2, 2, k).transpose(4, 0, 1, 2, 3)
     return u[:, :, 0], u[:, :, 1]
 
 
@@ -272,8 +337,15 @@ class WeightOneState:
         return self.amplitudes.size
 
     def indices(self) -> np.ndarray:
-        """Dense basis index of each amplitude: 2^(num_qubits - 1 - p) for qubit p."""
-        return 1 << (self.num_qubits - 1 - np.arange(self.num_qubits))
+        """Dense basis index of each amplitude: 2^(num_qubits - 1 - p) for qubit p.
+
+        An int64 array up to 63 qubits, whose largest index is 2^62; past
+        that an object array of Python ints, since int64 would wrap 2^63.
+        """
+        m = self.num_qubits
+        if m <= 63:
+            return 1 << (m - 1 - np.arange(m))
+        return np.array([1 << (m - 1 - p) for p in range(m)], dtype=object)
 
     def permuted(self, perm: QubitPermutation) -> "WeightOneState":
         """The state with the qubit at position p moved to position perm.map[p],

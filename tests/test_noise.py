@@ -150,8 +150,11 @@ def test_simulation_rejects_bad_inputs():
     with pytest.raises(ValueError, match="^sequential mode supports n <= 8"):
         _simulated(9, NoiseParams(), "sequential")
     for field in ("alpha", "beta", "gamma"):
-        for bad in (np.nan, np.inf, -np.inf):
+        for bad in (np.nan, np.inf, -np.inf, 10**400):
             with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                NoiseParams(**{field: bad})
+        for bad in (True, np.bool_(False), "0.1", 0.1j, None, np.array(0.1)):
+            with pytest.raises(ValueError, match=f"^{field} must be a real number, got "):
                 NoiseParams(**{field: bad})
 
 

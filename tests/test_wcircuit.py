@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import operation_matrix, postselect_zero
+from oracles import operation_matrix, postselect_zero, stepwise_expansion_maps
 from wexpand import wcircuit
 from wexpand.cli import main
 from wexpand.gates import NoiseParams, controlled_phase, hadamard, t_prime
@@ -329,6 +329,66 @@ def test_batched_expansion_maps_broadcast_scalars_and_reject_grids():
         expansion_maps(np.zeros((2, 2)), 0.0, 0.0)
 
 
+@st.composite
+def _noise_angle_points(draw):
+    """Three angle arrays of one length k in 1..300, each possibly a scalar instead.
+
+    Each angle draws a scale (0, 1e-8, 1e-3 or 1.5), values uniform within
+    it, and about a quarter of them set to exactly -scale, 0 or +scale.
+    """
+    k = draw(st.integers(1, 300))
+    angles = []
+    for _ in range(3):
+        scale = draw(st.sampled_from((0.0, 1e-8, 1e-3, 1.5)))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        values = scale * rng.uniform(-1.0, 1.0, k)
+        exact = rng.random(k) < 0.25
+        values[exact] = scale * rng.choice([-1.0, 0.0, 1.0], k)[exact]
+        angles.append(float(values[0]) if draw(st.booleans()) else values)
+    return angles
+
+
+@settings(max_examples=150, deadline=None)
+@given(_noise_angle_points())
+def test_expansion_maps_equal_the_stepwise_composition(angles):
+    # The gather and multiply-add take each entry's IEEE operations up to
+    # exact commutation and negation, so V and W are equal bit for bit.
+    v, w = expansion_maps(*angles)
+    want_v, want_w = stepwise_expansion_maps(*angles)
+    assert v.shape == w.shape == want_v.shape
+    assert np.array_equal(v, want_v) and np.array_equal(w, want_w)
+
+
+@pytest.mark.parametrize("slot", range(3))
+@pytest.mark.parametrize("bad, message", [
+    (np.nan, "must be finite, got nan"),
+    (np.inf, "must be finite, got inf"),
+    ([0.1, -np.inf], "must be finite, got -inf"),
+    (10**400, "must be finite, got "),
+    (True, "must hold real numbers, got True"),
+    ("0.1", "must hold real numbers, got '0.1'"),
+    (0.1j, "must hold real numbers, got 0.1j"),
+    ([0.1, None], "must hold real numbers, got "),
+])
+def test_expansion_maps_reject_an_angle_that_is_not_a_finite_real_by_name(slot, bad, message):
+    # Unchecked, NaN would give NaN maps, inf a RuntimeWarning, True 1 rad,
+    # "0.1" 0.1 rad and a complex angle a TypeError.
+    angles = [0.01, 0.02, 0.03]
+    angles[slot] = bad
+    name = ("alpha", "beta", "gamma")[slot]
+    with pytest.raises(ValueError, match="^" + re.escape(f"{name} {message}")):
+        expansion_maps(*angles)
+
+
+@pytest.mark.parametrize("angles, message", [
+    (([], 0.0, 0.0), "noise angles must hold at least one point"),
+    (([0.1, 0.2], [0.1, 0.2, 0.3], 0.0), "shape mismatch"),
+])
+def test_expansion_maps_reject_an_empty_or_mismatched_grid(angles, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        expansion_maps(*angles)
+
+
 # ---------------------------------------------------------------------------
 # EPR creation and growth
 # ---------------------------------------------------------------------------
@@ -540,6 +600,16 @@ def test_weight_one_state_is_normalized_and_lists_terms_as_the_dense_state():
     assert state.terms() == StateVector(vec({4: 0.6, 1: -0.8j}, 3)).terms()
     assert state.indices().tolist() == [4, 2, 1]
     assert not state.amplitudes.flags.writeable and state.amplitudes is not amps
+
+
+@pytest.mark.parametrize("m", [62, 63, 64, 65])
+def test_weight_one_indices_are_exact_past_int64(m):
+    # int64 wraps 2^63 to -2^63 and 2^64 to 0: past 63 qubits the indices
+    # are Python ints.
+    state = WeightOneState(np.full(m, 1.0 / np.sqrt(m)))
+    index = state.indices()
+    assert index.dtype == (np.int64 if m <= 63 else object)
+    assert [int(i) for i in index] == [2 ** (m - 1 - p) for p in range(m)]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
