@@ -404,7 +404,11 @@ def validate(command: str, opts: argparse.Namespace) -> None:
     if out is not None:
         # An existing path is written in place: it must be writable itself,
         # whatever its directory allows (/dev/null lies in a read-only /dev).
-        if os.path.exists(out):
+        # An empty path names no file, though abspath reads it as the
+        # working directory.
+        if not out:
+            writable = False
+        elif os.path.exists(out):
             writable = not os.path.isdir(out) and os.access(out, os.W_OK)
         else:
             parent = os.path.dirname(os.path.abspath(out)) or "."

@@ -28,9 +28,9 @@ with the rest of the data.
 `format_cells(values)` returns an (n, WIDTH) uint8 matrix whose row k holds
 the ASCII bytes of `'%.17g' % values[k]`, padded with 0 bytes.
 
-For 1e-6 < |x| < 1e16 the 17 significant digits come from integer
+For 1e-6 < |x| < 10 the 17 significant digits come from integer
 arithmetic that is exact.  Take the decimal exponent E (x in [10^E,
-10^(E+1))) and s = 16 - E, in 1..22, so that 10^s is an exact double.
+10^(E+1))) and s = 16 - E, in 16..22, so that 10^s is an exact double.
 Dekker's product splits |x| * 10^s into hi + lo exactly, with hi >= 1e16 >
 2^53 an even integer, so hi + rint(lo) is the product rounded half-even to
 an integer: the 17 digits that a correctly rounded `%.17g` writes.  A zero
@@ -55,9 +55,7 @@ import numpy as np
 #   with trailing zeros left as 0 bytes;
 # - word 3: the "e-05" or "e-06" of a value in [1e-6, 1e-4), and a last byte
 #   that no cell uses (`write_csv` puts the separator there).
-# %g switches to the exponent form below 1e-4 and at 1e17.  The point of a
-# value with 10 <= |x| < 1e16 and a fraction falls among the 16 digits: those
-# cells move the digits after it on by one byte, the last into word 3.
+# %g switches to the exponent form below 1e-4.
 _PREFIX = 5
 WIDTH = 32
 _WORD = np.dtype("<u8")
@@ -75,17 +73,16 @@ def _words(rows: list[bytes]) -> np.ndarray:
     return np.frombuffer(b"".join(rows), dtype=_WORD)
 
 
-# The per-exponent tables are indexed by k = E - _E_MIN, for E in -6..16 (a
-# rounded value can reach 10^16).
+# The per-exponent tables are indexed by k = E - _E_MIN, for E in -6..1
+# (log10 can overshoot to 1 next to 10, before the exact product corrects it).
 _E_MIN = -6
-_EXPONENTS = range(_E_MIN, 17)
+_EXPONENTS = range(_E_MIN, 2)
 # 10^(16 - E), exact, and Veltkamp's split of it.
 _SCALES = np.array([float(10 ** (16 - e)) for e in _EXPONENTS])
 _SCALES_HIGH, _SCALES_LOW = _split(_SCALES)
 # Word 0 at index 4 * (10 * k + first digit) + 2 * point + sign,
 # where point says that a later digit is nonzero.  The slot takes the point
-# at E = 0 and in the exponent form; below 1 the prefix holds it, and above
-# 10 it falls among the later digits.
+# at E = 0 and in the exponent form; below 1 the prefix holds it.
 _HEADS = _words(
     [
         (b"-" if negative else b"\0")
@@ -102,10 +99,6 @@ _TAILS = _words(
     [("e-%02d" % -e if e < -4 else "").encode().ljust(8, b"\0") for e in _EXPONENTS]
 )
 _ZERO, _NEGATIVE_ZERO = _words([b"0".ljust(8, b"\0"), b"-0".ljust(8, b"\0")])
-# Indexed by p in 0..16, the digits after the first that come before the
-# point: a mask of their bytes in words 1 and 2, and the point just after them.
-_BEFORE_POINT = _words([(b"\xff" * p).ljust(16, b"\0") for p in range(17)]).reshape(17, 2)
-_POINT = _words([(b"\0" * p + b".").ljust(16, b"\0")[:16] for p in range(17)]).reshape(17, 2)
 
 
 # Built on first use: a process that writes no large table (`verify`) never holds it.
@@ -134,13 +127,13 @@ def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """k = E - _E_MIN and the 17 digits q, in [1e16, 1e17), of each of the
-    magnitudes a, each in (1e-6, 1e16)."""
+    magnitudes a, each in (1e-6, 10)."""
     # k = E - _E_MIN, the row of the per-exponent tables.  Truncation keeps
     # it at 0 or more where log10 falls just below -6.
     k = (np.log10(a) - _E_MIN).astype(np.int64)
     hi, lo = _scaled(a, k)
     # log10 can miss E by one next to a power of ten; the exact product
-    # says which way.  The corrected E is the true one, in -6..15.
+    # says which way.  The corrected E is the true one, in -6..0.
     near = (hi <= 1e16) | (hi >= 1e17)
     if near.any():
         hi_near, lo_near = hi[near], lo[near]
@@ -157,7 +150,7 @@ def _digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _format_fast(a: np.ndarray, negative: np.ndarray, out: np.ndarray, last) -> None:
-    """Write the cells of magnitudes a, each in (1e-6, 1e16), into the words
+    """Write the cells of magnitudes a, each in (1e-6, 10), into the words
     `out` of shape a.shape + (4,), with `last` in each cell's last word."""
     k, q = _digits(a)
     # q's 17 digits: the first, then four groups of four.  Integer division
@@ -189,28 +182,6 @@ def _format_fast(a: np.ndarray, negative: np.ndarray, out: np.ndarray, last) -> 
     tiny = k < -4 - _E_MIN  # E < -4: the exponent form
     if tiny.any():
         out[tiny, 3] |= _TAILS[k[tiny]]
-    above_10 = k > -_E_MIN  # E > 0
-    if above_10.any():
-        g = np.stack([g1[above_10], g2[above_10], g3[above_10], g4[above_10]], axis=1)
-        out[above_10] = _place_point(out[above_10], k[above_10] + _E_MIN, g)
-
-
-def _place_point(cells: np.ndarray, p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Cells of values with 10 <= |x| < 1e16, p digits after the first
-    before the point and the four digit groups g, with the point placed."""
-    before = _BEFORE_POINT[p]
-    after = cells[:, 1:3] & ~before
-    fraction = (after != 0).any(axis=1)
-    # A fraction: the point just after the units digit, and every later digit
-    # one byte on, the last into word 3 (which a value above 1 leaves free).
-    cells[:, 1:3] = (cells[:, 1:3] & before) | (after << 8) | _POINT[p] * fraction[:, None]
-    cells[:, 2] |= after[:, 0] >> 56
-    cells[:, 3] |= after[:, 1] >> 56
-    # A whole number keeps the zeros left of its units digit: every digit up
-    # to it, none trimmed.
-    whole = ~fraction
-    cells[whole, 1:3] = _group_table()[g[whole]].view(_WORD) & before[whole]
-    return cells
 
 
 def _write_cells(x: np.ndarray, out: np.ndarray, last) -> None:
@@ -219,7 +190,7 @@ def _write_cells(x: np.ndarray, out: np.ndarray, last) -> None:
     a = np.abs(x)
     negative = np.signbit(x)
     # The double nearest 1e-6 lies below 10^-6, so the lower bound is open.
-    fast = (a > 1e-6) & (a < 1e16)
+    fast = (a > 1e-6) & (a < 10.0)
     if fast.all():
         _format_fast(a, negative, out, last)
         return

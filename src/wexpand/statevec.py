@@ -35,10 +35,6 @@ import numpy as np
 
 # Tolerance for algebraic identities (unitarity, normalization, hermiticity).
 ATOL_ALGEBRA = 1e-12
-# Density-matrix eigenvalues are only validated up to this dimension; the
-# O(d^3) eigensolve is skipped for larger matrices (hermiticity, trace and
-# purity are always checked).
-_EIG_CHECK_MAX_DIM = 256
 
 
 def _require_int(name: str, value) -> int:
@@ -74,9 +70,11 @@ def _real_array(name: str, value) -> np.ndarray:
 
     By name, a ValueError for a bool, string, complex or other entry that is
     not a real number: `np.asarray(..., dtype=float)` would read "1e0" as 1.0
-    and True as 1.0, and let a complex value escape as a TypeError.
+    and True as 1.0, and let a complex value escape as a TypeError.  An
+    ndarray is judged by its dtype alone; anything else entry by entry, since
+    `np.asarray([0.1, True])` is already a float array.
     """
-    values = np.asarray(value)
+    values = value if isinstance(value, np.ndarray) else np.asarray(value, dtype=object)
     kind = values.dtype.kind
     if not (kind in "iuf" or kind == "O" and all(_is_real(v) for v in values.flat)):
         raise ValueError(f"{name} must hold real numbers, got {value!r}")
@@ -181,10 +179,11 @@ class DensityMatrix:
         pur = float(np.vdot(rho, rho).real)
         if not (1.0 / dim - 1e-10 <= pur <= 1.0 + 1e-10):
             raise ValueError(f"purity {pur!r} outside [{1.0 / dim}, 1]")
-        if dim <= _EIG_CHECK_MAX_DIM:
-            lo = float(np.linalg.eigvalsh(rho)[0])
-            if not lo >= -1e-10:
-                raise ValueError(f"density matrix has negative eigenvalue {lo!r}")
+        # The O(d^3) eigensolve runs at every size; `verify` builds none
+        # larger than 4x4.
+        lo = float(np.linalg.eigvalsh(rho)[0])
+        if not lo >= -1e-10:
+            raise ValueError(f"density matrix has negative eigenvalue {lo!r}")
         object.__setattr__(self, "entries", _readonly(rho))
 
     @property

@@ -435,7 +435,7 @@ def expand_qubit(psi: np.ndarray, target: int, v: np.ndarray) -> np.ndarray:
     |x> becomes sum v[q1', q2', x] |q1'> in place and |q2'> on a new
     qubit, appended last.  The m+1-qubit result is not renormalized; its
     squared norm is the probability that the ancilla the 8x8 would use
-    returns to |0>.  Terms with an exactly zero coefficient are skipped.
+    returns to |0>.
     """
     target = _require_int("target", target)
     if np.shape(v) != (2, 2, 2):
@@ -448,13 +448,9 @@ def expand_qubit(psi: np.ndarray, target: int, v: np.ndarray) -> np.ndarray:
     for q1 in (0, 1):
         for q2 in (0, 1):
             dst = out[:, q1, :, q2]
-            terms = [(c, src[:, x]) for x, c in enumerate(v[q1, q2].tolist()) if c != 0]
-            if not terms:
-                dst[...] = 0
-                continue
-            np.multiply(terms[0][0], terms[0][1], out=dst)
-            for c, part in terms[1:]:
-                dst += c * part
+            c0, c1 = v[q1, q2].tolist()
+            np.multiply(c0, src[:, 0], out=dst)
+            dst += c1 * src[:, 1]
     return out.reshape(-1)
 
 

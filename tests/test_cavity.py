@@ -164,7 +164,9 @@ def test_rates_and_fields_take_any_real_number_in_the_float_range():
 
 
 _NOT_REAL = ["1.0", b"1.0", True, np.True_, [False, True], 1.0 + 0j, np.array([1.0 + 0j]),
-             [1.0, None], np.array(["1e0"])]
+             [1.0, None], np.array(["1e0"]),
+             # A bool among numbers, which `np.asarray` reads as one.
+             [0.0, True], [1, True], [0.5, np.True_]]
 
 
 @pytest.mark.parametrize(

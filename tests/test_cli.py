@@ -666,6 +666,15 @@ def test_an_output_the_user_cannot_write_exits_2_before_the_computation(
     assert captured.err == f"error: output path {str(out)!r} is not writable\n"
 
 
+@pytest.mark.parametrize("command", ["prepare", "fidelity-sweep", "cavity-sweep"])
+def test_an_empty_output_path_exits_2_before_the_computation(capsys, command):
+    # It ran the command and then failed to open '': "[Errno 2] No such file".
+    assert main([command, "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: output path '' is not writable\n"
+
+
 @pytest.mark.parametrize("target", ["/dev/null", "writable file in a locked directory"])
 def test_an_existing_output_is_judged_by_its_own_access(tmp_path, capsys, monkeypatch, target):
     monkeypatch.setattr("wexpand.cli.os.access", _as_other_user)

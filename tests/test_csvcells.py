@@ -72,18 +72,25 @@ def test_format_cells_at_powers_of_ten():
 
 
 def test_format_cells_at_the_fast_path_edges():
-    # 1e-6 and 1e16 bound the exact integer path; outside it is Python's %.
-    values = _ulps_around(1e-6, 3) + _ulps_around(1e16, 3) + [0.0, -0.0]
+    # 1e-6 and 10 bound the exact integer path; outside it, and at 1e16, it
+    # is Python's %.
+    values = _ulps_around(1e-6, 3) + _ulps_around(10.0, 3) + _ulps_around(1e16, 3) + [0.0, -0.0]
     _assert_formats_like_percent(values + [-v for v in values])
 
 
 def test_format_cells_rounds_18_digit_ties_half_even():
     # 17 digits keep one decimal of a value in [1e15, 1e16), so one that
     # ends in .25 or .75 sits exactly halfway between two of them.
-    k = np.random.default_rng(17).integers(8 * 10**15, 64 * 10**15, 20_000)
+    rng = np.random.default_rng(17)
+    k = rng.integers(8 * 10**15, 64 * 10**15, 20_000)
     ties = k / 8.0
     assert np.isin(np.modf(ties)[0], [0.25, 0.75]).sum() > 500
-    _assert_formats_like_percent(np.concatenate([ties, -ties]))
+    # On the exact integer path, 17 digits keep 16 decimals of a value in
+    # [1, 10): an odd m / 2^17 has 17, the last a 5, and is a tie.
+    m = rng.integers(2**17, 10 * 2**17, 20_000)
+    assert (m % 2).sum() > 5000
+    fast_ties = m / 2.0**17
+    _assert_formats_like_percent(np.concatenate([ties, -ties, fast_ties, -fast_ties]))
 
 
 def test_format_cells_writes_integers_with_their_zeros():
@@ -98,11 +105,12 @@ def test_format_cells_falls_back_for_what_the_fast_path_leaves():
 
 
 def test_format_cells_at_every_exponent_digit_count_and_point_position():
-    # A cell packs the 16 digits after the first in four 4-digit groups and
-    # places the point of 10 <= |x| < 1e16 among them: every exponent, with
-    # its last nonzero digit at each of the 17 places (so trailing zeros end
-    # at each group boundary), zeros just before and after the point, and
-    # whole numbers with the zeros left of their units digit.
+    # A fast-path cell packs the 16 digits after the first in four 4-digit
+    # groups: every exponent, with its last nonzero digit at each of the 17
+    # places (so trailing zeros end at each group boundary).  The cells of
+    # 10 <= |x| < 1e16 go to `%`; they keep their inputs with zeros just
+    # before and after the point, and whole numbers with the zeros left of
+    # their units digit.
     assert WIDTH <= 32
     digits = "12345678912345678"
     values = []
@@ -212,7 +220,7 @@ _LAYOUTS = st.sampled_from([
 # the block, or mixed with those that go through `%`.
 _FAST_FLOATS = st.builds(
     lambda v, sign: sign * v,
-    st.floats(1e-6, 1e16, exclude_min=True, exclude_max=True),
+    st.floats(1e-6, 10.0, exclude_min=True, exclude_max=True),
     st.sampled_from([1.0, -1.0]),
 )
 

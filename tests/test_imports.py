@@ -1,14 +1,18 @@
 """Source hygiene: every import in a wexpand module is used there, every
 top-level private name is used somewhere in the package, every raise is one
-that the CLI reports, every file is written through `csvcells`, and every
-name the benchmark traces still exists."""
+that the CLI reports, every file is written through `csvcells`, every name
+the benchmark traces still exists, and the CLI accepts every argv the
+benchmark sends."""
 import ast
 import importlib
+import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import wexpand
+from wexpand.cli import main
 
 _PACKAGE = sorted(Path(wexpand.__file__).parent.glob("*.py"))
 # `__init__.py` imports only to re-export.
@@ -244,3 +248,35 @@ def test_the_gate_sees_a_traced_name_that_is_gone():
     assert _missing_traced_names(_traced_methods(source)) == [
         "statevec.Gone.run", "wcircuit.ExpansionCircuit.vanished",
     ]
+
+
+# The benchmark's request generators, run from source: nothing is written
+# next to them, and a wexpand change that drops an option the benchmark
+# sends fails here rather than on every benchmark request.
+_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+_BENCHMARK = types.ModuleType("benchmark_workloads")
+sys.modules[_BENCHMARK.__name__] = _BENCHMARK  # where dataclasses look it up
+exec(compile(_WORKLOADS.read_text(), str(_WORKLOADS), "exec"), _BENCHMARK.__dict__)
+
+
+def _exit_code(argv: list[str]) -> int:
+    """`cli.main`'s exit code for argv, an argparse rejection included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("name", sorted(_BENCHMARK.WORKLOADS))
+def test_the_cli_accepts_every_argv_the_benchmark_sends(tmp_path, capsys, name):
+    # The warm-up request and one seeded cycle; exit codes only, not the
+    # workload's output oracle.
+    workload = _BENCHMARK.WORKLOADS[name]
+    out = str(tmp_path / "out.csv")
+    argvs = [[*workload.warmup, "--out", out]]
+    argvs += [list(request.argv) for request in next(_BENCHMARK.cycles(workload, 1, out))]
+    assert [(argv, code) for argv in argvs if (code := _exit_code(argv)) != 0] == []
+
+
+def test_the_gate_sees_an_option_the_cli_lacks(capsys):
+    assert _exit_code(["prepare", "--n", "1", "--no-such-option", "x"]) == 2

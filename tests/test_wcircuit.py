@@ -369,15 +369,27 @@ def test_expansion_maps_equal_the_stepwise_composition(angles):
     ("0.1", "must hold real numbers, got '0.1'"),
     (0.1j, "must hold real numbers, got 0.1j"),
     ([0.1, None], "must hold real numbers, got "),
+    ([0.1, True], "must hold real numbers, got [0.1, True]"),
+    ([1, True], "must hold real numbers, got [1, True]"),
+    ([0.1, np.True_], "must hold real numbers, got "),
 ])
 def test_expansion_maps_reject_an_angle_that_is_not_a_finite_real_by_name(slot, bad, message):
-    # Unchecked, NaN would give NaN maps, inf a RuntimeWarning, True 1 rad,
-    # "0.1" 0.1 rad and a complex angle a TypeError.
+    # Unchecked, NaN would give NaN maps, inf a RuntimeWarning, True 1 rad
+    # (alone or in a list), "0.1" 0.1 rad and a complex angle a TypeError.
     angles = [0.01, 0.02, 0.03]
     angles[slot] = bad
     name = ("alpha", "beta", "gamma")[slot]
     with pytest.raises(ValueError, match="^" + re.escape(f"{name} {message}")):
         expansion_maps(*angles)
+
+
+def test_expansion_maps_judge_a_float_array_by_its_dtype_alone(monkeypatch):
+    # fidelity-sweep passes a linspace grid; no angle is read one by one.
+    theta = np.linspace(0.0, 0.1, 7)
+    want = expansion_maps(theta, theta, theta)
+    monkeypatch.setattr("wexpand.statevec._is_real", None)
+    got = expansion_maps(theta, theta, theta)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("angles, message", [
