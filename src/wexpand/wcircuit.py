@@ -27,7 +27,7 @@ one amplitude per qubit, 2n numbers where ``double_w`` holds 2^(2n);
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -713,6 +713,12 @@ class QubitRole:
     kind: str
     zero_label: str
     one_label: str
+    # The `str.translate` table from a bit string to its labels, built once.
+    labels: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        table = str.maketrans({"0": self.zero_label, "1": self.one_label})
+        object.__setattr__(self, "labels", table)
 
 
 PHOTON = QubitRole("photon", "R", "L")  # circular polarization
@@ -738,10 +744,7 @@ def relabel(state: StateVector | WeightOneState, role: QubitRole) -> str:
     Terms are listed excitation-leftmost first (descending basis index),
     the conventional way W-type states are written out.
     """
-    terms = tuple(
-        ("".join(role.one_label if c == "1" else role.zero_label for c in bits), amp)
-        for bits, amp in reversed(state.terms())
-    )
+    terms = tuple((bits.translate(role.labels), amp) for bits, amp in reversed(state.terms()))
     amps = [a for _, a in terms]
     k = _common_amp_denominator(amps)
     if k == 1 and len(terms) == 1:

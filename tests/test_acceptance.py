@@ -1,8 +1,8 @@
 """Acceptance suite: every check of `wexpand verify`, plus two timing bounds.
 
-The anchored identities live in one registry, `wexpand.cli.CHECKS`; this
-module runs it through `run_verification`, exactly as `wexpand verify`
-does, and prints one verdict line per check.  Run with
+The anchored identities live in one registry, `wexpand.checks.CHECKS`;
+this module runs it through `run_verification`, exactly as `wexpand
+verify` does, and prints one verdict line per check.  Run with
 ``pytest tests/test_acceptance.py -v -s`` to see each measured deviation
 next to its pinned tolerance.
 """
@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from wexpand.cli import CHECKS, run_verification
+from wexpand.checks import CHECKS, run_verification
 from wexpand.wcircuit import EXPANSION_MATRIX, double_w, standard_expansion_circuit
 
 

@@ -1,4 +1,5 @@
 """Command-line surface: subcommands, CSV contracts, determinism."""
+import argparse
 import contextlib
 import csv
 import io
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 from oracles import postselect_zero
 from wexpand import cli, wcircuit
-from wexpand.cli import CHECKS, _build_parser, main, run_verification
+from wexpand.checks import CHECKS
+from wexpand.cli import _build_parser, main, run_verification
 from wexpand.gates import rotation_gate
 from wexpand.statevec import (
     QubitPermutation,
@@ -199,7 +201,7 @@ def test_prepare_trace_matches_the_expand_by_one_chain(tmp_path, monkeypatch, mo
     def no_chain(*args, **kwargs):
         raise AssertionError("prepare must not run a second chain")
 
-    monkeypatch.setattr(cli, "expand_by_one", no_chain)
+    monkeypatch.setattr(wcircuit, "expand_by_one", no_chain)
     out = tmp_path / "trace.csv"
     assert main(["prepare", "--n", str(n), "--mode", mode, "--trace", "--out", str(out)]) == 0
     stages = _dumped_stages(str(out))
@@ -258,7 +260,6 @@ def test_prepare_never_runs_the_dense_engine(tmp_path, monkeypatch):
 
     for name in ("expand_qubit", "double_w"):
         monkeypatch.setattr(wcircuit, name, dense)
-    monkeypatch.setattr(cli, "double_w", dense)
     for mode in ("sequential", "block"):
         for extra in ([], ["--trace"], ["--full", "--trace"]):
             argv = ["prepare", "--n", "4", "--mode", mode, *extra, "--out", str(tmp_path / "o.csv")]
@@ -619,6 +620,130 @@ def test_config_accepts_an_int_for_a_float_option(tmp_path):
     cfg.write_text(json.dumps({"g_max": 4, "g_steps": 5, "gamma_decay": 2, "out": str(out)}))
     assert main(["cavity-sweep", "--config", str(cfg)]) == 0
     assert [r["g_ratio"] for r in read_csv(str(out))] == ["0", "1", "2", "3", "4"]
+
+
+# ---------------------------------------------------------------------------
+# option table
+# ---------------------------------------------------------------------------
+
+# `wexpand --help` and each subcommand's `--help`, 80 columns wide.
+_HELP_TEXTS = {
+    None: (
+        "usage: wexpand [-h] {verify,prepare,fidelity-sweep,cavity-sweep} ...\n"
+        "\n"
+        "Deterministic W-state preparation: verification, state dumps and sweeps.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {verify,prepare,fidelity-sweep,cavity-sweep}\n"
+        "    verify              run the anchored-identity verification suite\n"
+        "    prepare             prepare |W_2n> and dump amplitudes\n"
+        "    fidelity-sweep      closed-form and simulated fidelity sweep CSV\n"
+        "    cavity-sweep        reflection-coefficient grid CSV\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    ),
+    "verify": (
+        "usage: wexpand verify [-h] [--config CONFIG] [--seed SEED]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help       show this help message and exit\n"
+        "  --config CONFIG\n"
+        "  --seed SEED\n"
+    ),
+    "prepare": (
+        "usage: wexpand prepare [-h] [--config CONFIG] [--n N]\n"
+        "                       [--mode {block,sequential}]\n"
+        "                       [--schedule {serial,parallel}] [--role {photon,spin}]\n"
+        "                       [--out OUT] [--trace] [--full]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --config CONFIG\n"
+        "  --n N\n"
+        "  --mode {block,sequential}\n"
+        "  --schedule {serial,parallel}\n"
+        "  --role {photon,spin}\n"
+        "  --out OUT\n"
+        "  --trace               also dump each growth round\n"
+        "  --full                dump zero amplitudes too\n"
+    ),
+    "fidelity-sweep": (
+        "usage: wexpand fidelity-sweep [-h] [--config CONFIG] [--theta-max THETA_MAX]\n"
+        "                              [--steps STEPS] [--n N] [--out OUT]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --config CONFIG\n"
+        "  --theta-max THETA_MAX\n"
+        "  --steps STEPS\n"
+        "  --n N\n"
+        "  --out OUT\n"
+    ),
+    "cavity-sweep": (
+        "usage: wexpand cavity-sweep [-h] [--config CONFIG]\n"
+        "                            [--detuning-min DETUNING_MIN]\n"
+        "                            [--detuning-max DETUNING_MAX]\n"
+        "                            [--detuning-steps DETUNING_STEPS] [--g-min G_MIN]\n"
+        "                            [--g-max G_MAX] [--g-steps G_STEPS]\n"
+        "                            [--gamma-decay GAMMA_DECAY] [--out OUT]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --config CONFIG\n"
+        "  --detuning-min DETUNING_MIN\n"
+        "  --detuning-max DETUNING_MAX\n"
+        "  --detuning-steps DETUNING_STEPS\n"
+        "  --g-min G_MIN\n"
+        "  --g-max G_MAX\n"
+        "  --g-steps G_STEPS\n"
+        "  --gamma-decay GAMMA_DECAY\n"
+        "  --out OUT\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(_HELP_TEXTS))
+def test_help_text_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"] if command else ["--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == _HELP_TEXTS[command]
+
+
+def _subparsers():
+    """Each subcommand's parser, by name."""
+    parser = _build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("command", ["verify", "prepare", "fidelity-sweep", "cavity-sweep"])
+def test_config_keys_are_the_parsers_flags(command):
+    sub = _subparsers()[command]
+    flags = {flag for action in sub._actions for flag in action.option_strings}
+    dests = {action.dest for action in sub._actions if action.option_strings}
+    defaults = sub.parse_args([]).defaults
+    assert {"--" + key.replace("_", "-") for key in defaults} == flags - {"-h", "--help", "--config"}
+    assert set(defaults) == dests - {"help", "config"}
+
+
+@pytest.mark.parametrize("command", ["verify", "prepare", "fidelity-sweep", "cavity-sweep"])
+def test_a_config_of_every_default_changes_no_byte(tmp_path, capsys, monkeypatch, command):
+    # The config holds every option at its default, `out` included, so
+    # both runs write the same path in the working directory.
+    monkeypatch.chdir(tmp_path)
+    defaults = _build_parser().parse_args([command]).defaults
+    (tmp_path / "cfg.json").write_text(json.dumps(defaults))
+    runs = []
+    for argv in ([command], [command, "--config", "cfg.json"]):
+        assert main(argv) == 0
+        written = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name != "cfg.json"}
+        for name in written:
+            os.remove(name)
+        runs.append((capsys.readouterr(), written))
+    assert runs[0] == runs[1]
+    assert sorted(runs[0][1]) == ([] if command == "verify" else [defaults["out"]])
 
 
 def test_unwritable_output_path_reports_error(tmp_path, capsys):

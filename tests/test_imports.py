@@ -1,8 +1,9 @@
 """Source hygiene: every import in a wexpand module is used there, every
 top-level private name is used somewhere in the package, every raise is one
-that the CLI reports, every file is written through `csvcells`, every name
-the benchmark traces still exists, and the CLI accepts every argv the
-benchmark sends."""
+that the CLI reports, every file is written through `csvcells`, every check
+is built in `checks` and `cli` imports no engine module, every name the
+benchmark traces still exists, and the CLI accepts every argv the benchmark
+sends."""
 import ast
 import importlib
 import sys
@@ -204,6 +205,67 @@ def test_the_gate_sees_a_second_writer():
         "b.py:6: open(..., 'a')",
         "b.py:7: open with a computed mode",
         "b.py:8: open with a computed mode",
+    ]
+
+
+def _layering_faults(sources: dict[str, str]) -> list[str]:
+    """A `Check` built outside `checks`, and an import of the engine in `cli`.
+
+    `checks.CHECKS` is the one registry of the paper's claims.  `cli` parses
+    and writes; it reaches `statevec` and `gates` only through the callees
+    of its commands.  A call is read as a construction by the name it
+    calls, bare or as an attribute.
+    """
+    found = []
+    for module, source in sources.items():
+        nodes = [node for node in ast.walk(ast.parse(source)) if hasattr(node, "lineno")]
+        for node in sorted(nodes, key=lambda node: node.lineno):
+            if isinstance(node, ast.Call) and _exception_name(node.func) == "Check":
+                if module != "checks.py":
+                    found.append(f"{module}:{node.lineno}: constructs a Check")
+            elif module == "cli.py" and isinstance(node, (ast.Import, ast.ImportFrom)):
+                # `from .gates import x`, `from . import gates`, `import wexpand.gates`.
+                base = getattr(node, "module", None) or ""
+                names = [base] + [f"{base}.{a.name}".lstrip(".") for a in node.names]
+                for name in names:
+                    parts = name.split(".")
+                    parts = parts[1:] if parts[0] == "wexpand" else parts
+                    if parts[0] in ("statevec", "gates"):
+                        found.append(f"cli.py:{node.lineno}: imports from {parts[0]}")
+                        break
+    return found
+
+
+def test_only_checks_builds_a_check_and_cli_imports_no_engine():
+    sources = {p.name: p.read_text() for p in _MODULES}
+    assert _layering_faults(sources) == []
+
+
+def test_the_gate_sees_the_registry_and_engine_imports_in_cli():
+    # An excerpt of `cli` from before the registry moved to `checks`.
+    old_cli = (
+        "from . import cavity as cav\n"
+        "from .gates import (\n    NoiseParams,\n    hadamard,\n)\n"
+        "from .statevec import StateVector, basis_state\n"
+        "from .wcircuit import PHOTON, relabel\n"
+        "CHECKS = (\n"
+        "    Check(\"bell pair creation\", 1e-12, \"fused and 12-gate\", _bell_pair),\n"
+        ")\n"
+        "from . import gates\n"
+        "import wexpand.statevec as sv, json\n"
+    )
+    sources = {
+        "cli.py": old_cli,
+        "wcircuit.py": "import wexpand.gates\nx = checks.Check('n', 1.0, 'd', f)\n",
+        "checks.py": "from .gates import t_prime\nCHECKS = (Check('n', 1.0, 'd', f),)\n",
+    }
+    assert _layering_faults(sources) == [
+        "cli.py:2: imports from gates",
+        "cli.py:6: imports from statevec",
+        "cli.py:9: constructs a Check",
+        "cli.py:11: imports from gates",
+        "cli.py:12: imports from statevec",
+        "wcircuit.py:2: constructs a Check",
     ]
 
 
