@@ -86,14 +86,18 @@ def cmd_prepare(args) -> int:
         if args.full:
             dense = np.zeros(1 << m, dtype=complex)
             dense[index] = amps
-            index, amps = np.arange(1 << m), dense
-        else:
-            kept = np.abs(amps) > 1e-12
-            index, amps = index[kept], amps[kept]
-        for idx in index.tolist():
-            bits = format(idx, f"0{m}b")
-            cells.append(f"{stage},{idx},{bits},{bits.translate(role.labels)}")
-        amplitudes.append(amps)
+            amplitudes.append(dense)
+            for idx in range(1 << m):
+                bits = format(idx, f"0{m}b")
+                cells.append(f"{stage},{idx},{bits},{bits.translate(role.labels)}")
+            return
+        # Index 2^r's basis string and label are the windows at offset r of
+        # the stage's templates.
+        kept = np.abs(amps) > 1e-12
+        amplitudes.append(amps[kept])
+        bits, labels = state.template(), state.template(role.labels)
+        for r, idx in zip(np.flatnonzero(kept).tolist(), index[kept].tolist()):
+            cells.append(f"{stage},{idx},{bits[r:r + m]},{labels[r:r + m]}")
 
     if args.trace:
         # Each sequential round, with every joined qubit right after its source.
@@ -189,6 +193,20 @@ _COMMANDS = {
 }
 
 
+def _option_table(options: dict) -> tuple[dict, dict, dict]:
+    """Each option's flag, mapped to its name, its default and its choices (a
+    switch's help instead); then the `defaults` and `choices` that a parse
+    puts on its Namespace."""
+    flags, defaults, choices = {}, {}, {}
+    for name, spec in options.items():
+        default, extra = spec if isinstance(spec, tuple) else (spec, None)
+        flags["--" + name.replace("_", "-")] = (name, default, extra)
+        defaults[name] = default
+        if extra is not None and not isinstance(default, bool):
+            choices[name] = extra
+    return flags, defaults, choices
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and then shared by every call."""
@@ -200,20 +218,60 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, (func, help_text, options) in _COMMANDS.items():
         p_cmd = sub.add_parser(command, help=help_text)
         p_cmd.add_argument("--config", default=None)
-        defaults, choices = {}, {}
-        for name, spec in options.items():
-            default, extra = spec if isinstance(spec, tuple) else (spec, None)
-            flag = "--" + name.replace("_", "-")
+        flags, defaults, choices = _option_table(options)
+        for flag, (name, default, extra) in flags.items():
             # Every flag defaults to None, so _merge_config can tell one that was given.
             if isinstance(default, bool):
                 p_cmd.add_argument(flag, dest=name, action="store_true", default=None, help=extra)
             else:
                 p_cmd.add_argument(flag, dest=name, type=type(default), choices=extra, default=None)
-                if extra is not None:
-                    choices[name] = extra
-            defaults[name] = default
         p_cmd.set_defaults(func=func, defaults=defaults, choices=choices)
     return parser
+
+
+def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace `_build_parser().parse_args(argv)` returns, read without
+    argparse when argv is plain: a command, then only spelled-out
+    `--flag value`, `--flag=value` and bare switches, each value an int,
+    float or str as its default is, and among its choices.
+
+    None for every other argv (help, abbreviations, `--`, unknown flags, bad
+    values, a detached value that starts with "-", an option of another
+    type), which argparse then judges.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, options = _COMMANDS[argv[0]]
+    flags, defaults, choices = _option_table(options)
+    flags["--config"] = ("config", "", None)
+    given = dict.fromkeys(["config", *options])
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in flags:
+            return None
+        name, default, extra = flags[flag]
+        if isinstance(default, bool):
+            if eq:
+                return None
+            given[name] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+        if type(default) not in (int, float, str):
+            return None
+        try:
+            value = type(default)(value)
+        except ValueError:
+            return None
+        if extra is not None and value not in extra:
+            return None
+        given[name] = value
+    return argparse.Namespace(
+        command=argv[0], **given, func=func, defaults=defaults, choices=choices,
+    )
 
 
 def _config_value(key: str, value, default, choices=None):
@@ -243,7 +301,7 @@ def _config_value(key: str, value, default, choices=None):
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """The resolved options: flags, then the JSON config file, then defaults."""
     config = {}
-    if getattr(args, "config", None):
+    if args.config is not None:
         with open(args.config) as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
@@ -269,8 +327,13 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # Argparse, the one source of help and usage errors, is built only for
+    # an argv that is not plain.
+    args = _plain_args(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     try:
         opts = _merge_config(args)
         validate(args.command, opts)

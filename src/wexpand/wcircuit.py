@@ -356,12 +356,23 @@ class WeightOneState:
         amps[list(perm.map)] = self.amplitudes
         return WeightOneState(amps)
 
-    def terms(self) -> list[tuple[str, complex]]:
-        """Nonzero basis terms as (bit string, amplitude) pairs, as ``StateVector.terms``
-        lists them: basis index ascending, so the last qubit's excitation first."""
+    def template(self, labels: dict | None = None) -> str:
+        """Every basis string in one: the num_qubits-character window at
+        offset r of "0"*(m-1) + "1" + "0"*(m-1) is the string of index 2^r,
+        qubit m-1-r's excitation.  With a `str.translate` table of one
+        character a bit (``QubitRole.labels``), the same in those labels."""
         m = self.num_qubits
+        text = "0" * (m - 1) + "1" + "0" * (m - 1)
+        return text if labels is None else text.translate(labels)
+
+    def terms(self, labels: dict | None = None) -> list[tuple[str, complex]]:
+        """Nonzero basis terms as (bit string, amplitude) pairs, as ``StateVector.terms``
+        lists them: basis index ascending, so the last qubit's excitation first.
+        Each string is a window of ``template(labels)``."""
+        m = self.num_qubits
+        text = self.template(labels)
         return [
-            ("0" * p + "1" + "0" * (m - 1 - p), complex(self.amplitudes[p]))
+            (text[m - 1 - p:2 * m - 1 - p], complex(self.amplitudes[p]))
             for p in np.flatnonzero(np.abs(self.amplitudes) > 1e-10)[::-1].tolist()
         ]
 
@@ -717,6 +728,11 @@ class QubitRole:
     labels: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # One character a bit, so a window of a translated template is a label.
+        if len(self.zero_label) != 1 or len(self.one_label) != 1:
+            raise ValueError(
+                f"role labels must be single characters, got {self.zero_label!r}, {self.one_label!r}"
+            )
         table = str.maketrans({"0": self.zero_label, "1": self.one_label})
         object.__setattr__(self, "labels", table)
 
@@ -744,7 +760,10 @@ def relabel(state: StateVector | WeightOneState, role: QubitRole) -> str:
     Terms are listed excitation-leftmost first (descending basis index),
     the conventional way W-type states are written out.
     """
-    terms = tuple((bits.translate(role.labels), amp) for bits, amp in reversed(state.terms()))
+    if isinstance(state, WeightOneState):
+        terms = state.terms(role.labels)[::-1]
+    else:
+        terms = [(bits.translate(role.labels), amp) for bits, amp in reversed(state.terms())]
     amps = [a for _, a in terms]
     k = _common_amp_denominator(amps)
     if k == 1 and len(terms) == 1:

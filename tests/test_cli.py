@@ -360,14 +360,105 @@ def test_fidelity_sweep_rejects_an_overflowing_theta_max(tmp_path, capsys, theta
 
 
 def test_parser_is_built_once_across_commands(tmp_path, capsys, monkeypatch):
-    # Emptied first, so the count starts as in a fresh process.
+    # Emptied first, so the count starts as in a fresh process.  Plain argv
+    # are read without the parser; the first argv that is not plain builds
+    # it, and the next reuses it.
     monkeypatch.chdir(tmp_path)
     _build_parser.cache_clear()
     for argv in (["prepare"], ["fidelity-sweep", "--steps", "3"], ["cavity-sweep"],
                  ["prepare", "--n", "3", "--mode", "block"]):
         assert main(argv) == 0
     info = _build_parser.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+    assert (info.misses, info.hits) == (0, 0)
+    with pytest.raises(SystemExit) as exc:
+        main(["prepare", "--help"])
+    assert exc.value.code == 0
+    info = _build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 0)
+    dashed = ["cavity-sweep", "--detuning-min", "-1", "--detuning-steps", "3", "--g-steps", "3"]
+    assert main(dashed) == 0
+    info = _build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+# Values drawn for an option: those of its default's type, then the rest.
+_VALUES = {
+    int: (["0", "3", "+4", " 7", "-2"], ["1e-5", "2.0", "", "x"]),
+    float: (["0", "1e-5", "0.25", "inf", "3", "-1e-5", "-0.5"], ["", "x"]),
+    str: (["out.csv", "a=b", "", " x", "-", "--n", "-h", "-x"], []),
+}
+# Tokens that make any argv not plain, wherever they stand, or that argparse rejects.
+_AWKWARD = [
+    "--mo", "--theta_max", "--", "-h", "--help", "--trace=1", "--full=",
+    "-3", "1e-5", "", "stray", "--no-such", "-n", "prepare",
+]
+# Every command's flags, so that a command is also sent the flags of the others.
+_ALL_FLAGS = {
+    "--config": ("config", "", None),
+    **{flag: spec for _, _, options in cli._COMMANDS.values()
+       for flag, spec in cli._option_table(options)[0].items()},
+}
+
+
+@st.composite
+def _argvs(draw):
+    """An argv and whether it is plain, from `_COMMANDS`' flags, values and
+    awkward tokens.  About half are drawn clean: the command's own flags with
+    values of their types, so that most of those are plain."""
+    command = draw(st.sampled_from([*cli._COMMANDS, "prepar", "bogus", "--help", "-h"]))
+    own = cli._option_table(cli._COMMANDS[command][2])[0] if command in cli._COMMANDS else {}
+    own["--config"] = _ALL_FLAGS["--config"]
+    clean = draw(st.booleans())
+    plain = command in cli._COMMANDS
+    argv = [command]
+    for _ in range(draw(st.integers(0, 5))):
+        forms = ["detached", "joined"] + ([] if clean else ["awkward"])
+        form = draw(st.sampled_from(forms))
+        if form == "awkward":
+            argv.append(draw(st.sampled_from(_AWKWARD)))
+            plain = False
+            continue
+        flag = draw(st.sampled_from(list(own if clean else _ALL_FLAGS)))
+        plain &= flag in own
+        _, default, extra = own.get(flag, _ALL_FLAGS[flag])
+        if isinstance(default, bool):
+            argv.append(flag)
+            continue
+        good, bad = _VALUES[type(default)]
+        if extra is not None:
+            good, bad = extra, ["bogus", "", extra[0].upper()]
+        value = draw(st.sampled_from(good if clean else [*good, *bad]))
+        # A joined "-x" is read as a value; a detached one only by argparse.
+        plain &= value in good and not (form == "detached" and value.startswith("-"))
+        argv += [flag, value] if form == "detached" else [f"{flag}={value}"]
+    return argv, plain
+
+
+@settings(max_examples=400, deadline=None)
+@given(drawn=_argvs())
+def test_the_plain_reader_returns_argparses_namespace_or_none(drawn):
+    argv, plain = drawn
+    read = cli._plain_args(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            parsed = _build_parser().parse_args(argv)
+    except SystemExit:
+        assert read is None
+    else:
+        assert read is None or read == parsed
+        assert (read is not None) == plain
+
+
+@pytest.mark.parametrize("config", [["--config", ""], ["--config="], ["--conf", ""]])
+def test_an_empty_config_path_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, config):
+    # A truthiness test once skipped '' and wrote the sweep on the defaults.
+    # "--conf" is an abbreviation, so argparse reads that argv.
+    monkeypatch.chdir(tmp_path)
+    assert main(["fidelity-sweep", "--steps", "3", *config]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "''" in captured.err
+    assert os.listdir(tmp_path) == []
 
 
 def test_fidelity_sweep_uses_lf_line_endings(tmp_path):

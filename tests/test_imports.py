@@ -3,7 +3,7 @@ top-level private name is used somewhere in the package, every raise is one
 that the CLI reports, every file is written through `csvcells`, every check
 is built in `checks` and `cli` imports no engine module, every name the
 benchmark traces still exists, and the CLI accepts every argv the benchmark
-sends."""
+sends, reading the plain ones without argparse."""
 import ast
 import importlib
 import sys
@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import wexpand
+from wexpand import cli
 from wexpand.cli import main
 
 _PACKAGE = sorted(Path(wexpand.__file__).parent.glob("*.py"))
@@ -329,16 +330,56 @@ def _exit_code(argv: list[str]) -> int:
         return exc.code
 
 
+def _benchmark_argvs(name: str, out: str) -> list[list[str]]:
+    """A workload's warm-up request and one seeded cycle."""
+    workload = _BENCHMARK.WORKLOADS[name]
+    argvs = [[*workload.warmup, "--out", out]]
+    return argvs + [list(request.argv) for request in next(_BENCHMARK.cycles(workload, 1, out))]
+
+
 @pytest.mark.parametrize("name", sorted(_BENCHMARK.WORKLOADS))
 def test_the_cli_accepts_every_argv_the_benchmark_sends(tmp_path, capsys, name):
-    # The warm-up request and one seeded cycle; exit codes only, not the
-    # workload's output oracle.
-    workload = _BENCHMARK.WORKLOADS[name]
-    out = str(tmp_path / "out.csv")
-    argvs = [[*workload.warmup, "--out", out]]
-    argvs += [list(request.argv) for request in next(_BENCHMARK.cycles(workload, 1, out))]
+    # Exit codes only, not the workload's output oracle.
+    argvs = _benchmark_argvs(name, str(tmp_path / "out.csv"))
     assert [(argv, code) for argv in argvs if (code := _exit_code(argv)) != 0] == []
 
 
 def test_the_gate_sees_an_option_the_cli_lacks(capsys):
     assert _exit_code(["prepare", "--n", "1", "--no-such-option", "x"]) == 2
+
+
+def _parse_path(argv: list[str]) -> str:
+    """How `cli.main` reads argv: "plain" if the plain reader returns
+    argparse's Namespace, "argparse" if it leaves argv to an argparse that
+    accepts it, "misread" or "rejected" otherwise."""
+    read = cli._plain_args(argv)
+    try:
+        parsed = cli._build_parser().parse_args(argv)
+    except SystemExit:
+        return "rejected"
+    if read is None:
+        return "argparse"
+    return "plain" if read == parsed else "misread"
+
+
+# Every argv of these is plain; the others' carry negative values, which
+# the reader leaves to argparse.
+_PLAIN_WORKLOADS = ("prepare-dense", "sweep-small")
+
+
+@pytest.mark.parametrize("name", sorted(_BENCHMARK.WORKLOADS))
+def test_the_benchmark_argv_are_read_without_argparse_where_plain(name):
+    allowed = {"plain"} if name in _PLAIN_WORKLOADS else {"plain", "argparse"}
+    argvs = _benchmark_argvs(name, "out.csv")
+    assert [(argv, path) for argv in argvs if (path := _parse_path(argv)) not in allowed] == []
+
+
+def test_the_gate_sees_an_option_type_the_reader_cannot_read(monkeypatch):
+    func, help_text, options = cli._COMMANDS["prepare"]
+    monkeypatch.setitem(cli._COMMANDS, "prepare", (func, help_text, {**options, "phase": 1j}))
+    cli._build_parser.cache_clear()
+    try:
+        assert _parse_path(["prepare", "--n", "3", "--phase", "1j"]) == "argparse"
+    finally:
+        monkeypatch.undo()
+        cli._build_parser.cache_clear()

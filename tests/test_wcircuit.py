@@ -614,6 +614,25 @@ def test_weight_one_state_is_normalized_and_lists_terms_as_the_dense_state():
     assert not state.amplitudes.flags.writeable and state.amplitudes is not amps
 
 
+@pytest.mark.parametrize("m", [1, 2, 5, 9])
+def test_weight_one_template_windows_are_the_basis_strings_and_labels(m):
+    # The window at offset r is index 2^r's string, as format writes it.
+    state = WeightOneState(np.full(m, 1.0 / np.sqrt(m)))
+    bits, labels = state.template(), state.template(SPIN.labels)
+    for r in range(m):
+        assert bits[r:r + m] == format(1 << r, f"0{m}b")
+        assert labels[r:r + m] == format(1 << r, f"0{m}b").translate(SPIN.labels)
+    dense = StateVector(vec({1 << r: 1.0 / np.sqrt(m) for r in range(m)}, m))
+    assert state.terms() == dense.terms()
+    assert state.terms(PHOTON.labels) == [(b.translate(PHOTON.labels), a) for b, a in dense.terms()]
+    assert relabel(state, SPIN) == relabel(dense, SPIN)
+
+
+def test_role_labels_are_single_characters():
+    with pytest.raises(ValueError, match=r"^role labels must be single characters"):
+        wcircuit.QubitRole("photon", "R0", "L1")
+
+
 @pytest.mark.parametrize("m", [62, 63, 64, 65])
 def test_weight_one_indices_are_exact_past_int64(m):
     # int64 wraps 2^63 to -2^63 and 2^64 to 0: past 63 qubits the indices
