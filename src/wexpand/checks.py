@@ -5,6 +5,7 @@
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -42,9 +43,11 @@ from .wcircuit import (
     build_w_state,
     create_epr,
     double_w,
+    double_w_pairs,
     expand_by_one,
     interleave_permutation,
     relabel,
+    round_permutation,
     standard_expansion_circuit,
 )
 
@@ -200,6 +203,23 @@ def _doubling_sweep(rng) -> float:
     )
 
 
+def _pair_engine(rng) -> float:
+    # What `prepare` writes and prints: each stage scattered onto the dense
+    # run's register, a round's joined qubits moved in after their sources.
+    dev = 0.0
+    for n, mode in itertools.product((1, 2, 3, 4), ("block", "sequential")):
+        stage, report = double_w_pairs(n, mode)
+        (out, dense), rounds = double_w(n, mode), double_w(n, "sequential")[1].rounds
+        wanted = [permute(r, round_permutation(n, k)) for k, r in enumerate(rounds)] + [out]
+        for k, want in enumerate(wanted):
+            got = np.zeros_like(want.amplitudes)
+            got[1 << np.arange(want.num_qubits)] = stage(k)[::-1]
+            dev = max(dev, _max_abs(got - want.amplitudes))
+        for field in ("overlap", "success_probability", "ancilla_purities"):
+            dev = max(dev, _max_abs(np.subtract(getattr(report, field), getattr(dense, field))))
+    return dev
+
+
 def _swap_network(rng) -> float:
     # The interleave permutation acts on the doubling input exactly like the
     # pairwise swap sequence (2,7)(3,4)(5,9), 1-based.
@@ -336,6 +356,8 @@ CHECKS: tuple[Check, ...] = (
     Check("doubling n=3 (W_6)", 1e-10, "block-mode |W_3> -> |W_6>", _doubling_w6),
     Check("doubling sweep n=1..4", 1e-10,
           "both register modes", _doubling_sweep),
+    Check("pair engine vs dense doubling", 1e-14,
+          "every stage and the report of prepare's run, both modes, n = 1..4", _pair_engine),
     Check("swap network layout", 1e-12,
           "interleaved triples vs pairwise swap list", _swap_network),
     Check("fidelity closed forms", 1e-12,

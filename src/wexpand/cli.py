@@ -19,7 +19,7 @@ from . import cavity as cav
 from . import noise as noi
 from .checks import run_verification
 from .csvcells import write_csv
-from .wcircuit import PHOTON, SPIN, double_w_weight_one, relabel, round_permutation
+from .wcircuit import PHOTON, SPIN, WeightOneState, double_w_pairs, relabel
 
 
 def validate(command: str, opts: argparse.Namespace) -> None:
@@ -76,36 +76,38 @@ _ROLES = {role.kind: role for role in (PHOTON, SPIN)}
 
 def cmd_prepare(args) -> int:
     role = _ROLES[args.role]
-    out_state, report = double_w_weight_one(args.n, args.mode)
+    n = args.n
+    stage, report = double_w_pairs(n, args.mode)
+    out_state = WeightOneState(stage(n + 1))
+    # An m-qubit stage's index 2^r is entry r of the 2n-qubit output's
+    # ascending indices; its string and label, the templates' windows at 2n - m + r.
+    index = out_state.indices()[::-1]
+    bits, labels = out_state.template(), out_state.template(role.labels)
     cells, amplitudes = [], []  # one "stage,index,basis,label" cell a row, and its amplitude
 
-    def add_rows(stage: str, state) -> None:
+    def add_rows(name: str, amps: np.ndarray) -> None:
         # Rows in ascending basis index: the last qubit's excitation first.
-        m = state.num_qubits
-        index, amps = state.indices()[::-1], state.amplitudes[::-1]
+        m = amps.size
+        amps = amps[::-1]
         if args.full:
             dense = np.zeros(1 << m, dtype=complex)
-            dense[index] = amps
+            dense[index[:m]] = amps
             amplitudes.append(dense)
             for idx in range(1 << m):
-                bits = format(idx, f"0{m}b")
-                cells.append(f"{stage},{idx},{bits},{bits.translate(role.labels)}")
+                string = format(idx, f"0{m}b")
+                cells.append(f"{name},{idx},{string},{string.translate(role.labels)}")
             return
-        # Index 2^r's basis string and label are the windows at offset r of
-        # the stage's templates.
         kept = np.abs(amps) > 1e-12
         amplitudes.append(amps[kept])
-        bits, labels = state.template(), state.template(role.labels)
-        for r, idx in zip(np.flatnonzero(kept).tolist(), index[kept].tolist()):
-            cells.append(f"{stage},{idx},{bits[r:r + m]},{labels[r:r + m]}")
+        offsets = 2 * n - m + np.flatnonzero(kept)
+        for s, idx in zip(offsets.tolist(), index[:m][kept].tolist()):
+            cells.append(f"{name},{idx},{bits[s:s + m]},{labels[s:s + m]}")
 
     if args.trace:
         # Each sequential round, with every joined qubit right after its source.
-        rounds = report.rounds or double_w_weight_one(args.n, "sequential")[1].rounds
-        add_rows("round_0", rounds[0])
-        for k, grown in enumerate(rounds[1:], start=1):
-            add_rows(f"round_{k}", grown.permuted(round_permutation(args.n, k)))
-    add_rows("final", out_state)
+        for k in range(n + 1):
+            add_rows(f"round_{k}", stage(k))
+    add_rows("final", out_state.amplitudes)
     amps = np.concatenate(amplitudes)
     header = ["stage", "index", "basis", "label", "re", "im"]
     write_csv(args.out, header, [(cells, np.arange(len(cells))), amps.real, amps.imag])

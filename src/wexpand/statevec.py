@@ -366,8 +366,8 @@ def _require_normalized(amps: np.ndarray) -> None:
         raise ValueError(f"state is not normalized: |psi|^2 = {norm2!r}")
 
 
-def _postselected(sub: np.ndarray) -> tuple[np.ndarray, float]:
-    """The projected amplitudes ``sub`` renormalized, as a new array, and their squared norm.
+def _normalized(sub: np.ndarray) -> tuple[StateVector, float]:
+    """The projected amplitudes ``sub`` renormalized, as a state, and their squared norm.
 
     The norm is one ``vdot`` over ``sub`` as laid out, so a strided view
     rounds as the same view always has.
@@ -375,10 +375,4 @@ def _postselected(sub: np.ndarray) -> tuple[np.ndarray, float]:
     prob = float(np.vdot(sub, sub).real)
     if prob < 1e-12:
         raise ValueError(f"projection onto |0...0> has vanishing probability {prob!r}")
-    return sub / np.sqrt(prob), prob
-
-
-def _normalized(sub: np.ndarray) -> tuple[StateVector, float]:
-    """``_postselected`` as a state: ``sub`` renormalized, and its squared norm."""
-    amps, prob = _postselected(sub)
-    return StateVector(_seal(amps)), prob
+    return StateVector(_seal(sub / np.sqrt(prob))), prob

@@ -20,14 +20,16 @@ applies V to one qubit and returns a register one qubit larger;
 dense oracles.
 
 Ideal V keeps the number of excitations (|0> -> |00>, |1> -> (|10> +
-|01>)/sqrt(2)), so from |W_n> every state of the ideal doubling has
-exactly one.  ``double_w_weight_one`` runs it on a ``WeightOneState``,
-one amplitude per qubit, 2n numbers where ``double_w`` holds 2^(2n);
-``prepare`` writes and prints that run, and ``double_w`` is its oracle.
+|01>)/sqrt(2)), so each stage of the ideal doubling is c = V|1> on some
+pairs (w_i, new_i) and |0> elsewhere, normalized.  ``double_w_pairs``
+gives the stages and the report in closed form from c, with no per-round
+loop; ``prepare`` writes and prints them, and ``double_w`` is their oracle.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -46,13 +48,11 @@ from .statevec import (
     StateVector,
     _contract,
     _normalized,
-    _postselected,
     _qubit_density,
     _readonly,
     _real_array,
     _require_int,
     _require_normalized,
-    _require_unit_trace,
     _seal,
     apply_unitary,
     fidelity_pure,
@@ -347,15 +347,6 @@ class WeightOneState:
             return 1 << (m - 1 - np.arange(m))
         return np.array([1 << (m - 1 - p) for p in range(m)], dtype=object)
 
-    def permuted(self, perm: QubitPermutation) -> "WeightOneState":
-        """The state with the qubit at position p moved to position perm.map[p],
-        as ``permute`` moves it: the amplitudes reordered, with no register."""
-        if perm.size != self.num_qubits:
-            raise ValueError(f"permutation size {perm.size} != {self.num_qubits} qubits")
-        amps = np.empty_like(self.amplitudes)
-        amps[list(perm.map)] = self.amplitudes
-        return WeightOneState(amps)
-
     def template(self, labels: dict | None = None) -> str:
         """Every basis string in one: the num_qubits-character window at
         offset r of "0"*(m-1) + "1" + "0"*(m-1) is the string of index 2^r,
@@ -523,14 +514,14 @@ class RunReport:
 
     ``overlap`` is |<W_2n|out>|^2 of the post-selected output.  ``rounds``
     holds the post-selected register of each sequential round, round 0
-    being |W_n> and round i ordered (w_0..w_{n-1}, new_0..new_{i-1}), in
-    the run's own representation; it is empty in block mode.
+    being |W_n> and round i ordered (w_0..w_{n-1}, new_0..new_{i-1}); it
+    is empty in block mode.
     """
 
     overlap: float
     ancilla_purities: tuple[float, ...]
     success_probability: float
-    rounds: tuple[StateVector | WeightOneState, ...]
+    rounds: tuple[StateVector, ...]
 
     @property
     def fidelity(self) -> float:
@@ -639,13 +630,14 @@ def double_w(
 
 
 def _require_weight_preserving(v: np.ndarray, w: np.ndarray) -> None:
-    """Reject maps under which one amplitude per qubit no longer describes the state.
+    """Reject maps under which one pair c = V|1> no longer gives the doubling.
 
     V[q1', q2', x] with q1' + q2' != x moves amplitude to a string with a
-    different number of excitations, and a nonzero W leaves the ancilla
-    mixed; for ideal gates all of these are exactly zero.
+    different number of excitations, a nonzero W leaves the ancilla mixed,
+    and V[0,0,0] != 1 would put a different phase on the pairs of each
+    round; for ideal gates none of these happens.
     """
-    for q1, q2, x in np.ndindex(2, 2, 2):
+    for q1, q2, x in itertools.product((0, 1), repeat=3):
         if q1 + q2 != x and v[q1, q2, x] != 0:
             raise ValueError(
                 f"V[{q1}, {q2}, {x}] = {complex(v[q1, q2, x])!r} changes the number of "
@@ -654,63 +646,52 @@ def _require_weight_preserving(v: np.ndarray, w: np.ndarray) -> None:
     if w.any():
         raise ValueError("W, the map onto ancilla |1>, is not zero; the weight-one "
                          "doubling needs the ancilla to stay in |0>")
+    if v[0, 0, 0] != 1:
+        raise ValueError(f"V[0, 0, 0] = {complex(v[0, 0, 0])!r}; the pair doubling needs it to be 1")
 
 
-def _diagonal_purity(p0: float) -> float:
-    """Purity of an ancilla whose 2x2 is diag(p0, 0), once its trace p0 is checked."""
-    _require_unit_trace(complex(p0))
-    return p0 * p0
+def double_w_pairs(n: int, mode: str = "sequential") -> tuple[Callable[[int], np.ndarray], RunReport]:
+    """``double_w(n, mode)`` for ideal gates, in closed form from the pair c = V|1>.
 
-
-def double_w_weight_one(n: int, mode: str = "sequential") -> tuple[WeightOneState, RunReport]:
-    """``double_w(n, mode)`` for ideal gates, on one amplitude per qubit.
-
-    Expanding target i multiplies every amplitude by V[0,0,0], then sets
-    a_i V[1,0,1] in place and appends a_i V[0,1,1] last: the products
-    ``expand_qubit`` makes, on the 2n weight-one entries alone.  Norms,
-    the post-selection probability and the overlap with |W_2n> are
-    ``vdot``s over these entries; each ancilla's 2x2 is diag(p0, 0), so
-    its purity is p0^2.  The output, the report and its rounds are those
-    of ``double_w``, with ``WeightOneState`` for ``StateVector``.  Raises
-    ValueError unless V keeps one excitation and W is zero (see
-    ``_require_weight_preserving``).
+    V|0> = |00>, so round k holds c on its first k pairs (w_i, new_i) and
+    V[0,0,0] on each other w_i, divided once by sqrt(n P_k), with P_k =
+    (k |c|^2 + n - k) / n; the output holds c on every pair.  Returns
+    ``stage`` and the report.  ``stage(k)`` is one amplitude per qubit in
+    qubit order: for k <= n round k, ordered (w_0, new_0, ..., w_{k-1},
+    new_{k-1}, w_k, ..., w_{n-1}); for k = n + 1 the output, ordered
+    (w_0..w_{n-1}, new_0..new_{n-1}).  The report holds the overlap |c10 +
+    c01|^2 / (2 |c|^2), the success probability |c|^2 and the purities
+    p0^2 (each ancilla's 2x2 is diag(p0, 0)): p0 = P_0 = <W_n|W_n> in block
+    mode, P_{k+1} / P_k in round k.  Its ``rounds`` is empty.  Raises
+    ValueError as ``double_w`` does for n and the mode, and for V and W as
+    ``_require_weight_preserving`` does.
     """
     n = _require_doubling(n, mode)
     v, w = _expansion_map(NoiseParams())
     _require_weight_preserving(v, w)
-    stay, split, moved = (complex(v[q1, q2, x]) for q1, q2, x in ((0, 0, 0), (1, 0, 1), (0, 1, 1)))
-    w_n = WeightOneState(np.full(n, 1.0 / np.sqrt(n), dtype=complex))
-    block = mode == "block"
-
-    # Round i expands w_i and appends new_i last, after the i already joined.
-    out, amps, prob = w_n, w_n.amplitudes, 1.0
-    purities, rounds = [], [w_n]
-    for i in range(n):
-        grown = np.empty(amps.size + 1, dtype=complex)
-        np.multiply(stay, amps, out=grown[:-1])
-        grown[i] = split * amps[i]
-        grown[-1] = moved * amps[i]
-        amps = grown
-        if not block:
-            normed, p = _postselected(amps)
-            purities.append(_diagonal_purity(p))
-            out, amps, prob = WeightOneState(normed), normed, prob * p
-            rounds.append(out)
-    if block:
-        # Ancilla i reads w_i's 2x2 in |W_n> alone, of trace |W_n|^2; then
-        # one joint post-selection of all n ancillas.
-        purities = [_diagonal_purity(float(np.vdot(w_n.amplitudes, w_n.amplitudes).real))] * n
-        normed, prob = _postselected(amps)
-        out, rounds = WeightOneState(normed), []
-
-    target = np.full(2 * n, 1.0 / np.sqrt(2 * n), dtype=complex)
+    stay, moved, split = v[0, 0, 0], v[0, 1, 1], v[1, 0, 1]
+    c2 = float(abs(moved) ** 2 + abs(split) ** 2)
+    k = np.arange(n + 1)
+    norms2 = k * c2 + (n - k) * abs(stay) ** 2  # n P_k
+    # Row k is round k's (V[0,0,0], c01, c10).  The layout names each
+    # qubit's column: round k's at [2(n - k), 3n - k), the output's, from
+    # row n, at [3n, 5n).
+    values = np.array([stay, moved, split]) / np.sqrt(norms2)[:, None]
+    layout = np.array([2, 1] * n + [0] * n + [2] * n + [1] * n)
+    purities = np.full(n, (norms2[0] / n) ** 2) if mode == "block" else (norms2[1:] / norms2[:-1]) ** 2
     report = RunReport(
-        overlap=float(abs(np.vdot(target, out.amplitudes)) ** 2),
-        ancilla_purities=tuple(purities),
-        success_probability=float(prob),
-        rounds=tuple(rounds),
+        overlap=float(abs(split + moved) ** 2 / (2.0 * c2)),
+        ancilla_purities=tuple(purities.tolist()),
+        success_probability=c2,
+        rounds=(),
     )
-    return out, report
+
+    def stage(k: int) -> np.ndarray:
+        if not 0 <= k <= n + 1:
+            raise ValueError(f"stage must be in 0..{n + 1}, got {k}")
+        return values[min(k, n)].take(layout[3 * n:] if k > n else layout[2 * (n - k):3 * n - k])
+
+    return stage, report
 
 
 # ---------------------------------------------------------------------------

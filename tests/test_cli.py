@@ -9,6 +9,7 @@ import tempfile
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -264,6 +265,51 @@ def test_prepare_never_runs_the_dense_engine(tmp_path, monkeypatch):
         for extra in ([], ["--trace"], ["--full", "--trace"]):
             argv = ["prepare", "--n", "4", "--mode", mode, *extra, "--out", str(tmp_path / "o.csv")]
             assert main(argv) == 0
+
+
+def test_prepare_block_trace_runs_the_pair_engine_once(tmp_path, monkeypatch, capsys):
+    # The traced rounds are stages of the same closed form: no second
+    # sequential run and no per-round permutation.
+    calls, permutations = [], []
+    engine, post_init = cli.double_w_pairs, QubitPermutation.__post_init__
+
+    def counted_engine(*args):
+        calls.append(args)
+        return engine(*args)
+
+    def counted_post_init(self):
+        permutations.append(self.map)
+        post_init(self)
+
+    monkeypatch.setattr(cli, "double_w_pairs", counted_engine)
+    monkeypatch.setattr(QubitPermutation, "__post_init__", counted_post_init)
+    argv = ["prepare", "--n", "5", "--mode", "block", "--trace", "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == 0
+    assert calls == [(5, "block")]
+    assert permutations == []
+
+
+@pytest.mark.parametrize("mode", ["block", "sequential"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_prepare_amplitudes_lie_within_an_ulp_of_the_exact_ones(tmp_path, capsys, n, mode):
+    # Against 40 digits: a stage's expanded qubits carry 1/sqrt(2n), the
+    # rest 1/sqrt(n); round k's first 2k qubits are expanded, as are all
+    # 2n of the final stage.
+    out = tmp_path / "out.csv"
+    assert main(["prepare", "--n", str(n), "--mode", mode, "--trace", "--out", str(out)]) == 0
+    rows = read_csv(str(out))
+    with mpmath.workdps(40):
+        half, whole = 1 / mpmath.sqrt(2 * n), 1 / mpmath.sqrt(n)
+        worst = mpmath.mpf(0)
+        for r in rows:
+            # Index 2^r is the excitation of qubit m - 1 - r.
+            qubit = len(r["basis"]) - int(r["index"]).bit_length()
+            split = 2 * n if r["stage"] == "final" else 2 * int(r["stage"].split("_")[1])
+            exact = half if qubit < split else whole
+            assert r["im"] == "0"
+            worst = max(worst, abs(mpmath.mpf(r["re"]) - exact))
+    assert len(rows) == sum(n + k for k in range(n + 1)) + 2 * n
+    assert worst <= 1.2e-16
 
 
 def test_prepare_holds_no_register_of_the_doubled_state(tmp_path, capsys):

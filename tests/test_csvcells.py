@@ -24,8 +24,7 @@ from wexpand import csvcells, noise
 from wexpand.cavity import reflection_grid
 from wexpand.cli import main
 from wexpand.csvcells import BLOCK_ROWS, WIDTH, format_cells, write_csv
-from wexpand.statevec import permute
-from wexpand.wcircuit import PHOTON, SPIN, double_w, round_permutation
+from wexpand.wcircuit import PHOTON, SPIN, double_w_pairs
 
 
 def _assert_formats_like_percent(values):
@@ -305,21 +304,20 @@ def _cli_csv(path, argv) -> bytes:
 
 
 def _per_row_prepare_csv(path, n, mode, role, trace, full) -> bytes:
-    """The rows `prepare` wrote through the per-row writer."""
-    out_state, report = double_w(n, mode)
+    """The rows `prepare` wrote through the per-row writer, from the same stages."""
+    stage_amplitudes, _ = double_w_pairs(n, mode)
     labels = str.maketrans({"0": role.zero_label, "1": role.one_label})
-    stages = []
-    if trace:
-        rounds = report.rounds or double_w(n, "sequential")[1].rounds
-        stages += [("round_0", rounds[0])]
-        stages += [(f"round_{k}", permute(grown, round_permutation(n, k)))
-                   for k, grown in enumerate(rounds[1:], start=1)]
+    written = [(f"round_{k}", k) for k in range(n + 1)] * trace + [("final", n + 1)]
     rows = []
-    for stage, state in stages + [("final", out_state)]:
-        amps = state.amplitudes
+    for stage, k in written:
+        # One amplitude per qubit; qubit p of m is index 2^(m - 1 - p).
+        weight_one = stage_amplitudes(k)
+        m = weight_one.size
+        amps = np.zeros(1 << m, dtype=complex)
+        amps[1 << (m - 1 - np.arange(m))] = weight_one
         kept = range(amps.size) if full else np.flatnonzero(np.abs(amps) > 1e-12).tolist()
         for idx in kept:
-            bits = format(idx, f"0{state.num_qubits}b")
+            bits = format(idx, f"0{m}b")
             rows.append((stage, idx, bits, bits.translate(labels), amps[idx].real, amps[idx].imag))
     header = ["stage", "index", "basis", "label", "re", "im"]
     return _per_row_csv(path, header, "%s,%d,%s,%s,%.17g,%.17g\n", rows)

@@ -70,6 +70,20 @@ block --full --trace --role spin` 19 of its 3040 (rounds 3 to 5), each in
 its `re` cell and by at most 1.1e-16.  The stdout of the second changed
 only in its line "fidelity vs |W_10>: 0.99999999999999978", now "... 1".
 The other pins held.
+
+Three were re-pinned when `prepare` began to write every stage in closed
+form from one pair c = V|1>: each amplitude of a stage is c10, c01 or
+V[0,0,0] divided once by the stage's norm, where each sequential round
+had been renormalized from the one before.  `prepare --n 7 --mode
+sequential --trace` moved 46 of its 98 rows (rounds 1 and 3 to 7 and the
+final state), `prepare --n 5 --mode block --full --trace --role spin` 28
+of its 3040 (rounds 1 to 5) and `prepare --n 4 --mode sequential --full
+--trace` 13 of its 752 (rounds 2 and 3), each in its `re` cell and by at
+most 1.11e-16.  The default `prepare`, `prepare --n 8 --mode sequential`,
+all three `prepare` stdout pins and every sweep hash held.  The `verify`
+stdout gained the line "pair engine vs dense doubling" after "doubling
+sweep n=1..4" and now ends "21/21 checks passed"; every other check line
+kept its bytes.
 """
 import hashlib
 import math
@@ -89,15 +103,15 @@ GOLDEN_SHA256 = {
     # (a post-selection probability, a tensor product) moves some amplitude
     # in its last bit; the n = 2 default above is too small to show it.
     "prepare --n 7 --mode sequential --trace":
-        "1b51b103376b2ae24073c15fd17b375ffb12b342fa78fb47dd1490c4ba8cf8be",
+        "3ce9605c673b09758ba768d757305effbc3453462ece902118651b0387a53f61",
     "prepare --n 5 --mode block --full --trace --role spin":
-        "98df5625b0e2345057465cc0c1de016b0e65ed66ab8fa2c054f711409463cf04",
+        "c059c3941e9d2bb84fd582522ad23b808f5024c083dc53eccce105f17fd05377",
     # The largest sequential run, and a full sequential dump that writes
     # every zero amplitude out.
     "prepare --n 8 --mode sequential":
         "431d71c56b1a2623d829f9466c8b34db21160a2563cabbe3d49d2c26104d7be4",
     "prepare --n 4 --mode sequential --full --trace":
-        "9aea82a258c2c68199c5db9e0c1bb29edb23f7aae2ac487291aa4e87d00b23ba",
+        "b6fd5393d775ffcc20fc27b053bed9471f0bfb6d7a9ddc36c76ce8c2d7064b2e",
 }
 
 
@@ -161,11 +175,11 @@ def test_prepare_stdout_matches_its_golden_hash(command, tmp_path, capsys):
     assert hashlib.sha256(stdout.encode()).hexdigest() == PREPARE_STDOUT_SHA256[command]
 
 
-VERIFY_STDOUT_SHA256 = "1b0b755fdbe105c30e2d7fa0f39ccdbacf6e8ddac30ab01aa763dc56514d6cdf"
+VERIFY_STDOUT_SHA256 = "b179c4f5fe1cc4e193d681dbdd2b880f3a39a21a2445b6d5a22184c6e97b8292"
 
 
 def test_verify_stdout_matches_its_golden_hash(capsys):
     assert main(["verify"]) == 0
     stdout = capsys.readouterr().out
-    assert stdout.endswith("20/20 checks passed\n")
+    assert stdout.endswith("21/21 checks passed\n")
     assert hashlib.sha256(stdout.encode()).hexdigest() == VERIFY_STDOUT_SHA256

@@ -38,7 +38,7 @@ from wexpand.wcircuit import (
     create_epr,
     WeightOneState,
     double_w,
-    double_w_weight_one,
+    double_w_pairs,
     expand_by_one,
     expand_qubit,
     expansion_maps,
@@ -556,7 +556,7 @@ def test_double_w_caps():
         (0, "giant", "n must be >= 1, got 0"),
         (2.0, "block", "n must be an integer, got 2.0"),
     )
-    for engine in (double_w, double_w_weight_one):
+    for engine in (double_w, double_w_pairs):
         for n, mode, message in cases:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 engine(n, mode)
@@ -565,24 +565,37 @@ def test_double_w_caps():
 @pytest.mark.parametrize("mode", ["block", "sequential"])
 @pytest.mark.parametrize("n", range(1, 9))
 def test_weight_one_doubling_matches_the_dense_run(n, mode):
-    # The same products as expand_qubit; each norm sums the 2n weight-one
-    # amplitudes alone, so values may differ from the dense run's in the last bit.
-    out, report = double_w_weight_one(n, mode)
+    # Each stage's entries are c10, c01 and V[0,0,0], each divided once by the
+    # stage's closed-form norm, so values may differ from the dense run's in
+    # the last bit.  Traced round k is the dense sequential round k with each
+    # joined qubit moved in after its source.
+    stage, report = double_w_pairs(n, mode)
     dense_out, dense_report = double_w(n, mode)
-    assert len(report.rounds) == len(dense_report.rounds) == (0 if mode == "block" else n + 1)
-    for got, want in zip((out, *report.rounds), (dense_out, *dense_report.rounds)):
-        assert isinstance(got, WeightOneState) and got.num_qubits == want.num_qubits
+    dense_rounds = dense_report.rounds or double_w(n, "sequential")[1].rounds
+    assert report.rounds == ()
+    wanted = [permute(r, round_permutation(n, k)) for k, r in enumerate(dense_rounds)]
+    for k, want in enumerate([*wanted, dense_out]):
+        got = stage(k)
+        assert got.size == want.num_qubits
         scattered = np.zeros_like(want.amplitudes)
-        scattered[got.indices()] = got.amplitudes
+        scattered[WeightOneState(got).indices()] = got
         assert np.max(np.abs(scattered - want.amplitudes)) <= 2.2e-16
         assert not want.amplitudes[scattered == 0].any()
-    # The report's numbers are sums of up to 2n terms, taken in another order
-    # (at most 1.8e-15 apart for n <= 8).
+    # The report's numbers are closed forms of c, where the dense run sums
+    # up to 2^(2n) terms (at most 2.0e-15 apart for n <= 8).
     for field in ("overlap", "success_probability"):
         assert abs(getattr(report, field) - getattr(dense_report, field)) <= 1e-14
     assert np.max(np.abs(np.subtract(report.ancilla_purities, dense_report.ancilla_purities))) <= 1e-14
+    out = WeightOneState(stage(n + 1))
     for role in (PHOTON, SPIN):
         assert relabel(out, role) == relabel(dense_out, role)
+
+
+def test_pair_doubling_rejects_a_stage_out_of_range():
+    stage, _ = double_w_pairs(3, "block")
+    for k in (-1, 5):
+        with pytest.raises(ValueError, match=r"^stage must be in 0\.\.4, got %d$" % k):
+            stage(k)
 
 
 @pytest.mark.parametrize("entry", [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1), (0, 0, 1)])
@@ -593,7 +606,7 @@ def test_weight_one_doubling_rejects_a_map_that_changes_the_weight(entry, monkey
     message = r"^V\[%d, %d, %d\] = \(1e-300\+0j\) changes the number of excitations" % entry
     for mode in ("block", "sequential"):
         with pytest.raises(ValueError, match=message):
-            double_w_weight_one(2, mode)
+            double_w_pairs(2, mode)
 
 
 def test_weight_one_doubling_rejects_a_leaking_ancilla(monkeypatch):
@@ -601,7 +614,18 @@ def test_weight_one_doubling_rejects_a_leaking_ancilla(monkeypatch):
     w[1, 0, 1] = 1e-300
     monkeypatch.setattr(wcircuit, "_expansion_map", lambda noise: (v, w))
     with pytest.raises(ValueError, match=r"^W, the map onto ancilla \|1>, is not zero"):
-        double_w_weight_one(2, "sequential")
+        double_w_pairs(2, "sequential")
+
+
+def test_pair_doubling_rejects_a_phase_on_the_vacuum(monkeypatch):
+    # Round k's unexpanded qubits would carry V[0,0,0]^k, and pair i
+    # V[0,0,0]^(k-1-i): no longer one closed form per round.
+    v, w = (m.copy() for m in _expansion_map(NoiseParams()))
+    v[0, 0, 0] = 1j
+    monkeypatch.setattr(wcircuit, "_expansion_map", lambda noise: (v, w))
+    for mode in ("block", "sequential"):
+        with pytest.raises(ValueError, match=r"^V\[0, 0, 0\] = 1j; the pair doubling needs it to be 1$"):
+            double_w_pairs(2, mode)
 
 
 def test_weight_one_state_is_normalized_and_lists_terms_as_the_dense_state():
@@ -641,27 +665,6 @@ def test_weight_one_indices_are_exact_past_int64(m):
     index = state.indices()
     assert index.dtype == (np.int64 if m <= 63 else object)
     assert [int(i) for i in index] == [2 ** (m - 1 - p) for p in range(m)]
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_weight_one_permuted_moves_qubits_as_permute(n):
-    # Each traced round of `prepare` is permuted this way, not through a register.
-    rng = np.random.default_rng(n)
-    for k in range(1, n + 1):
-        amps = rng.normal(size=n + k) + 1j * rng.normal(size=n + k)
-        state = WeightOneState(amps / np.linalg.norm(amps))
-        perm = round_permutation(n, k)
-        dense = np.zeros(1 << state.num_qubits, dtype=complex)
-        dense[state.indices()] = state.amplitudes
-        want = permute(StateVector(dense), perm).amplitudes
-        got = state.permuted(perm)
-        assert np.array_equal(want[got.indices()], got.amplitudes)
-        assert np.count_nonzero(want) == np.count_nonzero(got.amplitudes)
-
-
-def test_weight_one_permuted_rejects_a_permutation_of_another_size():
-    with pytest.raises(ValueError, match=r"^permutation size 4 != 3 qubits$"):
-        WeightOneState(np.full(3, 1 / np.sqrt(3))).permuted(round_permutation(2, 2))
 
 
 def test_interleave_matches_pairwise_swap_list_on_doubling_input():
