@@ -19,7 +19,7 @@ from . import cavity as cav
 from . import noise as noi
 from .checks import run_verification
 from .csvcells import write_csv
-from .wcircuit import PHOTON, SPIN, WeightOneState, double_w_pairs, relabel
+from .wcircuit import PHOTON, SPIN, double_w_pairs, render_terms
 
 
 def validate(command: str, opts: argparse.Namespace) -> None:
@@ -78,11 +78,12 @@ def cmd_prepare(args) -> int:
     role = _ROLES[args.role]
     n = args.n
     stage, report = double_w_pairs(n, args.mode)
-    out_state = WeightOneState(stage(n + 1))
-    # An m-qubit stage's index 2^r is entry r of the 2n-qubit output's
-    # ascending indices; its string and label, the templates' windows at 2n - m + r.
-    index = out_state.indices()[::-1]
-    bits, labels = out_state.template(), out_state.template(role.labels)
+    final = stage(n + 1)
+    # Row r of an m-qubit stage is index 2^r, the excitation of qubit m - 1 - r;
+    # its string and label are the m-character windows at offset 2n - m + r
+    # of these two templates.
+    bits = "0" * (2 * n - 1) + "1" + "0" * (2 * n - 1)
+    labels = bits.translate(role.labels)
     cells, amplitudes = [], []  # one "stage,index,basis,label" cell a row, and its amplitude
 
     def add_rows(name: str, amps: np.ndarray) -> None:
@@ -91,7 +92,7 @@ def cmd_prepare(args) -> int:
         amps = amps[::-1]
         if args.full:
             dense = np.zeros(1 << m, dtype=complex)
-            dense[index[:m]] = amps
+            dense[1 << np.arange(m)] = amps
             amplitudes.append(dense)
             for idx in range(1 << m):
                 string = format(idx, f"0{m}b")
@@ -99,20 +100,24 @@ def cmd_prepare(args) -> int:
             return
         kept = np.abs(amps) > 1e-12
         amplitudes.append(amps[kept])
-        offsets = 2 * n - m + np.flatnonzero(kept)
-        for s, idx in zip(offsets.tolist(), index[:m][kept].tolist()):
-            cells.append(f"{name},{idx},{bits[s:s + m]},{labels[s:s + m]}")
+        # Python ints, exact past 63 qubits.
+        for r in np.flatnonzero(kept).tolist():
+            s = 2 * n - m + r
+            cells.append(f"{name},{1 << r},{bits[s:s + m]},{labels[s:s + m]}")
 
     if args.trace:
         # Each sequential round, with every joined qubit right after its source.
         for k in range(n + 1):
             add_rows(f"round_{k}", stage(k))
-    add_rows("final", out_state.amplitudes)
+    add_rows("final", final)
     amps = np.concatenate(amplitudes)
     header = ["stage", "index", "basis", "label", "re", "im"]
     write_csv(args.out, header, [(cells, np.arange(len(cells))), amps.real, amps.imag])
 
-    print(relabel(out_state, role))
+    # Excitation leftmost first: qubit p's window is at offset 2n - 1 - p.
+    print(render_terms([
+        (labels[2 * n - 1 - p:4 * n - 1 - p], a) for p, a in enumerate(final.tolist()) if abs(a) > 1e-10
+    ]))
     print(f"fidelity vs |W_{2 * args.n}>: " + "%.17g" % report.overlap)
     print(f"ancilla purities: {[round(p, 12) for p in report.ancilla_purities]}")
     return 0

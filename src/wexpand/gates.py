@@ -73,6 +73,7 @@ def rotation_gate(theta: float, label: str | None = None) -> Gate:
 
     Involutory for every angle; R(pi/4) is the Hadamard and R(pi/8) the T'.
     """
+    _require_finite_real("theta", theta)
     c, s = np.cos(theta), np.sin(theta)
     m = np.array([[c, s], [s, -c]], dtype=complex)
     return Gate(m, label if label is not None else f"R({theta:.6g})")
@@ -80,12 +81,14 @@ def rotation_gate(theta: float, label: str | None = None) -> Gate:
 
 def hadamard(alpha: float = 0.0) -> Gate:
     """Hadamard, optionally with an angle miscalibration ``alpha``."""
+    _require_finite_real("alpha", alpha)
     label = "H" if alpha == 0.0 else f"H({alpha:.6g})"
     return rotation_gate(HADAMARD_ANGLE - alpha, label)
 
 
 def t_prime(beta: float = 0.0) -> Gate:
     """T' gate (reflection rotation at pi/8), optionally miscalibrated."""
+    _require_finite_real("beta", beta)
     label = "T'" if beta == 0.0 else f"T'({beta:.6g})"
     return rotation_gate(T_PRIME_ANGLE - beta, label)
 
@@ -95,6 +98,7 @@ def controlled_phase(gamma: float = 0.0) -> Gate:
 
     The phase is evaluated as -e^{-i gamma} so the ideal case is exactly -1.
     """
+    _require_finite_real("gamma", gamma)
     m = np.diag([1.0, 1.0, 1.0, -np.exp(-1j * gamma)]).astype(complex)
     label = "CZ" if gamma == 0.0 else f"CP({gamma:.6g})"
     return Gate(m, label)
@@ -106,17 +110,24 @@ class HolonomicParams:
 
     ``theta`` and ``phi`` set the dark/bright-state decomposition of the
     qubit subspace; ``delta_over_omega`` is the detuning-to-Rabi ratio, the
-    only combination the acquired geometric phase depends on.
+    only combination the acquired geometric phase depends on.  Each must be
+    a finite real number, as ``NoiseParams``'s angles are.
     """
 
     theta: float
     phi: float = 0.0
     delta_over_omega: float = 0.0
 
+    def __post_init__(self):
+        for name in ("theta", "phi", "delta_over_omega"):
+            _require_finite_real(name, getattr(self, name))
+
     @property
     def geometric_phase(self) -> float:
         r = self.delta_over_omega
-        phase = np.pi * (1.0 - r / np.sqrt(1.0 + r * r))
+        # hypot, not sqrt(1 + r^2): r^2 overflows past |r| ~ 1e154 and
+        # would read as a phase of pi.
+        phase = np.pi * (1.0 - r / np.hypot(1.0, r))
         if not 0.0 < phase < 2.0 * np.pi:
             raise ValueError(f"geometric phase {phase!r} outside (0, 2*pi)")
         return float(phase)
@@ -147,6 +158,7 @@ def hwp_gate(plate_angle: float) -> Gate:
     equals ``rotation_gate(2 * plate_angle)``: a plate at pi/8 implements
     the Hadamard and a plate at pi/16 the T'.
     """
+    _require_finite_real("plate_angle", plate_angle)
     return rotation_gate(2.0 * plate_angle, f"HWP({plate_angle:.6g})")
 
 

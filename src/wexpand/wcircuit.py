@@ -23,7 +23,10 @@ Ideal V keeps the number of excitations (|0> -> |00>, |1> -> (|10> +
 |01>)/sqrt(2)), so each stage of the ideal doubling is c = V|1> on some
 pairs (w_i, new_i) and |0> elsewhere, normalized.  ``double_w_pairs``
 gives the stages and the report in closed form from c, with no per-round
-loop; ``prepare`` writes and prints them, and ``double_w`` is their oracle.
+loop, each stage as one amplitude per qubit: that of the string whose one
+excitation is on that qubit.  ``prepare`` writes and prints them (through
+``render_terms``, which ``relabel`` also uses), and ``double_w`` is their
+oracle.
 """
 from __future__ import annotations
 
@@ -49,7 +52,6 @@ from .statevec import (
     _contract,
     _normalized,
     _qubit_density,
-    _readonly,
     _real_array,
     _require_int,
     _require_normalized,
@@ -311,61 +313,6 @@ def build_w_state(n: int) -> StateVector:
     for i in range(n):
         amps[1 << i] = 1.0 / np.sqrt(n)
     return StateVector(_seal(amps))
-
-
-@dataclass(frozen=True, eq=False)
-class WeightOneState:
-    """Normalized pure state with exactly one excitation, over ``num_qubits`` qubits.
-
-    ``amplitudes[p]`` is the coefficient of the basis string whose only 1
-    is qubit p: index 2^(num_qubits - 1 - p) of the dense ``StateVector``
-    (qubit 0 is the most significant bit).  Every other string has
-    amplitude zero.  The array is a read-only copy of the one given.
-    """
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = _readonly(np.ravel(self.amplitudes))
-        if amps.size < 1:
-            raise ValueError("a weight-one state needs at least one qubit")
-        _require_normalized(amps)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def num_qubits(self) -> int:
-        return self.amplitudes.size
-
-    def indices(self) -> np.ndarray:
-        """Dense basis index of each amplitude: 2^(num_qubits - 1 - p) for qubit p.
-
-        An int64 array up to 63 qubits, whose largest index is 2^62; past
-        that an object array of Python ints, since int64 would wrap 2^63.
-        """
-        m = self.num_qubits
-        if m <= 63:
-            return 1 << (m - 1 - np.arange(m))
-        return np.array([1 << (m - 1 - p) for p in range(m)], dtype=object)
-
-    def template(self, labels: dict | None = None) -> str:
-        """Every basis string in one: the num_qubits-character window at
-        offset r of "0"*(m-1) + "1" + "0"*(m-1) is the string of index 2^r,
-        qubit m-1-r's excitation.  With a `str.translate` table of one
-        character a bit (``QubitRole.labels``), the same in those labels."""
-        m = self.num_qubits
-        text = "0" * (m - 1) + "1" + "0" * (m - 1)
-        return text if labels is None else text.translate(labels)
-
-    def terms(self, labels: dict | None = None) -> list[tuple[str, complex]]:
-        """Nonzero basis terms as (bit string, amplitude) pairs, as ``StateVector.terms``
-        lists them: basis index ascending, so the last qubit's excitation first.
-        Each string is a window of ``template(labels)``."""
-        m = self.num_qubits
-        text = self.template(labels)
-        return [
-            (text[m - 1 - p:2 * m - 1 - p], complex(self.amplitudes[p]))
-            for p in np.flatnonzero(np.abs(self.amplitudes) > 1e-10)[::-1].tolist()
-        ]
 
 
 def _require_zero_slot(state: StateVector, qubit: int, slot: str) -> None:
@@ -663,8 +610,9 @@ def double_w_pairs(n: int, mode: str = "sequential") -> tuple[Callable[[int], np
     c01|^2 / (2 |c|^2), the success probability |c|^2 and the purities
     p0^2 (each ancilla's 2x2 is diag(p0, 0)): p0 = P_0 = <W_n|W_n> in block
     mode, P_{k+1} / P_k in round k.  Its ``rounds`` is empty.  Raises
-    ValueError as ``double_w`` does for n and the mode, and for V and W as
-    ``_require_weight_preserving`` does.
+    ValueError as ``double_w`` does for n and the mode, for V and W as
+    ``_require_weight_preserving`` does, and for an output that is not
+    normalized.
     """
     n = _require_doubling(n, mode)
     v, w = _expansion_map(NoiseParams())
@@ -691,6 +639,7 @@ def double_w_pairs(n: int, mode: str = "sequential") -> tuple[Callable[[int], np
             raise ValueError(f"stage must be in 0..{n + 1}, got {k}")
         return values[min(k, n)].take(layout[3 * n:] if k > n else layout[2 * (n - k):3 * n - k])
 
+    _require_normalized(stage(n + 1))
     return stage, report
 
 
@@ -735,16 +684,21 @@ def _common_amp_denominator(amps: list[complex]) -> int | None:
     return k_int
 
 
-def relabel(state: StateVector | WeightOneState, role: QubitRole) -> str:
+def relabel(state: StateVector, role: QubitRole) -> str:
     """Render a state's amplitudes in the physical labels of ``role``.
 
     Terms are listed excitation-leftmost first (descending basis index),
     the conventional way W-type states are written out.
     """
-    if isinstance(state, WeightOneState):
-        terms = state.terms(role.labels)[::-1]
-    else:
-        terms = [(bits.translate(role.labels), amp) for bits, amp in reversed(state.terms())]
+    return render_terms([(bits.translate(role.labels), amp) for bits, amp in reversed(state.terms())])
+
+
+def render_terms(terms: list[tuple[str, complex]]) -> str:
+    """Write (label, amplitude) terms, in the order given, as one state.
+
+    Real amplitudes of one magnitude 1/sqrt(k), k an integer, share one
+    denominator and keep their signs; any others stand before their terms.
+    """
     amps = [a for _, a in terms]
     k = _common_amp_denominator(amps)
     if k == 1 and len(terms) == 1:

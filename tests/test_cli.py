@@ -28,6 +28,7 @@ from wexpand.statevec import (
     zero_state,
 )
 from wexpand.wcircuit import (
+    PHOTON,
     build_w_state,
     double_w,
     round_permutation,
@@ -310,6 +311,36 @@ def test_prepare_amplitudes_lie_within_an_ulp_of_the_exact_ones(tmp_path, capsys
             worst = max(worst, abs(mpmath.mpf(r["re"]) - exact))
     assert len(rows) == sum(n + k for k in range(n + 1)) + 2 * n
     assert worst <= 1.2e-16
+
+
+@pytest.mark.parametrize("mode", ["block", "sequential"])
+def test_prepare_writes_exact_indices_past_63_qubits(tmp_path, capsys, monkeypatch, mode):
+    # n = 33 doubles to 66 qubits, where int64 would wrap index 2^63 to
+    # -2^63 and 2^64 to 0.  Only the dense engine needs the cap.
+    monkeypatch.setattr(wcircuit, "DOUBLING_MAX_N", 40)
+    n = 33
+    out = tmp_path / "out.csv"
+    assert main(["prepare", "--n", str(n), "--mode", mode, "--trace", "--out", str(out)]) == 0
+    rows = read_csv(str(out))
+    stages = [f"round_{k}" for k in range(n + 1)] + ["final"]
+    assert [r["stage"] for r in rows] == [s for k, s in enumerate(stages) for _ in range(n + min(k, n))]
+    with mpmath.workdps(40):
+        half, whole = 1 / mpmath.sqrt(2 * n), 1 / mpmath.sqrt(n)
+        for k, name in enumerate(stages):
+            m = n + min(k, n)
+            block = [r for r in rows if r["stage"] == name]
+            assert [int(r["index"]) for r in block] == [2**r for r in range(m)]
+            for r in block:
+                basis = format(int(r["index"]), f"0{m}b")
+                assert r["basis"] == basis and r["label"] == basis.translate(PHOTON.labels)
+                # Index 2^r is the excitation of qubit m - 1 - r.
+                exact = half if m - int(r["index"]).bit_length() < 2 * min(k, n) else whole
+                assert r["im"] == "0"
+                assert abs(mpmath.mpf(r["re"]) - exact) <= 1.2e-16
+    state, fidelity = capsys.readouterr().out.splitlines()[:2]
+    terms = (format(1 << (2 * n - 1 - p), f"0{2 * n}b").translate(PHOTON.labels) for p in range(2 * n))
+    assert state == "(" + "+".join(f"|{t}⟩" for t in terms) + ")/√66"
+    assert fidelity == "fidelity vs |W_66>: 1"
 
 
 def test_prepare_holds_no_register_of_the_doubled_state(tmp_path, capsys):

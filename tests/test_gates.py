@@ -1,4 +1,6 @@
 """Gate constructors: rotations, controlled phase, holonomic and HWP forms."""
+import re
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,14 @@ def test_holonomic_geometric_phase_stays_in_open_interval():
         assert 0.0 < phase < 2.0 * np.pi
 
 
+@pytest.mark.parametrize("ratio", [1e10, 1e155, 1e300, -1e300, np.float64(1e300)])
+def test_holonomic_phase_at_a_huge_detuning_leaves_the_interval(ratio):
+    # The phase tends to 0 (2 pi for a negative ratio).  Computing 1 + r^2
+    # overflowed past |r| ~ 1e154 and gave pi, or numpy's overflow warning.
+    with pytest.raises(ValueError, match=r"^geometric phase .* outside \(0, 2\*pi\)$"):
+        HolonomicParams(0.3, 0.0, ratio).geometric_phase
+
+
 def test_holonomic_hadamard_and_t_prime_rays():
     dev_h = phase_aligned_deviation(
         hadamard().matrix, holonomic_gate(HolonomicParams(np.pi / 4)).matrix
@@ -151,3 +161,28 @@ def test_hwp_plate_angle_convention():
 def test_noise_params_ideal_flag():
     assert NoiseParams().is_ideal
     assert not NoiseParams(alpha=1e-3).is_ideal
+
+
+_ANGLE_TAKERS = [
+    (rotation_gate, "theta"),
+    (hadamard, "alpha"),
+    (t_prime, "beta"),
+    (controlled_phase, "gamma"),
+    (hwp_gate, "plate_angle"),
+    (HolonomicParams, "theta"),
+    (lambda x: HolonomicParams(0.5, x), "phi"),
+    (lambda x: HolonomicParams(0.5, 0.0, x), "delta_over_omega"),
+]
+
+
+@pytest.mark.parametrize("make, name", _ANGLE_TAKERS)
+@pytest.mark.parametrize("value, problem", [
+    # A bool would read as angle 0 or 1; the others escape as a TypeError,
+    # a format error or numpy's warning on a NaN.
+    (True, "be a real number"), ("0.5", "be a real number"), ("x", "be a real number"),
+    (1j, "be a real number"), (None, "be a real number"),
+    (np.inf, "be finite"), (-np.inf, "be finite"), (np.nan, "be finite"),
+])
+def test_every_angle_is_checked_by_name(make, name, value, problem):
+    with pytest.raises(ValueError, match=f"^{name} must {problem}, got {re.escape(repr(value))}$"):
+        make(value)

@@ -36,7 +36,6 @@ from wexpand.wcircuit import (
     apply_O,
     build_w_state,
     create_epr,
-    WeightOneState,
     double_w,
     double_w_pairs,
     expand_by_one,
@@ -564,7 +563,7 @@ def test_double_w_caps():
 
 @pytest.mark.parametrize("mode", ["block", "sequential"])
 @pytest.mark.parametrize("n", range(1, 9))
-def test_weight_one_doubling_matches_the_dense_run(n, mode):
+def test_weight_one_doubling_matches_the_dense_run(n, mode, tmp_path, capsys):
     # Each stage's entries are c10, c01 and V[0,0,0], each divided once by the
     # stage's closed-form norm, so values may differ from the dense run's in
     # the last bit.  Traced round k is the dense sequential round k with each
@@ -578,7 +577,7 @@ def test_weight_one_doubling_matches_the_dense_run(n, mode):
         got = stage(k)
         assert got.size == want.num_qubits
         scattered = np.zeros_like(want.amplitudes)
-        scattered[WeightOneState(got).indices()] = got
+        scattered[1 << np.arange(got.size)[::-1]] = got
         assert np.max(np.abs(scattered - want.amplitudes)) <= 2.2e-16
         assert not want.amplitudes[scattered == 0].any()
     # The report's numbers are closed forms of c, where the dense run sums
@@ -586,9 +585,11 @@ def test_weight_one_doubling_matches_the_dense_run(n, mode):
     for field in ("overlap", "success_probability"):
         assert abs(getattr(report, field) - getattr(dense_report, field)) <= 1e-14
     assert np.max(np.abs(np.subtract(report.ancilla_purities, dense_report.ancilla_purities))) <= 1e-14
-    out = WeightOneState(stage(n + 1))
+    # `prepare` prints the output as `relabel` renders the dense one.
     for role in (PHOTON, SPIN):
-        assert relabel(out, role) == relabel(dense_out, role)
+        argv = ["prepare", "--n", str(n), "--mode", mode, "--role", role.kind]
+        assert main(argv + ["--out", str(tmp_path / "p.csv")]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == relabel(dense_out, role)
 
 
 def test_pair_doubling_rejects_a_stage_out_of_range():
@@ -628,43 +629,19 @@ def test_pair_doubling_rejects_a_phase_on_the_vacuum(monkeypatch):
             double_w_pairs(2, mode)
 
 
-def test_weight_one_state_is_normalized_and_lists_terms_as_the_dense_state():
-    with pytest.raises(ValueError, match=r"^state is not normalized"):
-        WeightOneState(np.array([1.0, 1.0]))
-    amps = np.array([0.6, 0.0, -0.8j])
-    state = WeightOneState(amps)
-    assert state.terms() == StateVector(vec({4: 0.6, 1: -0.8j}, 3)).terms()
-    assert state.indices().tolist() == [4, 2, 1]
-    assert not state.amplitudes.flags.writeable and state.amplitudes is not amps
-
-
-@pytest.mark.parametrize("m", [1, 2, 5, 9])
-def test_weight_one_template_windows_are_the_basis_strings_and_labels(m):
-    # The window at offset r is index 2^r's string, as format writes it.
-    state = WeightOneState(np.full(m, 1.0 / np.sqrt(m)))
-    bits, labels = state.template(), state.template(SPIN.labels)
-    for r in range(m):
-        assert bits[r:r + m] == format(1 << r, f"0{m}b")
-        assert labels[r:r + m] == format(1 << r, f"0{m}b").translate(SPIN.labels)
-    dense = StateVector(vec({1 << r: 1.0 / np.sqrt(m) for r in range(m)}, m))
-    assert state.terms() == dense.terms()
-    assert state.terms(PHOTON.labels) == [(b.translate(PHOTON.labels), a) for b, a in dense.terms()]
-    assert relabel(state, SPIN) == relabel(dense, SPIN)
+def test_pair_doubling_rejects_a_map_that_loses_the_excitation(monkeypatch):
+    # c = V|1> = 0 passes the weight checks, but the output divides 0 by 0.
+    v, w = (m.copy() for m in _expansion_map(NoiseParams()))
+    v[0, 1, 1] = v[1, 0, 1] = 0
+    monkeypatch.setattr(wcircuit, "_expansion_map", lambda noise: (v, w))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"^state is not normalized: \|psi\|\^2 = nan$"):
+            double_w_pairs(2, "block")
 
 
 def test_role_labels_are_single_characters():
     with pytest.raises(ValueError, match=r"^role labels must be single characters"):
         wcircuit.QubitRole("photon", "R0", "L1")
-
-
-@pytest.mark.parametrize("m", [62, 63, 64, 65])
-def test_weight_one_indices_are_exact_past_int64(m):
-    # int64 wraps 2^63 to -2^63 and 2^64 to 0: past 63 qubits the indices
-    # are Python ints.
-    state = WeightOneState(np.full(m, 1.0 / np.sqrt(m)))
-    index = state.indices()
-    assert index.dtype == (np.int64 if m <= 63 else object)
-    assert [int(i) for i in index] == [2 ** (m - 1 - p) for p in range(m)]
 
 
 def test_interleave_matches_pairwise_swap_list_on_doubling_input():
