@@ -30,7 +30,7 @@ from .gates import (
     t_prime,
 )
 from .noise import (
-    FidelityRecord,
+    FidelitySweep,
     doubling_overlap_fidelity,
     fidelity_combined,
     fidelity_controlled_phase,

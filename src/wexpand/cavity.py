@@ -173,23 +173,24 @@ def _complex_quotient(a_re, a_im, b_re, b_im):
     """(a_re + i a_im) / (b_re + i b_im) with CPython's `_Py_c_quot`.
 
     Smith's algorithm: divide through by whichever of b's parts is larger
-    in magnitude; a NaN in b gives NaN.  numpy's complex division rounds
-    differently, so the grid does its own.
+    in magnitude (the real part on a tie); a NaN in b gives NaN.  numpy's
+    complex division rounds differently, so the grid does its own.  Each
+    point runs its own branch alone: the branch's operands are picked first,
+    and each branch keeps its own order of the imaginary part's subtraction,
+    which decides the sign of a zero.
     """
     real_larger = np.abs(b_re) >= np.abs(b_im)
-    imag_larger = np.abs(b_im) >= np.abs(b_re)
-    ratio = b_im / b_re
-    denom = b_re + b_im * ratio
-    re_1 = (a_re + a_im * ratio) / denom
-    im_1 = (a_im - a_re * ratio) / denom
-    ratio = b_re / b_im
-    denom = b_re * ratio + b_im
-    re_2 = (a_re * ratio + a_im) / denom
-    im_2 = (a_im * ratio - a_re) / denom
-    return (
-        np.where(real_larger, re_1, np.where(imag_larger, re_2, np.nan)),
-        np.where(real_larger, im_1, np.where(imag_larger, im_2, np.nan)),
-    )
+    # Branch 1 divides by b_re (ratio b_im / b_re), branch 2 by b_im; with
+    # (x, y) = (a_re, a_im) or (a_im, a_re), both read
+    # re = (x + y ratio) / denom and im = (y - x ratio) / denom, except that
+    # branch 2 subtracts the other way round: (a_im ratio - a_re).
+    large, small = np.where(real_larger, b_re, b_im), np.where(real_larger, b_im, b_re)
+    x, y = np.where(real_larger, a_re, a_im), np.where(real_larger, a_im, a_re)
+    ratio = small / large
+    denom = large + small * ratio
+    x_ratio = x * ratio
+    im = np.where(real_larger, y - x_ratio, x_ratio - y)
+    return (x + y * ratio) / denom, im / denom
 
 
 def _square(v: float) -> float:
@@ -295,7 +296,9 @@ def reflection_grid(
             fail("reflection is not finite", ~finite)
         phi = np.arctan2(r_im, r_re)
         phi_0 = np.arctan2(r0_im, r0_re)
-        phi_error = np.abs(_wrap(phi))
+        # |_wrap(phi)| without a remainder: phi + pi lies in [0, 2 pi], where
+        # `% (2 pi)` changes only 2 pi itself, to 0, and |0 - pi| = |2 pi - pi|.
+        phi_error = np.abs((phi + np.pi) - np.pi)
         phi0_error = np.abs(_wrap(phi_0 - np.pi))
         modulus_error = np.abs(np.hypot(r_re, r_im) - 1.0)
     r = np.empty(g.shape, dtype=complex)

@@ -128,10 +128,13 @@ def cmd_prepare(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_fidelity_sweep(args) -> int:
-    records = noi.sweep(args.theta_max, args.steps, args.n)
-    # n is a small integer, which `%.17g` writes as `%d` does.
-    write_csv(args.out, noi.FidelityRecord._fields, [list(column) for column in zip(*records)])
-    print(f"wrote {len(records)} sweep rows to {args.out}")
+    table = noi.sweep(args.theta_max, args.steps, args.n)
+    # The six series go to the writer as the arrays they were computed as;
+    # n, the same in every row, is one string cell formatted once.
+    rows = table.theta.size
+    n_cells = (["%d" % table.n], np.zeros(rows, dtype=np.intp))
+    write_csv(args.out, table._fields, [*table[:-1], n_cells])
+    print(f"wrote {rows} sweep rows to {args.out}")
     return 0
 
 

@@ -1,8 +1,15 @@
 """The package's one CSV writer, and the bytes of `'%.17g' % x` it writes.
 
 `write_csv(path, header, columns)` writes every CSV the CLI makes.  It checks
-its inputs before it opens the file.  A small table is formatted one `%` per
-row; a larger one BLOCK_ROWS rows at a time, in a bytearray of 8-byte words.
+its inputs before it opens the file.  A table of fewer than _PER_ROW_MAX float
+cells is formatted one `%` per row, each array column read as Python floats
+through one `tolist`; a larger one BLOCK_ROWS rows at a time, in a bytearray
+of 8-byte words.  The limit is where the two cost the same: on a
+`fidelity-sweep` table (six float columns and one string column, 2 cores,
+Xeon), `%` per row took about 0.54 us per float cell and a block about
+160 us fixed plus 0.13 us per float cell, so they cross near 360 cells.  So
+`prepare` tables (at most about 250 float cells) and 50-step sweeps go per
+row, and longer sweeps and every cavity grid in blocks.
 Each cell of a block row takes whole words, padded with 0 bytes, and holds its
 separator (a comma, or the row's LF) in its own last byte.  Each run of
 adjacent float columns is formatted by one call straight into its words, each
@@ -34,9 +41,11 @@ arithmetic that is exact.  Take the decimal exponent E (x in [10^E,
 Dekker's product splits |x| * 10^s into hi + lo exactly, with hi >= 1e16 >
 2^53 an even integer, so hi + rint(lo) is the product rounded half-even to
 an integer: the 17 digits that a correctly rounded `%.17g` writes.  A zero
-is written `0` or `-0` by its sign bit.  Every other value (non-finite
-values, |x| outside that range) is formatted by Python's `%` alone, one
-cell each.
+is written `0` or `-0` by its sign bit, on the same path: it is formatted
+as 1.0, whose digit words are empty, and its first word is then replaced.
+Every other value (non-finite values, |x| outside that range and not zero)
+is formatted by Python's `%` alone, one cell each, and a call that holds
+one such value formats its other cells apart and copies them in.
 """
 from __future__ import annotations
 
@@ -194,12 +203,18 @@ def _write_cells(x: np.ndarray, out: np.ndarray, last) -> None:
     if fast.all():
         _format_fast(a, negative, out, last)
         return
+    # A zero is "0" or "-0" by its sign bit: every sweep's first theta, and
+    # most cells of a `prepare --full` table.
+    zero = a == 0.0
+    if (fast | zero).all():
+        # 1.0 in a zero's place leaves every word but the first as a zero's.
+        _format_fast(np.where(zero, 1.0, a), negative, out, last)
+        out[zero, 0] = np.where(negative[zero], _NEGATIVE_ZERO, _ZERO)
+        return
     cells = np.zeros(out.shape, dtype=_WORD)
     part = np.empty((np.count_nonzero(fast), 4), dtype=_WORD)
     _format_fast(a[fast], negative[fast], part, 0)
     cells[fast] = part
-    # A zero is "0" or "-0" by its sign bit; a `prepare --full` table is mostly zeros.
-    zero = a == 0.0
     cells[zero & ~negative, 0] = _ZERO
     cells[zero & negative, 0] = _NEGATIVE_ZERO
     slow = ~(fast | zero)
@@ -222,7 +237,7 @@ def format_cells(values) -> np.ndarray:
 
 
 BLOCK_ROWS = 2048  # so that a block's buffers stay a few hundred KiB
-_PER_ROW_MAX = 1000  # float cells; for fewer, a block's fixed cost exceeds `%` per row
+_PER_ROW_MAX = 400  # float cells; for fewer, a block's fixed cost exceeds `%` per row
 
 
 def _float_column(k: int, column) -> np.ndarray:
@@ -318,20 +333,23 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
     fields = len(floats) + sum(_fields(columns[k][0]) for k in strings)
     if len(header) != fields:
         raise ValueError(f"header names {len(header)} fields, but a row holds {fields}")
-    for k in floats:
-        # A list's values are checked by `%` below (a list of lists fails
-        # there too); an array's dtype and shape here.
-        if not isinstance(columns[k], list):
-            _float_column(k, columns[k])
-    lengths = {len(strings[k]) if k in strings else len(columns[k]) for k in range(len(columns))}
+    # A list's values are checked by `%` or `_float_column` below (a list of
+    # lists fails there too); an array's dtype and shape here.
+    values = {
+        k: columns[k] if isinstance(columns[k], list) else _float_column(k, columns[k])
+        for k in floats
+    }
+    lengths = {len(strings[k]) if k in strings else len(values[k]) for k in range(len(columns))}
     n_rows, *others = lengths
     if others:
         raise ValueError(f"columns must have one length, got {sorted(lengths)}")
     head = (",".join(header) + "\n").encode()
     if n_rows * len(floats) < _PER_ROW_MAX:
         row = ",".join("%s" if k in strings else "%.17g" for k in range(len(columns))) + "\n"
+        # An array column is read as Python floats through one `tolist`.
         cells = [
-            [c[0][i] for i in strings[k].tolist()] if k in strings else c
+            [c[0][i] for i in strings[k].tolist()] if k in strings
+            else values[k] if isinstance(values[k], list) else values[k].tolist()
             for k, c in enumerate(columns)
         ]
         try:
@@ -344,7 +362,7 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
             fh.write(head)
             fh.write(text)
         return
-    values = {k: _float_column(k, columns[k]) for k in floats}
+    values = {k: _float_column(k, v) for k, v in values.items()}
     separators = [","] * (len(columns) - 1) + ["\n"]
     tables = {k: _string_cells(columns[k][0], separators[k]) for k in strings}
     widths = [tables[k].itemsize // 8 if k in strings else WIDTH // 8 for k in range(len(columns))]

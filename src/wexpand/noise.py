@@ -36,19 +36,20 @@ _S8 = np.sin(np.pi / 8.0)
 _C8 = np.cos(np.pi / 8.0)
 
 
-class FidelityRecord(NamedTuple):
-    """One sweep point: the four closed forms plus the simulated value.
+class FidelitySweep(NamedTuple):
+    """A sweep's table: one float64 array per fidelity series, and n.
 
-    A record is its CSV row: ``_fields`` is the header and the values come
-    in header order.
+    ``_fields`` is the ``fidelity-sweep`` CSV header, in column order;
+    the six series are one-dimensional float64 arrays of the grid's length,
+    and ``n``, the integer every row is labelled with, is the last column.
     """
 
-    theta: float
-    f_h: float
-    f_tp: float
-    f_cp: float
-    f_combined: float
-    f_simulated: float
+    theta: np.ndarray
+    f_h: np.ndarray
+    f_tp: np.ndarray
+    f_cp: np.ndarray
+    f_combined: np.ndarray
+    f_simulated: np.ndarray
     n: int
 
 
@@ -139,7 +140,7 @@ def doubling_overlap_fidelity(v: np.ndarray) -> np.ndarray:
     return np.abs(d / np.sqrt(2.0)) ** 2
 
 
-def sweep(theta_max: float, steps: int, n: int = 2) -> list[FidelityRecord]:
+def sweep(theta_max: float, steps: int, n: int = 2) -> FidelitySweep:
     """Evaluate all fidelity series on the shared grid theta_k = k*theta_max/(steps-1).
 
     The three single-imperfection series each set the other two angles to
@@ -149,7 +150,8 @@ def sweep(theta_max: float, steps: int, n: int = 2) -> list[FidelityRecord]:
     in one batch and reads each fidelity from it
     (``doubling_overlap_fidelity``); ``double_w`` run in block mode with the
     same noise is its dense oracle.  ``n`` (1..``DOUBLING_MAX_N``) only
-    labels the records: no fidelity depends on it.
+    labels the rows: no fidelity depends on it.  Each series is returned
+    as the float64 array it was computed as.
 
     ``theta_max`` must be a real number (a Python or numpy int or float,
     not a bool).  One whose grid gives a non-finite fidelity (past |theta|
@@ -165,24 +167,24 @@ def sweep(theta_max: float, steps: int, n: int = 2) -> list[FidelityRecord]:
     _require_finite_real("theta_max", theta_max)
     with np.errstate(over="ignore", invalid="ignore"):
         thetas = np.linspace(0.0, float(theta_max), steps)
-        table = np.column_stack([
+        series = (
             thetas,
             fidelity_hadamard(thetas),
             fidelity_t_prime(thetas),
             fidelity_controlled_phase(thetas),
             fidelity_combined(thetas, thetas, thetas),
             doubling_overlap_fidelity(expansion_maps(thetas, thetas, thetas)[0]),
-        ])
-    if not np.isfinite(table).all():
+        )
+    if not all(np.isfinite(s).all() for s in series):
         raise ValueError(
             f"theta_max {theta_max!r} is too large in magnitude: "
             "the sweep's fidelities are not finite"
         )
-    return [FidelityRecord(*row, n) for row in table.tolist()]
+    return FidelitySweep(*series, n)
 
 
 __all__ = [
-    "FidelityRecord",
+    "FidelitySweep",
     "doubling_overlap_fidelity",
     "fidelity_combined",
     "fidelity_controlled_phase",

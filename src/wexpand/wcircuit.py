@@ -611,14 +611,17 @@ def double_w_pairs(n: int, mode: str = "sequential") -> tuple[Callable[[int], np
     p0^2 (each ancilla's 2x2 is diag(p0, 0)): p0 = P_0 = <W_n|W_n> in block
     mode, P_{k+1} / P_k in round k.  Its ``rounds`` is empty.  Raises
     ValueError as ``double_w`` does for n and the mode, for V and W as
-    ``_require_weight_preserving`` does, and for an output that is not
-    normalized.
+    ``_require_weight_preserving`` does, for a pair c = 0, before dividing by
+    it, and for an output that is not normalized.
     """
     n = _require_doubling(n, mode)
     v, w = _expansion_map(NoiseParams())
     _require_weight_preserving(v, w)
     stay, moved, split = v[0, 0, 0], v[0, 1, 1], v[1, 0, 1]
     c2 = float(abs(moved) ** 2 + abs(split) ** 2)
+    # Round n and the output are divided by sqrt(n |c|^2).
+    if c2 == 0.0:
+        raise ValueError("c = V|1> has |c|^2 = 0.0; the pair doubling needs it to keep the excitation")
     k = np.arange(n + 1)
     norms2 = k * c2 + (n - k) * abs(stay) ** 2  # n P_k
     # Row k is round k's (V[0,0,0], c01, c10).  The layout names each

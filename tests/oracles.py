@@ -72,3 +72,27 @@ def stepwise_expansion_maps(alpha, beta, gamma) -> tuple[np.ndarray, np.ndarray]
             u = np.stack([c * u0 + s * u1, s * u0 - c * u1], axis=1).reshape(8, 2, k)
     u = np.moveaxis(u.reshape(2, 2, 2, 2, k), -1, 0)
     return u[:, :, 0], u[:, :, 1]
+
+
+def two_branch_complex_quotient(a_re, a_im, b_re, b_im):
+    """``wexpand.cavity._complex_quotient`` with both of Smith's branches
+    evaluated at every point and the point's own one picked after, its oracle.
+
+    CPython's `_Py_c_quot`: divide through by whichever of b's parts is
+    larger in magnitude, the real part on a tie, and NaN where neither
+    comparison holds (a NaN in b).
+    """
+    real_larger = np.abs(b_re) >= np.abs(b_im)
+    imag_larger = np.abs(b_im) >= np.abs(b_re)
+    ratio = b_im / b_re
+    denom = b_re + b_im * ratio
+    re_1 = (a_re + a_im * ratio) / denom
+    im_1 = (a_im - a_re * ratio) / denom
+    ratio = b_re / b_im
+    denom = b_re * ratio + b_im
+    re_2 = (a_re * ratio + a_im) / denom
+    im_2 = (a_im * ratio - a_re) / denom
+    return (
+        np.where(real_larger, re_1, np.where(imag_larger, re_2, np.nan)),
+        np.where(real_larger, im_1, np.where(imag_larger, im_2, np.nan)),
+    )

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import two_branch_complex_quotient
 from wexpand.cavity import (
     CavityParams,
     GridPointError,
+    _complex_quotient,
     cz_quality,
     phase_pair,
     reflection_coupled,
@@ -263,6 +265,53 @@ def test_reflection_grid_equals_the_scalar_oracle_bit_for_bit(
             assert [_bits(pair.phi), _bits(pair.phi_0)] == [_bits(x) for x in expected[4:]]
             assert bool(grid.cz_pass[i, j]) == _scalar_cz_pass(r, r0)
             assert cz_quality(p).passed == _scalar_cz_pass(r, r0)
+
+
+_PART = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan]),
+)
+# A divisor whose parts tie in magnitude half the time, signs apart.
+_DIVISOR = st.one_of(
+    st.tuples(_PART, _PART),
+    st.tuples(_PART, st.sampled_from([1.0, -1.0])).map(lambda p: (p[0], p[0] * p[1])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_PART, _PART, _DIVISOR), min_size=1, max_size=20))
+def test_the_one_branch_quotient_is_the_two_branch_oracle(points):
+    # Bit for bit, zeros' signs included; a NaN for a NaN, whatever its bits.
+    a_re, a_im, b_re, b_im = (np.array(x) for x in zip(*((a, b, *d) for a, b, d in points)))
+    with np.errstate(all="ignore"):
+        got = _complex_quotient(a_re, a_im, b_re, b_im)
+        want = two_branch_complex_quotient(a_re, a_im, b_re, b_im)
+    for part, g, w in zip(("re", "im"), got, want):
+        assert np.array_equal(np.isnan(g), np.isnan(w)), part
+        assert g[~np.isnan(w)].tobytes() == w[~np.isnan(w)].tobytes(), part
+
+
+@settings(max_examples=60, deadline=None)
+@example([0.0, -0.0, 1e-3, -1e-3], [0.0, 0.3, 0.5, 5.0], 1.0, 1.0, None)
+@given(
+    st.lists(_detunings, min_size=1, max_size=6),
+    st.lists(_couplings, min_size=1, max_size=6),
+    _rates,
+    _rates,
+    st.one_of(st.none(), _detunings),
+)
+def test_phi_error_is_the_wrapped_phase(detunings, couplings, gamma_decay, kappa, emitter_detuning):
+    # The grid wraps phi without a remainder; on resonance in weak coupling
+    # phi is pi itself.
+    grid = reflection_grid(
+        np.array(detunings)[:, None],
+        np.array(couplings)[None, :],
+        gamma_decay,
+        kappa=kappa,
+        emitter_detuning=emitter_detuning,
+    )
+    wrapped = np.abs((grid.phi + np.pi) % (2.0 * np.pi) - np.pi)
+    assert grid.phi_error.tobytes() == wrapped.tobytes()
 
 
 def test_cz_quality_reports_the_scalar_errors():

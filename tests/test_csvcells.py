@@ -38,6 +38,12 @@ def _assert_formats_like_percent(values):
 
 
 _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+# Cells of the fast path, 1e-6 < |x| < 10.
+_FAST_CELLS = st.builds(
+    lambda v, sign: sign * v,
+    st.floats(1e-6, 10.0, exclude_min=True, exclude_max=True),
+    st.sampled_from([1.0, -1.0]),
+)
 # Nine cells in ten a zero of either sign, as in a `prepare --full` table.
 _MOSTLY_ZERO = st.integers(0, 9).flatmap(
     lambda k: _ANY_FLOAT if k == 0 else st.sampled_from([0.0, -0.0])
@@ -54,6 +60,20 @@ def test_format_cells_matches_percent_17g(values):
 @given(st.lists(_MOSTLY_ZERO, max_size=40))
 def test_format_cells_matches_percent_17g_on_mostly_zero_cells(values):
     _assert_formats_like_percent(values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(_FAST_CELLS, st.sampled_from([0.0, -0.0])), min_size=1, max_size=40))
+def test_format_cells_writes_zeros_among_fast_cells_in_one_fast_call(values):
+    # Every sweep's first theta is 0.0: a zero must not cost the mixed path.
+    calls = []
+    format_fast = csvcells._format_fast
+    csvcells._format_fast = lambda a, *rest: calls.append(a.shape) or format_fast(a, *rest)
+    try:
+        _assert_formats_like_percent(values)
+    finally:
+        csvcells._format_fast = format_fast
+    assert calls == [(len(values),)]
 
 
 def _ulps_around(x: float, count: int) -> list[float]:
@@ -156,11 +176,11 @@ _KINDS = st.lists(st.booleans(), min_size=1, max_size=6).filter(lambda k: not al
 
 
 @st.composite
-def _tables(draw, floats=_FLOATS, kinds=_KINDS):
+def _tables(draw, floats=_FLOATS, kinds=_KINDS, n_rows=st.integers(0, 40)):
     """(header, columns for write_csv, row format and rows for the oracle), the
-    float cells drawn from ``floats`` and the column kinds (True for a string
-    column) from ``kinds``."""
-    n_rows = draw(st.integers(0, 40))
+    float cells drawn from ``floats``, the column kinds (True for a string
+    column) from ``kinds`` and the number of rows from ``n_rows``."""
+    n_rows = draw(n_rows)
     kinds = draw(kinds)
     columns, cells = [], []
     for is_string in kinds:
@@ -215,17 +235,12 @@ _LAYOUTS = st.sampled_from([
     [True, True, False, False, False, False, False, False, False],
     [False, False, True, False, False, False],
 ])
+
+
 # Cells of the fast path alone, which the block path formats straight into
 # the block, or mixed with those that go through `%`.
-_FAST_FLOATS = st.builds(
-    lambda v, sign: sign * v,
-    st.floats(1e-6, 10.0, exclude_min=True, exclude_max=True),
-    st.sampled_from([1.0, -1.0]),
-)
-
-
 @pytest.mark.parametrize("per_row_max", [10**9, 0], ids=["per-row path", "block path"])
-@pytest.mark.parametrize("floats", [_FAST_FLOATS, _FLOATS], ids=["fast cells", "any cells"])
+@pytest.mark.parametrize("floats", [_FAST_CELLS, _FLOATS], ids=["fast cells", "any cells"])
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_write_csv_matches_the_per_row_writer_on_runs_of_float_columns(
@@ -233,6 +248,50 @@ def test_write_csv_matches_the_per_row_writer_on_runs_of_float_columns(
 ):
     table = data.draw(_tables(floats, _LAYOUTS))
     _assert_writes_like_per_row(tmp_path, monkeypatch, per_row_max, table)
+
+
+# Zeros of either sign, which the fast path writes by their sign bit in
+# place of a formatted 1.0, exact ones, and the doubles next to each power of
+# ten from 1e-7 to 100, on both sides of the fast path's edges.
+_NEXT_TO_POWERS = [
+    math.nextafter(10.0**e, toward) for e in range(-7, 3) for toward in (0.0, math.inf)
+]
+_BOUNDARY_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.sampled_from(_NEXT_TO_POWERS + [10.0**e for e in range(-7, 3)]).flatmap(
+        lambda v: st.sampled_from([v, -v])
+    ),
+    _FAST_CELLS,
+)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["limit - 1", "limit", "limit + 1"])
+@settings(max_examples=15, deadline=None, suppress_health_check=list(HealthCheck))
+@given(data=st.data())
+def test_write_csv_matches_the_per_row_writer_at_the_per_row_limit(
+    tmp_path, monkeypatch, offset, data
+):
+    # A table of exactly _PER_ROW_MAX + offset float cells, written with the
+    # writer's own choice of path and with each path forced: the same bytes.
+    cells = csvcells._PER_ROW_MAX + offset
+    n_floats = data.draw(st.sampled_from([f for f in range(1, 7) if cells % f == 0]))
+    n_strings = data.draw(st.integers(0, 2))
+    kinds = st.permutations([False] * n_floats + [True] * n_strings)
+    table = data.draw(_tables(_BOUNDARY_FLOATS, kinds, st.just(cells // n_floats)))
+    header, columns, row_format, rows = table
+    want = _per_row_csv(tmp_path / "want.csv", header, row_format, rows)
+    blocks = []
+    format_block = csvcells._write_cells
+    # One context per example: the fixture outlives hypothesis's examples.
+    with monkeypatch.context() as patch:
+        patch.setattr(csvcells, "_write_cells", lambda *a: blocks.append(1) or format_block(*a))
+        write_csv(tmp_path / "got.csv", header, columns)
+        assert (tmp_path / "got.csv").read_bytes() == want
+        assert bool(blocks) == (offset >= 0)
+        for per_row_max in (10**9, 0):
+            patch.setattr(csvcells, "_PER_ROW_MAX", per_row_max)
+            write_csv(tmp_path / "got.csv", header, columns)
+            assert (tmp_path / "got.csv").read_bytes() == want
 
 
 @pytest.mark.parametrize("n_rows", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 5])
@@ -344,15 +403,18 @@ def test_prepare_csv_matches_the_per_row_writer(tmp_path, capsys, n, mode, role,
 
 @pytest.mark.parametrize(
     "steps, n, theta_max",
-    [(2, 1, 0.05), (200, 2, math.pi / 60), (BLOCK_ROWS - 1, 1, 1.0),
-     (BLOCK_ROWS, 3, 1e-4), (BLOCK_ROWS + 1, 2, -0.3)],
+    [(2, 1, 0.05), (50, 3, math.pi / 30), (100, 2, 0.07), (150, 1, math.pi / 31),
+     (200, 2, math.pi / 60), (BLOCK_ROWS - 1, 1, 1.0), (BLOCK_ROWS, 3, 1e-4),
+     (BLOCK_ROWS + 1, 2, -0.3)],
 )
 def test_fidelity_sweep_csv_matches_the_per_row_writer(tmp_path, capsys, steps, n, theta_max):
+    # The benchmark's 50 to 200 steps lie on either side of the per-row limit.
     argv = ["fidelity-sweep", "--steps", str(steps), "--n", str(n), f"--theta-max={theta_max!r}"]
     got = _cli_csv(tmp_path / "got.csv", argv)
-    records = noise.sweep(theta_max, steps, n)
+    table = noise.sweep(theta_max, steps, n)
+    rows = zip(*(series.tolist() for series in table[:-1]), [n] * steps)
     row_format = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n"
-    assert got == _per_row_csv(tmp_path / "want.csv", noise.FidelityRecord._fields, row_format, records)
+    assert got == _per_row_csv(tmp_path / "want.csv", table._fields, row_format, rows)
 
 
 def _per_row_cavity_csv(path, d_min, d_max, d_steps, g_min, g_max, g_steps, gamma_decay) -> bytes:

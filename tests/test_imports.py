@@ -3,13 +3,15 @@ top-level private name is used somewhere in the package, every raise is one
 that the CLI reports, every file is written through `csvcells`, every check
 is built in `checks` and `cli` imports no engine module, every name the
 benchmark traces still exists, and the CLI accepts every argv the benchmark
-sends, reading the plain ones without argparse."""
+sends, reading the plain ones without argparse and handing the writer each
+float column as the array it was computed as."""
 import ast
 import importlib
 import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wexpand
@@ -383,3 +385,38 @@ def test_the_gate_sees_an_option_type_the_reader_cannot_read(monkeypatch):
     finally:
         monkeypatch.undo()
         cli._build_parser.cache_clear()
+
+
+def _columns_not_float64_arrays(argvs: list[list[str]], monkeypatch) -> list[str]:
+    """Each float column that `cli` hands `write_csv` for argvs and that is
+    not a 1-D float64 ndarray, as "argv[i] column k: what it is"."""
+    faults, calls = [], []
+    write_csv = cli.write_csv
+    monkeypatch.setattr(cli, "write_csv", lambda *args: calls.append(args) or write_csv(*args))
+    for i, argv in enumerate(argvs):
+        calls.clear()
+        assert main(argv) == 0, argv
+        assert len(calls) == 1, argv
+        for k, column in enumerate(calls[0][2]):
+            if isinstance(column, tuple):  # (strings, index)
+                continue
+            if not (isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype == np.float64):
+                kind = getattr(column, "dtype", type(column).__name__)
+                faults.append(f"argv[{i}] column {k}: {kind} of shape {np.shape(column)}")
+    return faults
+
+
+@pytest.mark.parametrize("name", sorted(_BENCHMARK.WORKLOADS))
+def test_every_float_column_the_benchmark_writes_is_a_float64_array(
+    tmp_path, capsys, monkeypatch, name
+):
+    # No list or row round trip between a command's engine and its writer.
+    argvs = _benchmark_argvs(name, str(tmp_path / "out.csv"))
+    assert _columns_not_float64_arrays(argvs, monkeypatch) == []
+
+
+def test_the_gate_sees_a_float_column_passed_as_a_list(tmp_path, capsys, monkeypatch):
+    sweep = cli.noi.sweep
+    monkeypatch.setattr(cli.noi, "sweep", lambda *args: sweep(*args)._replace(f_h=[1.0, 0.5]))
+    argv = ["fidelity-sweep", "--steps", "2", "--out", str(tmp_path / "out.csv")]
+    assert _columns_not_float64_arrays([argv], monkeypatch) == ["argv[0] column 1: list of shape (2,)"]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from wexpand.gates import NoiseParams
 from wexpand.noise import (
-    FidelityRecord,
+    FidelitySweep,
     doubling_overlap_fidelity,
     fidelity_combined,
     fidelity_controlled_phase,
@@ -158,29 +158,33 @@ def test_simulation_rejects_bad_inputs():
                 NoiseParams(**{field: bad})
 
 
+def _table_bytes(table: FidelitySweep) -> tuple:
+    """A sweep's table as something == compares: each series' bytes, then n."""
+    return (*(series.tobytes() for series in table[:-1]), table.n)
+
+
 def test_sweep_grid_and_endpoints():
-    records = sweep(THETA_MAX, 5, n=2)
-    assert len(records) == 5
-    np.testing.assert_allclose(
-        [r.theta for r in records], np.linspace(0.0, THETA_MAX, 5), atol=1e-15
-    )
-    first, last = records[0], records[-1]
-    for f in (first.f_h, first.f_tp, first.f_cp, first.f_combined, first.f_simulated):
-        assert abs(f - 1.0) < 1e-12
-    assert last.f_combined > 0.97
-    for r in records:
-        assert abs(r.f_simulated - r.f_combined) < 1e-9
+    table = sweep(THETA_MAX, 5, n=2)
+    assert table.theta.size == 5
+    np.testing.assert_allclose(table.theta, np.linspace(0.0, THETA_MAX, 5), atol=1e-15)
+    for series in (table.f_h, table.f_tp, table.f_cp, table.f_combined, table.f_simulated):
+        assert abs(series[0] - 1.0) < 1e-12
+    assert table.f_combined[-1] > 0.97
+    assert np.all(np.abs(table.f_simulated - table.f_combined) < 1e-9)
 
 
-def test_a_fidelity_record_is_its_immutable_csv_row():
-    # fidelity-sweep writes each record as it is, under `_fields` as the header.
-    assert ",".join(FidelityRecord._fields) == "theta,f_h,f_tp,f_cp,f_combined,f_simulated,n"
-    records = sweep(THETA_MAX, 4, n=2)
-    last = records[-1]
-    assert tuple(last) == tuple(getattr(last, field) for field in FidelityRecord._fields)
+def test_a_sweep_is_its_csv_table_of_float64_columns():
+    # fidelity-sweep writes the six series as they are, under `_fields` as
+    # the header, and n as its last column.
+    assert ",".join(FidelitySweep._fields) == "theta,f_h,f_tp,f_cp,f_combined,f_simulated,n"
+    table = sweep(THETA_MAX, 4, n=2)
+    assert type(table) is FidelitySweep and type(table.n) is int and table.n == 2
+    for name, series in zip(table._fields, table[:-1]):
+        assert type(series) is np.ndarray, name
+        assert (series.dtype, series.shape) == (np.float64, (4,)), name
     with pytest.raises(AttributeError):
-        last.f_simulated = 1.0
-    assert records == sweep(THETA_MAX, 4, n=2)
+        table.f_simulated = np.ones(4)
+    assert _table_bytes(table) == _table_bytes(sweep(THETA_MAX, 4, n=2))
 
 
 def test_sweep_rejects_single_step():
@@ -194,9 +198,10 @@ def test_sweep_rejects_single_step():
 def test_sweep_serves_the_block_sizes_past_the_old_cap():
     # n = 7 and 8 were refused while block mode held a 3n-qubit register.
     for n in (7, 8):
-        last = sweep(THETA_MAX, 3, n=n)[-1]
-        p = NoiseParams(last.theta, last.theta, last.theta)
-        assert abs(last.f_simulated - _simulated(n, p)) < 1e-13
+        table = sweep(THETA_MAX, 3, n=n)
+        theta = float(table.theta[-1])
+        p = NoiseParams(theta, theta, theta)
+        assert abs(table.f_simulated[-1] - _simulated(n, p)) < 1e-13
 
 
 @pytest.mark.parametrize("theta_max, message", [
@@ -211,13 +216,13 @@ def test_sweep_rejects_a_theta_max_with_non_finite_fidelities(theta_max, message
 
 
 def test_sweep_closed_form_columns_are_the_scalar_calls():
-    for r in sweep(THETA_MAX, 37, n=3):
-        t = r.theta
-        assert r.f_h == fidelity_hadamard(t)
-        assert r.f_tp == fidelity_t_prime(t)
-        assert r.f_cp == fidelity_controlled_phase(t)
-        assert r.f_combined == fidelity_combined(t, t, t)
-        assert type(r.f_simulated) is float and r.n == 3
+    table = sweep(THETA_MAX, 37, n=3)
+    assert table.n == 3
+    for t, f_h, f_tp, f_cp, f_combined in zip(*(series.tolist() for series in table[:5])):
+        assert f_h == fidelity_hadamard(t)
+        assert f_tp == fidelity_t_prime(t)
+        assert f_cp == fidelity_controlled_phase(t)
+        assert f_combined == fidelity_combined(t, t, t)
 
 
 # Each sweep column's closed form, as a function of the grid's theta.
@@ -298,7 +303,7 @@ def test_sweep_rejects_a_theta_max_that_is_not_a_real_number(bad):
 
 def test_sweep_takes_python_and_numpy_reals_as_theta_max():
     for good in (1, np.int64(1), np.int8(1), np.float32(1.0), np.float64(1.0)):
-        assert sweep(good, 4) == sweep(1.0, 4)
+        assert _table_bytes(sweep(good, 4)) == _table_bytes(sweep(1.0, 4))
     with pytest.raises(ValueError, match="^theta_max must be finite"):
         sweep(10**400, 3)
 
@@ -375,8 +380,8 @@ def test_structured_overlap_serves_sizes_past_the_dense_cap():
 _SIZED_ENTRY_POINTS = {
     "double_w": (lambda n: double_w(n, "block")[0].amplitudes.tobytes(), "n"),
     "build_w_state": (lambda n: build_w_state(n).amplitudes.tobytes(), "n"),
-    "sweep n": (lambda n: sweep(THETA_MAX, 5, n=n), "n"),
-    "sweep steps": (lambda steps: sweep(THETA_MAX, steps), "steps"),
+    "sweep n": (lambda n: _table_bytes(sweep(THETA_MAX, 5, n=n)), "n"),
+    "sweep steps": (lambda steps: _table_bytes(sweep(THETA_MAX, steps)), "steps"),
     "zero_state": (lambda n: zero_state(n).amplitudes.tobytes(), "num_qubits"),
     "interleave_permutation": (interleave_permutation, "n"),
     "round_permutation n": (lambda n: round_permutation(n, 2), "n"),

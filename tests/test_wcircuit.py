@@ -630,13 +630,15 @@ def test_pair_doubling_rejects_a_phase_on_the_vacuum(monkeypatch):
 
 
 def test_pair_doubling_rejects_a_map_that_loses_the_excitation(monkeypatch):
-    # c = V|1> = 0 passes the weight checks, but the output divides 0 by 0.
+    # c = V|1> = 0 passes the weight checks; it is rejected by name before
+    # the output would divide 0 by 0 (pyproject turns numpy's warning into
+    # an error, so a division would fail this test).
     v, w = (m.copy() for m in _expansion_map(NoiseParams()))
     v[0, 1, 1] = v[1, 0, 1] = 0
     monkeypatch.setattr(wcircuit, "_expansion_map", lambda noise: (v, w))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match=r"^state is not normalized: \|psi\|\^2 = nan$"):
-            double_w_pairs(2, "block")
+    for mode in ("block", "sequential"):
+        with pytest.raises(ValueError, match=r"^c = V\|1> has \|c\|\^2 = 0\.0; the pair doubling"):
+            double_w_pairs(2, mode)
 
 
 def test_role_labels_are_single_characters():
