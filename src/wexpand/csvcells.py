@@ -1,10 +1,11 @@
 """The package's one CSV writer, and the bytes of `'%.17g' % x` it writes.
 
 `write_csv(path, header, columns)` writes every CSV the CLI makes.  It checks
-its inputs before it opens the file.  A table of fewer than _PER_ROW_MAX float
-cells is formatted one `%` per row, each array column read as Python floats
-through one `tolist`; a larger one BLOCK_ROWS rows at a time, in a bytearray
-of 8-byte words.  The limit is where the two cost the same: on a
+its inputs before it opens the file, and reads each float column once, as a
+float64 array.  A table of fewer than _PER_ROW_MAX float cells is formatted
+one `%` per row, each float column read as Python floats through one
+`tolist`; a larger one BLOCK_ROWS rows at a time, in a bytearray of 8-byte
+words.  The limit is where the two cost the same: on a
 `fidelity-sweep` table (six float columns and one string column, 2 cores,
 Xeon), `%` per row took about 0.54 us per float cell and a block about
 160 us fixed plus 0.13 us per float cell, so they cross near 360 cells.  So
@@ -44,8 +45,8 @@ an integer: the 17 digits that a correctly rounded `%.17g` writes.  A zero
 is written `0` or `-0` by its sign bit, on the same path: it is formatted
 as 1.0, whose digit words are empty, and its first word is then replaced.
 Every other value (non-finite values, |x| outside that range and not zero)
-is formatted by Python's `%` alone, one cell each, and a call that holds
-one such value formats its other cells apart and copies them in.
+is formatted as 1.0 too, and then Python's `%` bytes of it, one cell each
+and at most 24 bytes, are written over its first three words.
 """
 from __future__ import annotations
 
@@ -203,26 +204,18 @@ def _write_cells(x: np.ndarray, out: np.ndarray, last) -> None:
     if fast.all():
         _format_fast(a, negative, out, last)
         return
+    # 1.0 stands in for every other cell: its digit words are empty and its
+    # last word holds only `last`.
+    _format_fast(np.where(fast, a, 1.0), negative, out, last)
     # A zero is "0" or "-0" by its sign bit: every sweep's first theta, and
     # most cells of a `prepare --full` table.
     zero = a == 0.0
-    if (fast | zero).all():
-        # 1.0 in a zero's place leaves every word but the first as a zero's.
-        _format_fast(np.where(zero, 1.0, a), negative, out, last)
-        out[zero, 0] = np.where(negative[zero], _NEGATIVE_ZERO, _ZERO)
-        return
-    cells = np.zeros(out.shape, dtype=_WORD)
-    part = np.empty((np.count_nonzero(fast), 4), dtype=_WORD)
-    _format_fast(a[fast], negative[fast], part, 0)
-    cells[fast] = part
-    cells[zero & ~negative, 0] = _ZERO
-    cells[zero & negative, 0] = _NEGATIVE_ZERO
+    out[zero, 0] = np.where(negative[zero], _NEGATIVE_ZERO, _ZERO)
     slow = ~(fast | zero)
     if slow.any():
-        text = np.array([("%.17g" % v).encode() for v in x[slow].tolist()])
-        cells.view(np.uint8)[slow, : text.itemsize] = text.view(np.uint8).reshape(text.size, -1)
-    cells[..., 3] |= last
-    out[...] = cells
+        # Python's `%`, at most 24 bytes, over the first three words.
+        text = np.array([("%.17g" % v).encode() for v in x[slow].tolist()], dtype="S24")
+        out[slow, :3] = text.view(_WORD).reshape(-1, 3)
 
 
 def format_cells(values) -> np.ndarray:
@@ -333,12 +326,7 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
     fields = len(floats) + sum(_fields(columns[k][0]) for k in strings)
     if len(header) != fields:
         raise ValueError(f"header names {len(header)} fields, but a row holds {fields}")
-    # A list's values are checked by `%` or `_float_column` below (a list of
-    # lists fails there too); an array's dtype and shape here.
-    values = {
-        k: columns[k] if isinstance(columns[k], list) else _float_column(k, columns[k])
-        for k in floats
-    }
+    values = {k: _float_column(k, columns[k]) for k in floats}
     lengths = {len(strings[k]) if k in strings else len(values[k]) for k in range(len(columns))}
     n_rows, *others = lengths
     if others:
@@ -346,23 +334,16 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
     head = (",".join(header) + "\n").encode()
     if n_rows * len(floats) < _PER_ROW_MAX:
         row = ",".join("%s" if k in strings else "%.17g" for k in range(len(columns))) + "\n"
-        # An array column is read as Python floats through one `tolist`.
+        # A float column is read as Python floats through one `tolist`.
         cells = [
-            [c[0][i] for i in strings[k].tolist()] if k in strings
-            else values[k] if isinstance(values[k], list) else values[k].tolist()
+            [c[0][i] for i in strings[k].tolist()] if k in strings else values[k].tolist()
             for k, c in enumerate(columns)
         ]
-        try:
-            text = "".join([row % r for r in zip(*cells)]).encode()
-        except TypeError:
-            for k in floats:
-                _float_column(k, columns[k])
-            raise ValueError("a float column holds a value that `%.17g` cannot format") from None
+        text = "".join([row % r for r in zip(*cells)]).encode()
         with _overwrite(path) as fh:
             fh.write(head)
             fh.write(text)
         return
-    values = {k: _float_column(k, v) for k, v in values.items()}
     separators = [","] * (len(columns) - 1) + ["\n"]
     tables = {k: _string_cells(columns[k][0], separators[k]) for k in strings}
     widths = [tables[k].itemsize // 8 if k in strings else WIDTH // 8 for k in range(len(columns))]

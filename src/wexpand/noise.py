@@ -25,11 +25,12 @@ whole grid.
 from __future__ import annotations
 
 import functools
+import inspect
 from typing import NamedTuple
 
 import numpy as np
 
-from .statevec import _require_finite_real, _require_int
+from .statevec import _finite_real_array, _require_finite_real, _require_int
 from .wcircuit import DOUBLING_MAX_N, expansion_maps
 
 _S8 = np.sin(np.pi / 8.0)
@@ -56,16 +57,23 @@ class FidelitySweep(NamedTuple):
 def _elementwise(formula):
     """One implementation of a closed form for arrays and scalars alike.
 
-    The angles are broadcast to one shape and handed to ``formula`` as
-    contiguous one-dimensional float arrays, so every point rounds through
-    the same numpy loops whatever the call's shape.  An array call returns
-    an array of the broadcast shape; a call on scalars runs the same code on
-    a length-1 array and returns a Python ``float``.
+    Each angle must be a finite real number, or an array of them: anything
+    else (a bool, a string, None, a complex or non-finite value) is rejected
+    with a ValueError that names it by ``formula``'s parameter name (see
+    ``statevec._finite_real_array``).  The angles are broadcast to one shape
+    and handed to ``formula`` as contiguous one-dimensional float arrays, so
+    every point rounds through the same numpy loops whatever the call's
+    shape.  An array call returns an array of the broadcast shape; a call on
+    scalars runs the same code on a length-1 array and returns a Python
+    ``float``.
     """
+    names = inspect.getfullargspec(formula).args
 
     @functools.wraps(formula)
     def evaluate(*angles):
-        arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in angles))
+        if len(angles) != len(names):
+            return formula(*angles)  # Python's own TypeError for a wrong count
+        arrays = np.broadcast_arrays(*map(_finite_real_array, names, angles))
         shape = arrays[0].shape
         values = formula(*(np.ascontiguousarray(a).reshape(-1) for a in arrays))
         return values.reshape(shape) if shape else float(values[0])

@@ -9,7 +9,8 @@ A qubit index (and, in ``wcircuit`` and ``noise``, a register size or
 count) must be a Python or numpy integer: ``_require_int`` rejects anything
 else by name rather than truncating it.  Likewise a rate, frequency or
 angle must be a finite real number, not a bool, string or complex value
-(``_require_finite_real``; ``_real_array`` for an array of them).
+(``_require_finite_real``; ``_real_array`` for an array of them, and
+``_finite_real_array`` for one whose entries must be finite too).
 
 Index convention: qubit 0 is the *most significant* bit of the basis index.
 For a three-qubit register ordered |q0 q1 q2>, the string |100> sits at
@@ -79,9 +80,19 @@ def _real_array(name: str, value) -> np.ndarray:
     if not (kind in "iuf" or kind == "O" and all(_is_real(v) for v in values.flat)):
         raise ValueError(f"{name} must hold real numbers, got {value!r}")
     try:
-        return values.astype(float)
+        return values.astype(float, copy=False)
     except OverflowError:  # a Python int past the float range
         raise ValueError(f"{name} must be finite, got {value!r}") from None
+
+
+def _finite_real_array(name: str, value) -> np.ndarray:
+    """``_real_array``, and by name a ValueError for an entry that is not
+    finite.  A float64 ndarray costs one dtype check and one ``isfinite`` pass."""
+    values = _real_array(name, value)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(f"{name} must be finite, got {float(values[~finite].flat[0])!r}")
+    return values
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

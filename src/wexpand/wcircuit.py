@@ -50,9 +50,9 @@ from .statevec import (
     QubitPermutation,
     StateVector,
     _contract,
+    _finite_real_array,
     _normalized,
     _qubit_density,
-    _real_array,
     _require_int,
     _require_normalized,
     _seal,
@@ -185,19 +185,14 @@ def _noise_angles(alpha, beta, gamma) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """The three noise angles as float arrays broadcast to one length-k axis, k >= 1.
 
     By name, a ValueError for an angle that is not a real number (a bool, a
-    string or a complex value; see ``_real_array``) or not finite; then
-    numpy's for shapes that do not broadcast, and one for a grid that is
-    not one non-empty axis.
+    string or a complex value) or not finite (see ``_finite_real_array``);
+    then numpy's for shapes that do not broadcast, and one for a grid that
+    is not one non-empty axis.
     """
-    angles = []
-    for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
-        values = _real_array(name, value)
-        finite = np.isfinite(values)
-        if not finite.all():
-            bad = float(values[~finite].flat[0])
-            raise ValueError(f"{name} must be finite, got {bad!r}")
-        angles.append(np.atleast_1d(values))
-    alpha, beta, gamma = np.broadcast_arrays(*angles)
+    angles = (("alpha", alpha), ("beta", beta), ("gamma", gamma))
+    alpha, beta, gamma = np.broadcast_arrays(
+        *(np.atleast_1d(_finite_real_array(name, value)) for name, value in angles)
+    )
     if alpha.ndim != 1:
         raise ValueError(f"noise angles must broadcast to one axis, got shape {alpha.shape}")
     if alpha.size == 0:

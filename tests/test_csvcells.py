@@ -192,7 +192,7 @@ def _tables(draw, floats=_FLOATS, kinds=_KINDS, n_rows=st.integers(0, 40)):
             cells.append([strings[i] for i in index])
         else:
             values = draw(st.lists(floats, min_size=n_rows, max_size=n_rows))
-            # A float column may be a list, as fidelity-sweep passes, or an array.
+            # A float column may be a list or an array; write_csv reads either as an array.
             columns.append(values if draw(st.booleans()) else np.array(values, dtype=np.float64))
             cells.append(values)
     row_format = ",".join("%s" if is_string else "%.17g" for is_string in kinds) + "\n"
@@ -334,6 +334,8 @@ _LABELS = (["x", "y"], np.array([0, 1, 1]))
         (["a", "b"], [np.ones(3, dtype=complex), _LABELS], r"^column 0 must hold real numbers"),
         (["a", "b"], [["1.5", "2", "3"], _LABELS], r"^column 0 must hold real numbers"),
         (["a", "b"], [[1.0, None, 3.0], _LABELS], r"^column 0 must hold real numbers"),
+        # An OverflowError before, on the per-row path.
+        (["a"], [[10**400]], r"^column 0 must hold real numbers"),
         # An IndexError before, after the file was cut to its header.
         (["a", "b"], [np.ones(3), (["x", "y"], np.array([0, 2, 1]))], r"^column 1 has a string "
          r"index out of range 0\.\.1$"),

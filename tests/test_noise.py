@@ -293,12 +293,35 @@ def test_closed_forms_keep_the_shape_of_their_angles():
     assert got.tolist() == [[fidelity_combined(x, y, 0.02) for y in b.tolist()] for x in a.tolist()]
 
 
-@pytest.mark.parametrize("bad", [
-    True, np.True_, "0.1", None, [0.1], np.array(0.1), 1 + 0j, np.complex128(0.1),
-])
+# Not real numbers, as a sweep's theta_max or as a closed form's angle.
+_NOT_REAL = [True, np.True_, "0.1", None]
+
+
+@pytest.mark.parametrize("bad", [*_NOT_REAL, [0.1], np.array(0.1), 1 + 0j, np.complex128(0.1)])
 def test_sweep_rejects_a_theta_max_that_is_not_a_real_number(bad):
     with pytest.raises(ValueError, match="^theta_max must be a real number, got "):
         sweep(bad, 3)
+
+
+@pytest.mark.parametrize(
+    "bad", [*_NOT_REAL, 0.1j, np.complex128(0.1), np.nan, np.inf, -np.inf, np.array([0.1, np.nan])]
+)
+@pytest.mark.parametrize(
+    "form, names",
+    [
+        (fidelity_hadamard, ["alpha"]),
+        (fidelity_t_prime, ["beta"]),
+        (fidelity_controlled_phase, ["gamma"]),
+        (fidelity_combined, ["alpha", "beta", "gamma"]),
+    ],
+    ids=["hadamard", "t_prime", "controlled_phase", "combined"],
+)
+def test_closed_forms_reject_an_angle_that_is_not_a_finite_real_number(form, names, bad):
+    for k, name in enumerate(names):
+        angles = [0.1] * len(names)
+        angles[k] = bad
+        with pytest.raises(ValueError, match=f"^{name} must (hold real numbers|be finite), got "):
+            form(*angles)
 
 
 def test_sweep_takes_python_and_numpy_reals_as_theta_max():
