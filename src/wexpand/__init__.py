@@ -51,7 +51,6 @@ from .statevec import (
     zero_state,
 )
 from .wcircuit import (
-    AncillaStateError,
     DOUBLING_MAX_N,
     EXPANSION_LAYOUT,
     EXPANSION_MATRIX,
@@ -60,7 +59,6 @@ from .wcircuit import (
     ExpansionCircuit,
     QubitRole,
     RunReport,
-    apply_O,
     build_w_state,
     create_epr,
     double_w,

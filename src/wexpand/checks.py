@@ -27,6 +27,7 @@ from .gates import (
 from .statevec import (
     QubitPermutation,
     StateVector,
+    _normalized,
     apply_unitary,
     basis_state,
     fidelity_pure,
@@ -39,7 +40,6 @@ from .wcircuit import (
     EXPANSION_MATRIX,
     PHOTON,
     SPIN,
-    apply_O,
     build_w_state,
     create_epr,
     double_w,
@@ -85,6 +85,8 @@ class Check:
 
 _S2 = 1.0 / np.sqrt(2.0)
 _THETA_MAX = np.pi / 60.0
+# The two fixed imperfection triples (alpha, beta, gamma) of "size independence".
+_FIXED_TRIPLES = (NoiseParams(0.02, 0.015, 0.03), NoiseParams(0.025, 0.018, 0.033))
 # The smallest positive float: a deviation is below it only when it is 0.
 _EXACT = math.ulp(0.0)
 
@@ -151,18 +153,13 @@ def _controlled_phase_convention(rng) -> float:
 def _bell_pair(rng) -> float:
     bell = StateVector(_vec({1: _S2, 2: _S2}, 2))
     pair_rho = np.outer(bell.amplitudes, bell.amplitudes.conj())
-    dev = abs(1.0 - fidelity_pure(create_epr(), bell))
-    # The fused 8x8 and the 12-gate sequence, each on |100>.
-    for out in (
-        apply_O(basis_state("100"), 0, 1, 2),
-        standard_expansion_circuit().apply(basis_state("100"), 0, 1, 2),
-    ):
-        dev = max(
-            dev,
-            _max_abs(partial_trace(out, {1}).entries - np.diag([1, 0])),
-            _max_abs(partial_trace(out, {0, 2}).entries - pair_rho),
-        )
-    return dev
+    # The 12-gate sequence on |100>.
+    out = standard_expansion_circuit().apply(basis_state("100"), 0, 1, 2)
+    return max(
+        abs(1.0 - fidelity_pure(create_epr(), bell)),
+        _max_abs(partial_trace(out, {1}).entries - np.diag([1, 0])),
+        _max_abs(partial_trace(out, {0, 2}).entries - pair_rho),
+    )
 
 
 def _term_splitting(rng) -> float:
@@ -217,6 +214,34 @@ def _pair_engine(rng) -> float:
             dev = max(dev, _max_abs(got - want.amplitudes))
         for field in ("overlap", "success_probability", "ancilla_purities"):
             dev = max(dev, _max_abs(np.subtract(getattr(report, field), getattr(dense, field))))
+    return dev
+
+
+def _register_doubling(n: int, noise: NoiseParams) -> tuple[StateVector, float]:
+    """|W_n> -> |W_2n> on the paper's 3n-qubit register, gate by gate.
+
+    |W_n> |0>^{2n} laid out as n triples (w_i, anc_i, new_i), the 12 gates
+    run one by one on each triple, then every ancilla sliced to |0> and the
+    rest ordered (w..., new...).  Returns the renormalized output and the
+    probability of that projection.
+    """
+    reg = permute(tensor(build_w_state(n), zero_state(2 * n)), interleave_permutation(n))
+    circuit = standard_expansion_circuit(noise)
+    for i in range(n):
+        reg = circuit.apply(reg, 3 * i, 3 * i + 1, 3 * i + 2)
+    pairs = reg.tensor_view()[(slice(None), 0, slice(None)) * n]  # (w_0, new_0, w_1, ...)
+    return _normalized(pairs.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(-1))
+
+
+def _register_vs_dense(rng) -> float:
+    points = (NoiseParams(), *_FIXED_TRIPLES, NoiseParams(_THETA_MAX, _THETA_MAX, _THETA_MAX))
+    dev = 0.0
+    for n, noise in itertools.product((1, 2, 3, 4), points):
+        want, prob = _register_doubling(n, noise)
+        for mode in ("block", "sequential"):
+            out, report = double_w(n, mode, noise)
+            dev = max(dev, _max_abs(out.amplitudes - want.amplitudes),
+                      abs(report.success_probability - prob))
     return dev
 
 
@@ -279,7 +304,7 @@ def _vacuum_fixed_point(rng) -> float:
 
 def _size_independence(rng) -> float:
     spreads = []
-    for p in (NoiseParams(0.02, 0.015, 0.03), NoiseParams(0.025, 0.018, 0.033)):
+    for p in _FIXED_TRIPLES:
         sims = [_noisy_doubling_fidelity(n, p) for n in (1, 2, 3, 4)]
         spreads.append(max(sims) - min(sims))
     return max(spreads)
@@ -348,7 +373,7 @@ CHECKS: tuple[Check, ...] = (
     Check("controlled-phase convention", 1e-12,
           "CZ flips |11> only; imperfect phase e^{i(pi-gamma)}", _controlled_phase_convention),
     Check("bell pair creation", 1e-12,
-          "(|10>+|01>)/sqrt(2) with the ancilla back in |0>, fused and 12-gate", _bell_pair),
+          "(|10>+|01>)/sqrt(2) with the ancilla back in |0>, 12-gate", _bell_pair),
     Check("term splitting", 1e-12,
           "1/sqrt(n) term -> two 1/sqrt(2n) terms", _term_splitting),
     Check("growth strategy amplitudes", 1e-12,
@@ -360,6 +385,9 @@ CHECKS: tuple[Check, ...] = (
           "every stage and the report of prepare's run, both modes, n = 1..4", _pair_engine),
     Check("swap network layout", 1e-12,
           "interleaved triples vs pairwise swap list", _swap_network),
+    Check("paper's register vs dense doubling", 1e-14,
+          "12 gates on each of n triples vs both modes, n = 1..4, ideal and 3 noise points",
+          _register_vs_dense),
     Check("fidelity closed forms", 1e-12,
           "unity at zero, reductions exact; combined at pi/60 > 0.97", _closed_forms),
     Check("noisy-circuit agreement", 1e-9,

@@ -238,12 +238,20 @@ def _float_column(k: int, column) -> np.ndarray:
 
     Its values must be real numbers (bools, ints or floats): a float64
     conversion alone would read "1.5" as 1.5 and drop the imaginary part of a
-    complex array.
+    complex array.  A Python int past int64 makes an object array, converted
+    here unless it is past the float range.
     """
     try:
         values = np.asarray(column)
     except ValueError:  # a ragged nesting
         raise ValueError(f"column {k} must be one-dimensional") from None
+    if values.dtype.kind == "O" and all(
+        isinstance(v, (int, float, np.integer, np.floating)) for v in values.flat
+    ):
+        try:
+            values = values.astype(np.float64)
+        except OverflowError:
+            raise ValueError(f"column {k} must be finite") from None
     if values.dtype.kind not in "biuf":
         raise ValueError(f"column {k} must hold real numbers, got {values.dtype} values")
     if values.ndim != 1:

@@ -15,9 +15,10 @@ every qubit of |W_n> doubles the state to |W_2n> in one round.
 On the protocol's inputs, where the ancilla and input2 hold |0> and the
 ancilla is projected back onto |0>, the operation is the 4x2 map
 V = <q1',0,q2'|U|x,0,0>.  The protocols run on ``expand_qubit``, which
-applies V to one qubit and returns a register one qubit larger;
-``apply_O`` and ``ExpansionCircuit`` are the full operation and its
-dense oracles.
+applies V to one qubit and returns a register one qubit larger.
+``ExpansionCircuit`` is the full operation, gate by gate: ``wexpand
+verify`` runs it on every triple of the paper's 3n-qubit register as the
+reference for the doubling.
 
 Ideal V keeps the number of excitations (|0> -> |00>, |1> -> (|10> +
 |01>)/sqrt(2)), so each stage of the ideal doubling is c = V|1> on some
@@ -86,17 +87,6 @@ EXPANSION_MATRIX.setflags(write=False)
 # amplitudes.  Desk-scale verification only, so the register stays at or
 # under 2^16 amplitudes.
 DOUBLING_MAX_N = 8
-
-class AncillaStateError(ValueError):
-    """An expansion slot that must hold |0> holds something else."""
-
-    def __init__(self, slot: str, reduced: np.ndarray):
-        self.slot = slot
-        self.reduced = reduced
-        super().__init__(
-            f"{slot} qubit is not in |0>: reduced state\n{np.array_str(reduced, precision=6)}"
-        )
-
 
 # The 12 steps of the expansion circuit as (gate kind, slots), in order, with
 # slots 0 = input1, 1 = ancilla, 2 = input2 and kinds "h" (Hadamard), "tp"
@@ -310,42 +300,6 @@ def build_w_state(n: int) -> StateVector:
     return StateVector(_seal(amps))
 
 
-def _require_zero_slot(state: StateVector, qubit: int, slot: str) -> None:
-    rho = _qubit_density(state, qubit)
-    if not float(np.max(np.abs(rho - np.array([[1.0, 0.0], [0.0, 0.0]])))) <= 1e-10:
-        raise AncillaStateError(slot, rho)
-
-
-def apply_O(
-    state: StateVector,
-    q1: int,
-    anc: int,
-    q2: int,
-    noise: NoiseParams | None = None,
-) -> StateVector:
-    """Apply the expansion operation on the register triple (q1, anc, q2).
-
-    ``anc`` and ``q2`` must hold |0> (their reduced states are verified);
-    ``q1`` carries the qubit whose excitation is being split.  The 12 gates
-    act as one 8x8 in one contraction: ``EXPANSION_MATRIX`` for ideal
-    gates, the circuit's ``matrix()`` under noise; ``ExpansionCircuit.apply``
-    runs them one by one.  The protocols apply only its post-selected 4x2
-    part, through ``expand_qubit``; this is that kernel's dense oracle.
-    """
-    q1, anc, q2 = _require_int("q1", q1), _require_int("anc", anc), _require_int("q2", q2)
-    n = state.num_qubits
-    if len({q1, anc, q2}) != 3:
-        raise ValueError(f"slots must be distinct, got ({q1}, {anc}, {q2})")
-    for q in (q1, anc, q2):
-        if not 0 <= q < n:
-            raise ValueError(f"qubit {q} out of range for {n} qubits")
-    _require_zero_slot(state, anc, "ancilla")
-    _require_zero_slot(state, q2, "second input")
-    ideal = noise is None or noise.is_ideal
-    u = EXPANSION_MATRIX if ideal else standard_expansion_circuit(noise).matrix()
-    return apply_unitary(state, u, (q1, anc, q2))
-
-
 def create_epr() -> StateVector:
     """Entangle two never-interacting qubits into (|10> + |01>)/sqrt(2).
 
@@ -477,8 +431,9 @@ def interleave_permutation(n: int) -> QubitPermutation:
     Takes the register ordered (w_0..w_{n-1}, new_0..new_{n-1},
     anc_0..anc_{n-1}) to n adjacent triples (w_i, anc_i, new_i).
     ``double_w`` never holds that register (it expands each w_i in
-    place); ``wexpand verify`` checks this layout against the paper's
-    swap network.
+    place); ``wexpand verify``'s reference doubling does, running the 12
+    gates on each triple, and ``verify`` checks this layout against the
+    paper's swap network.
     """
     n = _require_int("n", n)
     if n < 1:

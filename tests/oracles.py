@@ -1,13 +1,19 @@
 """Dense oracles that only the tests use: post-selection on the full register,
-the matrix of a state transformation, built column by column, and the noisy
-maps V and W composed step by step."""
+the matrix of a state transformation, built column by column, the expansion
+operation as one dense 8x8, and the noisy maps V and W composed step by
+step."""
 from typing import Callable, Iterable
 
 import numpy as np
 
-from wexpand.gates import HADAMARD_ANGLE, T_PRIME_ANGLE
-from wexpand.statevec import StateVector, _normalized, _require_int, basis_state
-from wexpand.wcircuit import EXPANSION_LAYOUT
+from wexpand.gates import HADAMARD_ANGLE, T_PRIME_ANGLE, NoiseParams
+from wexpand.statevec import StateVector, _normalized, _require_int, apply_unitary, basis_state
+from wexpand.wcircuit import (
+    EXPANSION_LAYOUT,
+    EXPANSION_MATRIX,
+    _expansion_map,
+    standard_expansion_circuit,
+)
 
 
 def postselect_zero(state: StateVector, qubits: Iterable[int]) -> tuple[StateVector, float]:
@@ -26,6 +32,26 @@ def postselect_zero(state: StateVector, qubits: Iterable[int]) -> tuple[StateVec
     for q in qs:
         sel[q] = 0
     return _normalized(state.tensor_view()[tuple(sel)].reshape(-1))
+
+
+def apply_8x8(
+    state: StateVector, q1: int, anc: int, q2: int, noise: NoiseParams | None = None
+) -> StateVector:
+    """The expansion operation on register qubits (q1, anc, q2) as one dense 8x8.
+
+    ``EXPANSION_MATRIX`` for ideal gates.  Under noise, the 12-gate
+    circuit's composed ``matrix()`` with columns 0 and 4 taken from
+    ``_expansion_map``: on the protocol's inputs |x,0,0> only those two are
+    read, so an oracle built on this differs from the kernel
+    ``expand_qubit`` only in how the register is contracted.  The composed
+    columns agree with ``expansion_maps`` within 1e-14 but not bit for bit
+    (``test_batched_expansion_maps_match_the_circuit_matrix``).
+    """
+    if noise is None or noise.is_ideal:
+        return apply_unitary(state, EXPANSION_MATRIX, (q1, anc, q2))
+    u = standard_expansion_circuit(noise).matrix()
+    u.reshape(2, 2, 2, 8)[..., [0, 4]] = np.stack(_expansion_map(noise), axis=1)
+    return apply_unitary(state, u, (q1, anc, q2))
 
 
 def operation_matrix(op: Callable[[StateVector], StateVector], num_qubits: int) -> np.ndarray:

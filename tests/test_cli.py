@@ -101,6 +101,26 @@ def test_verify_reports_a_drifted_library_gate(capsys, monkeypatch, gate):
     assert "expansion operator matrix" in captured.err
 
 
+# Two mutants that swap the new-qubit slots of V, V[q1', q2', x] ->
+# V[q2', q1', x]: in the kernel, or in the map that the doubling reads.  Ideal
+# V is symmetric under the swap and the noisy fidelity |V[1,0,1] + V[0,1,1]|^2
+# / 2 is too, so only amplitudes under noise tell the slots apart.
+_SWAPPED_V = {
+    "expand_qubit": lambda real: lambda psi, target, v: real(psi, target, v.transpose(1, 0, 2)),
+    "_expansion_map": lambda real: lambda noise: tuple(m.transpose(1, 0, 2) for m in real(noise)),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_SWAPPED_V))
+def test_verify_names_a_fault_that_only_the_paper_register_sees(capsys, monkeypatch, mutant):
+    monkeypatch.setattr(wcircuit, mutant, _SWAPPED_V[mutant](getattr(wcircuit, mutant)))
+    assert main(["verify"]) == 1
+    captured = capsys.readouterr()
+    failed = [line.split(":")[0] for line in captured.out.splitlines() if "[FAIL]" in line]
+    assert failed == ["[FAIL] paper's register vs dense doubling"]
+    assert "first failure: paper's register vs dense doubling" in captured.err
+
+
 def test_verify_rejects_a_negative_seed_by_name(tmp_path, capsys):
     assert main(["verify", "--seed", "-1"]) == 2
     assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"

@@ -334,14 +334,16 @@ _LABELS = (["x", "y"], np.array([0, 1, 1]))
         (["a", "b"], [np.ones(3, dtype=complex), _LABELS], r"^column 0 must hold real numbers"),
         (["a", "b"], [["1.5", "2", "3"], _LABELS], r"^column 0 must hold real numbers"),
         (["a", "b"], [[1.0, None, 3.0], _LABELS], r"^column 0 must hold real numbers"),
-        # An OverflowError before, on the per-row path.
-        (["a"], [[10**400]], r"^column 0 must hold real numbers"),
+        # An OverflowError before, on the per-row path, and later "must hold
+        # real numbers": numpy holds such an int in an object array.
+        (["a"], [[10**400]], r"^column 0 must be finite$"),
         # An IndexError before, after the file was cut to its header.
         (["a", "b"], [np.ones(3), (["x", "y"], np.array([0, 2, 1]))], r"^column 1 has a string "
          r"index out of range 0\.\.1$"),
         (["a", "b"], [np.ones(3), (["x", "y"], np.array([0, -1, 1]))], r"index out of range"),
         (["a", "b"], [np.ones(3), (["x", "y"], np.array([0.0, 1.0, 1.0]))], r"1-D integer array"),
         ([], [], r"^a CSV needs at least one column$"),
+        (["a"], [[0.5, -10**400]], r"^column 0 must be finite$"),
     ],
 )
 def test_write_csv_checks_its_inputs_before_it_opens_the_file(
@@ -353,6 +355,14 @@ def test_write_csv_checks_its_inputs_before_it_opens_the_file(
     with pytest.raises(ValueError, match=message):
         write_csv(out, header, columns)
     assert out.read_bytes() == b"earlier contents\n"
+
+
+@pytest.mark.parametrize("per_row_max", [10**9, 0], ids=["per-row path", "block path"])
+def test_write_csv_writes_an_int_past_int64_as_its_float(tmp_path, monkeypatch, per_row_max):
+    # numpy holds 2**70 in an object array, which is converted once.
+    monkeypatch.setattr(csvcells, "_PER_ROW_MAX", per_row_max)
+    write_csv(tmp_path / "out.csv", ["a"], [[2**70, -3, 0.5]])
+    assert (tmp_path / "out.csv").read_bytes() == b"a\n1.1805916207174113e+21\n-3\n0.5\n"
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,14 @@ all three `prepare` stdout pins and every sweep hash held.  The `verify`
 stdout gained the line "pair engine vs dense doubling" after "doubling
 sweep n=1..4" and now ends "21/21 checks passed"; every other check line
 kept its bytes.
+
+The `verify` stdout alone was re-pinned when the library's fused 8x8
+operation was deleted and `verify` began to run the paper's 3n-qubit
+register gate by gate.  It gained the line "paper's register vs dense
+doubling" after "swap network layout" and now ends "22/22 checks
+passed".  The "bell pair creation" line lost "fused and " from its
+description; its deviation, 2.220e-16, held.  Every other check line,
+every CSV hash and every `prepare` stdout hash held.
 """
 import hashlib
 import math
@@ -175,11 +183,11 @@ def test_prepare_stdout_matches_its_golden_hash(command, tmp_path, capsys):
     assert hashlib.sha256(stdout.encode()).hexdigest() == PREPARE_STDOUT_SHA256[command]
 
 
-VERIFY_STDOUT_SHA256 = "b179c4f5fe1cc4e193d681dbdd2b880f3a39a21a2445b6d5a22184c6e97b8292"
+VERIFY_STDOUT_SHA256 = "d2f68eee9d2c4b4a73209031b176792ba79a1b845c7d1a9099ea174d6b491923"
 
 
 def test_verify_stdout_matches_its_golden_hash(capsys):
     assert main(["verify"]) == 0
     stdout = capsys.readouterr().out
-    assert stdout.endswith("21/21 checks passed\n")
+    assert stdout.endswith("22/22 checks passed\n")
     assert hashlib.sha256(stdout.encode()).hexdigest() == VERIFY_STDOUT_SHA256

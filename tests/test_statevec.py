@@ -18,7 +18,13 @@ from wexpand.statevec import (
     tensor,
     zero_state,
 )
-from wexpand.wcircuit import _expansion_map, apply_O, build_w_state, expand_by_one, expand_qubit
+from wexpand.wcircuit import (
+    _expansion_map,
+    build_w_state,
+    expand_by_one,
+    expand_qubit,
+    standard_expansion_circuit,
+)
 
 S2 = 1.0 / np.sqrt(2.0)
 H = np.array([[1, 1], [1, -1]], dtype=complex) * S2
@@ -361,9 +367,9 @@ _QUBIT_INDEX_ENTRY_POINTS = {
         ).tobytes(),
         "target",
     ),
-    "apply_O q1": (lambda q: apply_O(basis_state("010"), q, 0, 2), "q1"),
-    "apply_O anc": (lambda q: apply_O(basis_state("100"), 0, q, 2), "anc"),
-    "apply_O q2": (lambda q: apply_O(basis_state("100"), 0, 2, q), "q2"),
+    "ExpansionCircuit.apply": (
+        lambda q: standard_expansion_circuit().apply(basis_state("100"), 0, q, 2), "qubit"
+    ),
 }
 
 
