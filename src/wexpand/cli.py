@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -77,46 +78,49 @@ _ROLES = {role.kind: role for role in (PHOTON, SPIN)}
 def cmd_prepare(args) -> int:
     role = _ROLES[args.role]
     n = args.n
-    stage, report = double_w_pairs(n, args.mode)
-    final = stage(n + 1)
-    # Row r of an m-qubit stage is index 2^r, the excitation of qubit m - 1 - r;
-    # its string and label are the m-character windows at offset 2n - m + r
-    # of these two templates.
+    stages, report = double_w_pairs(n, args.mode)
+    # Stage k reads row min(k, n) of the engine's table, so an untraced run
+    # reads row n alone.  Each entry read has its "re,im" cells formatted
+    # once and its row filter evaluated once, for every row that reads it.
+    values = stages.values.tolist()
+    amp_cells, kept = {}, {}
+    for e in range(0 if args.trace else 3 * n, len(values)):
+        amp_cells[e] = "%.17g,%.17g" % (values[e].real, values[e].imag)
+        kept[e] = abs(values[e]) > 1e-12
+    # Row r of an m-qubit stage is index 2^r, the excitation of qubit m - 1 - r:
+    # its index cell is the Python int 2^r, exact past 63 qubits, and its
+    # string and label are the m-character windows at offset 2n - m + r of
+    # these two templates.
+    index_cells = [str(1 << r) for r in range(2 * n)]
     bits = "0" * (2 * n - 1) + "1" + "0" * (2 * n - 1)
     labels = bits.translate(role.labels)
-    cells, amplitudes = [], []  # one "stage,index,basis,label" cell a row, and its amplitude
-
-    def add_rows(name: str, amps: np.ndarray) -> None:
+    written = [(f"round_{k}", k) for k in range(n + 1)] * args.trace + [("final", n + 1)]
+    rows = []  # each row's whole text, "stage,index,basis,label,re,im"
+    for name, k in written:
         # Rows in ascending basis index: the last qubit's excitation first.
-        m = amps.size
-        amps = amps[::-1]
+        codes = stages.codes(k)[::-1]
+        m = len(codes)
         if args.full:
-            dense = np.zeros(1 << m, dtype=complex)
-            dense[1 << np.arange(m)] = amps
-            amplitudes.append(dense)
-            for idx in range(1 << m):
-                string = format(idx, f"0{m}b")
-                cells.append(f"{name},{idx},{string},{string.translate(role.labels)}")
-            return
-        kept = np.abs(amps) > 1e-12
-        amplitudes.append(amps[kept])
-        # Python ints, exact past 63 qubits.
-        for r in np.flatnonzero(kept).tolist():
-            s = 2 * n - m + r
-            cells.append(f"{name},{1 << r},{bits[s:s + m]},{labels[s:s + m]}")
-
-    if args.trace:
-        # Each sequential round, with every joined qubit right after its source.
-        for k in range(n + 1):
-            add_rows(f"round_{k}", stage(k))
-    add_rows("final", final)
-    amps = np.concatenate(amplitudes)
+            cells = ["0,0"] * (1 << m)
+            for r, e in enumerate(codes):
+                cells[1 << r] = amp_cells[e]
+            width = f"0{m}b"
+            for idx, cell in enumerate(cells):
+                string = format(idx, width)
+                rows.append(f"{name},{idx},{string},{string.translate(role.labels)},{cell}")
+            continue
+        stage_bits, stage_labels = bits[2 * n - m:], labels[2 * n - m:]
+        rows += [
+            f"{name},{index_cells[r]},{stage_bits[r:r + m]},{stage_labels[r:r + m]},{amp_cells[e]}"
+            for r, e in enumerate(codes) if kept[e]
+        ]
     header = ["stage", "index", "basis", "label", "re", "im"]
-    write_csv(args.out, header, [(cells, np.arange(len(cells))), amps.real, amps.imag])
+    write_csv(args.out, header, [(rows, np.arange(len(rows)))])
 
     # Excitation leftmost first: qubit p's window is at offset 2n - 1 - p.
     print(render_terms([
-        (labels[2 * n - 1 - p:4 * n - 1 - p], a) for p, a in enumerate(final.tolist()) if abs(a) > 1e-10
+        (labels[2 * n - 1 - p:4 * n - 1 - p], a)
+        for p, a in enumerate(values[e] for e in stages.codes(n + 1)) if abs(a) > 1e-10
     ]))
     print(f"fidelity vs |W_{2 * args.n}>: " + "%.17g" % report.overlap)
     print(f"ancilla purities: {[round(p, 12) for p in report.ancilla_purities]}")
@@ -239,15 +243,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The detached tokens that start with "-" and that argparse takes as values:
+# its parser's `_negative_number_matcher`, while no option looks like one.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
 def _plain_args(argv: list[str]) -> argparse.Namespace | None:
     """The Namespace `_build_parser().parse_args(argv)` returns, read without
     argparse when argv is plain: a command, then only spelled-out
     `--flag value`, `--flag=value` and bare switches, each value an int,
-    float or str as its default is, and among its choices.
+    float or str as its default is, and among its choices.  A detached value
+    may start with "-" only as a negative number in argparse's own sense
+    (`_NEGATIVE_NUMBER`), such as "-1" or "-.5".
 
     None for every other argv (help, abbreviations, `--`, unknown flags, bad
-    values, a detached value that starts with "-", an option of another
-    type), which argparse then judges.
+    values, any other detached value that starts with "-", such as "-1e-5",
+    an option of another type), which argparse then judges.
     """
     if not argv or argv[0] not in _COMMANDS:
         return None
@@ -268,7 +279,7 @@ def _plain_args(argv: list[str]) -> argparse.Namespace | None:
             continue
         if not eq:
             value = next(tokens, None)
-            if value is None or value.startswith("-"):
+            if value is None or value.startswith("-") and not _NEGATIVE_NUMBER.match(value):
                 return None
         if type(default) not in (int, float, str):
             return None

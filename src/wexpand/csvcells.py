@@ -9,8 +9,9 @@ words.  The limit is where the two cost the same: on a
 `fidelity-sweep` table (six float columns and one string column, 2 cores,
 Xeon), `%` per row took about 0.54 us per float cell and a block about
 160 us fixed plus 0.13 us per float cell, so they cross near 360 cells.  So
-`prepare` tables (at most about 250 float cells) and 50-step sweeps go per
-row, and longer sweeps and every cavity grid in blocks.
+50-step sweeps go per row, and longer sweeps and every cavity grid in
+blocks; a `prepare` table, whose rows are string cells alone, has no float
+cell and always goes per row.
 Each cell of a block row takes whole words, padded with 0 bytes, and holds its
 separator (a comma, or the row's LF) in its own last byte.  Each run of
 adjacent float columns is formatted by one call straight into its words, each
@@ -314,8 +315,9 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
     index) of a list and an int array whose row k holds strings[index[k]]:
     a cell repeated along an axis is formatted once.  A string cell may hold
     several fields joined by commas, the same number in every string of its
-    column.  There is at least one float column, and no header name or
-    string field needs CSV quoting.
+    column, so a table may hold only (strings, index) columns, down to one
+    whole row per string.  No header name or string field needs CSV
+    quoting.
 
     Raises ValueError, before the file is opened, unless the header names
     every field of a row, each float column is a flat sequence of real

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .statevec import _finite_real_array, _require_finite_real, _require_int
-from .wcircuit import DOUBLING_MAX_N, expansion_maps
+from .wcircuit import DOUBLING_MAX_N, _expansion_maps
 
 _S8 = np.sin(np.pi / 8.0)
 _C8 = np.cos(np.pi / 8.0)
@@ -173,15 +173,17 @@ def sweep(theta_max: float, steps: int, n: int = 2) -> FidelitySweep:
     if not 1 <= n <= DOUBLING_MAX_N:
         raise ValueError(f"n must be in 1..{DOUBLING_MAX_N}, got {n}")
     _require_finite_real("theta_max", theta_max)
+    # The grid of a finite theta_max is finite, so it goes to the unchecked
+    # cores: each closed form's formula and the maps' batch.
     with np.errstate(over="ignore", invalid="ignore"):
         thetas = np.linspace(0.0, float(theta_max), steps)
         series = (
             thetas,
-            fidelity_hadamard(thetas),
-            fidelity_t_prime(thetas),
-            fidelity_controlled_phase(thetas),
-            fidelity_combined(thetas, thetas, thetas),
-            doubling_overlap_fidelity(expansion_maps(thetas, thetas, thetas)[0]),
+            fidelity_hadamard.__wrapped__(thetas),
+            fidelity_t_prime.__wrapped__(thetas),
+            fidelity_controlled_phase.__wrapped__(thetas),
+            fidelity_combined.__wrapped__(thetas, thetas, thetas),
+            doubling_overlap_fidelity(_expansion_maps(thetas, thetas, thetas)[0]),
         )
     if not all(np.isfinite(s).all() for s in series):
         raise ValueError(

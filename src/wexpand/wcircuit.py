@@ -24,16 +24,16 @@ Ideal V keeps the number of excitations (|0> -> |00>, |1> -> (|10> +
 |01>)/sqrt(2)), so each stage of the ideal doubling is c = V|1> on some
 pairs (w_i, new_i) and |0> elsewhere, normalized.  ``double_w_pairs``
 gives the stages and the report in closed form from c, with no per-round
-loop, each stage as one amplitude per qubit: that of the string whose one
-excitation is on that qubit.  ``prepare`` writes and prints them (through
-``render_terms``, which ``relabel`` also uses), and ``double_w`` is their
-oracle.
+loop: one table of values, and each stage as one code into it per qubit,
+for the string whose one excitation is on that qubit.  ``prepare`` writes
+and prints them (through ``render_terms``, which ``relabel`` also uses),
+and ``double_w`` is their oracle.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -242,7 +242,11 @@ def expansion_maps(alpha, beta, gamma) -> tuple[np.ndarray, np.ndarray]:
     Raises ValueError, naming the angle, for one that is not a finite real
     number; and for angles that do not broadcast to one non-empty axis.
     """
-    alpha, beta, gamma = _noise_angles(alpha, beta, gamma)
+    return _expansion_maps(*_noise_angles(alpha, beta, gamma))
+
+
+def _expansion_maps(alpha, beta, gamma) -> tuple[np.ndarray, np.ndarray]:
+    """``expansion_maps`` of angles already checked: float arrays of one shape (k,), k >= 1."""
     k = alpha.shape[0]
     cos_sin = np.empty((2, 2, k))
     for kind, theta in enumerate((HADAMARD_ANGLE - alpha, T_PRIME_ANGLE - beta)):
@@ -547,38 +551,80 @@ def _require_weight_preserving(v: np.ndarray, w: np.ndarray) -> None:
         raise ValueError(f"V[0, 0, 0] = {complex(v[0, 0, 0])!r}; the pair doubling needs it to be 1")
 
 
-def double_w_pairs(n: int, mode: str = "sequential") -> tuple[Callable[[int], np.ndarray], RunReport]:
+@functools.cache
+def _ideal_pair() -> tuple[np.ndarray, float]:
+    """The ideal (V[0,0,0], c01, c10) as a read-only array, and |c|^2.
+
+    Read from ``_expansion_map`` and checked once per process: raises
+    ValueError as ``_require_weight_preserving`` does, and for a pair
+    c = V|1> = 0.
+    """
+    v, w = _expansion_map(NoiseParams())
+    _require_weight_preserving(v, w)
+    pair = v[(0, 0, 1), (0, 1, 0), (0, 1, 1)]
+    c2 = float(abs(pair[1]) ** 2 + abs(pair[2]) ** 2)
+    # Round n and the output are divided by sqrt(n |c|^2).
+    if c2 == 0.0:
+        raise ValueError("c = V|1> has |c|^2 = 0.0; the pair doubling needs it to keep the excitation")
+    pair.setflags(write=False)
+    return pair, c2
+
+
+@dataclass(frozen=True, eq=False)
+class PairStages:
+    """The stages of ``double_w_pairs(n, mode)``: one table of values and one layout.
+
+    ``values`` is flat and read-only: entries 3k, 3k + 1 and 3k + 2 are
+    round k's (V[0,0,0], c01, c10), each divided by sqrt(n P_k), for k =
+    0..n.  ``codes(k)`` is stage k's indices into it, one per qubit in qubit
+    order: for k <= n round k, ordered (w_0, new_0, ..., w_{k-1},
+    new_{k-1}, w_k, ..., w_{n-1}); for k = n + 1 the output, ordered
+    (w_0..w_{n-1}, new_0..new_{n-1}), which reads row n.  Called with k, it
+    gives stage k's amplitudes, ``values`` at ``codes(k)``.
+    """
+
+    n: int
+    values: np.ndarray
+    # The column of each qubit: round k's at [2(n - k), 3n - k), the
+    # output's at [3n, 5n).
+    layout: list[int] = field(repr=False)
+
+    def codes(self, k: int) -> list[int]:
+        n = self.n
+        if not 0 <= k <= n + 1:
+            raise ValueError(f"stage must be in 0..{n + 1}, got {k}")
+        # Stage k reads row min(k, n) of the table, from entry 3 min(k, n).
+        if k > n:
+            return [3 * n + column for column in self.layout[3 * n:]]
+        return [3 * k + column for column in self.layout[2 * (n - k):3 * n - k]]
+
+    def __call__(self, k: int) -> np.ndarray:
+        return self.values.take(self.codes(k))
+
+
+def double_w_pairs(n: int, mode: str = "sequential") -> tuple[PairStages, RunReport]:
     """``double_w(n, mode)`` for ideal gates, in closed form from the pair c = V|1>.
 
     V|0> = |00>, so round k holds c on its first k pairs (w_i, new_i) and
     V[0,0,0] on each other w_i, divided once by sqrt(n P_k), with P_k =
-    (k |c|^2 + n - k) / n; the output holds c on every pair.  Returns
-    ``stage`` and the report.  ``stage(k)`` is one amplitude per qubit in
-    qubit order: for k <= n round k, ordered (w_0, new_0, ..., w_{k-1},
-    new_{k-1}, w_k, ..., w_{n-1}); for k = n + 1 the output, ordered
-    (w_0..w_{n-1}, new_0..new_{n-1}).  The report holds the overlap |c10 +
-    c01|^2 / (2 |c|^2), the success probability |c|^2 and the purities
-    p0^2 (each ancilla's 2x2 is diag(p0, 0)): p0 = P_0 = <W_n|W_n> in block
-    mode, P_{k+1} / P_k in round k.  Its ``rounds`` is empty.  Raises
-    ValueError as ``double_w`` does for n and the mode, for V and W as
-    ``_require_weight_preserving`` does, for a pair c = 0, before dividing by
-    it, and for an output that is not normalized.
+    (k |c|^2 + n - k) / n; the output holds c on every pair.  Returns the
+    stages (see ``PairStages``) and the report.  The report holds the
+    overlap |c10 + c01|^2 / (2 |c|^2), the success probability |c|^2 and
+    the purities p0^2 (each ancilla's 2x2 is diag(p0, 0)): p0 = P_0 =
+    <W_n|W_n> in block mode, P_{k+1} / P_k in round k.  Its ``rounds`` is
+    empty.  Raises ValueError as ``double_w`` does for n and the mode, for
+    V and W as ``_require_weight_preserving`` does, for a pair c = 0,
+    before dividing by it (see ``_ideal_pair``), and for an output that is
+    not normalized.
     """
     n = _require_doubling(n, mode)
-    v, w = _expansion_map(NoiseParams())
-    _require_weight_preserving(v, w)
-    stay, moved, split = v[0, 0, 0], v[0, 1, 1], v[1, 0, 1]
-    c2 = float(abs(moved) ** 2 + abs(split) ** 2)
-    # Round n and the output are divided by sqrt(n |c|^2).
-    if c2 == 0.0:
-        raise ValueError("c = V|1> has |c|^2 = 0.0; the pair doubling needs it to keep the excitation")
+    pair, c2 = _ideal_pair()
+    stay, moved, split = pair
     k = np.arange(n + 1)
     norms2 = k * c2 + (n - k) * abs(stay) ** 2  # n P_k
-    # Row k is round k's (V[0,0,0], c01, c10).  The layout names each
-    # qubit's column: round k's at [2(n - k), 3n - k), the output's, from
-    # row n, at [3n, 5n).
-    values = np.array([stay, moved, split]) / np.sqrt(norms2)[:, None]
-    layout = np.array([2, 1] * n + [0] * n + [2] * n + [1] * n)
+    values = (pair / np.sqrt(norms2)[:, None]).ravel()
+    values.setflags(write=False)
+    stages = PairStages(n, values, [2, 1] * n + [0] * n + [2] * n + [1] * n)
     purities = np.full(n, (norms2[0] / n) ** 2) if mode == "block" else (norms2[1:] / norms2[:-1]) ** 2
     report = RunReport(
         overlap=float(abs(split + moved) ** 2 / (2.0 * c2)),
@@ -586,14 +632,8 @@ def double_w_pairs(n: int, mode: str = "sequential") -> tuple[Callable[[int], np
         success_probability=c2,
         rounds=(),
     )
-
-    def stage(k: int) -> np.ndarray:
-        if not 0 <= k <= n + 1:
-            raise ValueError(f"stage must be in 0..{n + 1}, got {k}")
-        return values[min(k, n)].take(layout[3 * n:] if k > n else layout[2 * (n - k):3 * n - k])
-
-    _require_normalized(stage(n + 1))
-    return stage, report
+    _require_normalized(stages(n + 1))
+    return stages, report
 
 
 # ---------------------------------------------------------------------------

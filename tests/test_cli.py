@@ -31,6 +31,7 @@ from wexpand.wcircuit import (
     PHOTON,
     build_w_state,
     double_w,
+    double_w_pairs,
     round_permutation,
     standard_expansion_circuit,
 )
@@ -334,6 +335,26 @@ def test_prepare_amplitudes_lie_within_an_ulp_of_the_exact_ones(tmp_path, capsys
 
 
 @pytest.mark.parametrize("mode", ["block", "sequential"])
+@pytest.mark.parametrize("n, full", [(n, False) for n in range(1, 9)] + [(n, True) for n in range(1, 5)])
+def test_prepare_writes_each_amplitude_cell_as_its_stage_formats_it(tmp_path, capsys, n, mode, full):
+    # Every re and im cell, in row order, is '%.17g' of the amplitude that
+    # stage(k) gives; with --full every index off weight one holds zeros.
+    out = tmp_path / "out.csv"
+    argv = ["prepare", "--n", str(n), "--mode", mode, "--trace", *["--full"] * full, "--out", str(out)]
+    assert main(argv) == 0
+    stage, _ = double_w_pairs(n, mode)
+    want = []
+    for k, name in enumerate([f"round_{k}" for k in range(n + 1)] + ["final"]):
+        # Row r is index 2^r, the excitation of qubit m - 1 - r.
+        amps = stage(k)[::-1].tolist()
+        by_index = {1 << r: a for r, a in enumerate(amps) if full or abs(a) > 1e-12}
+        for index in range(1 << len(amps)) if full else sorted(by_index):
+            a = by_index.get(index, 0j)
+            want.append((name, str(index), "%.17g" % a.real, "%.17g" % a.imag))
+    assert [(r["stage"], r["index"], r["re"], r["im"]) for r in read_csv(str(out))] == want
+
+
+@pytest.mark.parametrize("mode", ["block", "sequential"])
 def test_prepare_writes_exact_indices_past_63_qubits(tmp_path, capsys, monkeypatch, mode):
     # n = 33 doubles to 66 qubits, where int64 would wrap index 2^63 to
     # -2^63 and 2^64 to 0.  Only the dense engine needs the cap.
@@ -462,8 +483,10 @@ def test_parser_is_built_once_across_commands(tmp_path, capsys, monkeypatch):
     # it, and the next reuses it.
     monkeypatch.chdir(tmp_path)
     _build_parser.cache_clear()
+    # A detached negative number is plain, as argparse reads it as a value.
+    dashed = ["cavity-sweep", "--detuning-min", "-1", "--detuning-steps", "3", "--g-steps", "3"]
     for argv in (["prepare"], ["fidelity-sweep", "--steps", "3"], ["cavity-sweep"],
-                 ["prepare", "--n", "3", "--mode", "block"]):
+                 ["prepare", "--n", "3", "--mode", "block"], dashed):
         assert main(argv) == 0
     info = _build_parser.cache_info()
     assert (info.misses, info.hits) == (0, 0)
@@ -472,16 +495,16 @@ def test_parser_is_built_once_across_commands(tmp_path, capsys, monkeypatch):
     assert exc.value.code == 0
     info = _build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 0)
-    dashed = ["cavity-sweep", "--detuning-min", "-1", "--detuning-steps", "3", "--g-steps", "3"]
-    assert main(dashed) == 0
+    abbreviated = ["cavity-sweep", "--detuning-st", "3", "--g-steps", "3"]
+    assert main(abbreviated) == 0
     info = _build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
 
 # Values drawn for an option: those of its default's type, then the rest.
 _VALUES = {
-    int: (["0", "3", "+4", " 7", "-2"], ["1e-5", "2.0", "", "x"]),
-    float: (["0", "1e-5", "0.25", "inf", "3", "-1e-5", "-0.5"], ["", "x"]),
+    int: (["0", "3", "+4", " 7", "-2"], ["1e-5", "2.0", "", "x", "-2.5"]),
+    float: (["0", "1e-5", "0.25", "inf", "3", "-1e-5", "-0.5", "-.5", "-5.", "-7"], ["", "x"]),
     str: (["out.csv", "a=b", "", " x", "-", "--n", "-h", "-x"], []),
 }
 # Tokens that make any argv not plain, wherever they stand, or that argparse rejects.
@@ -489,6 +512,8 @@ _AWKWARD = [
     "--mo", "--theta_max", "--", "-h", "--help", "--trace=1", "--full=",
     "-3", "1e-5", "", "stray", "--no-such", "-n", "prepare",
 ]
+# The detached tokens starting with "-" that argparse reads as values.
+_ARGPARSE_NEGATIVE_NUMBER = argparse.ArgumentParser()._negative_number_matcher
 # Every command's flags, so that a command is also sent the flags of the others.
 _ALL_FLAGS = {
     "--config": ("config", "", None),
@@ -525,8 +550,10 @@ def _argvs(draw):
         if extra is not None:
             good, bad = extra, ["bogus", "", extra[0].upper()]
         value = draw(st.sampled_from(good if clean else [*good, *bad]))
-        # A joined "-x" is read as a value; a detached one only by argparse.
-        plain &= value in good and not (form == "detached" and value.startswith("-"))
+        # A joined "-x" is read as a value; a detached one only as a
+        # negative number, which argparse reads as a value too.
+        dashed = value.startswith("-") and not _ARGPARSE_NEGATIVE_NUMBER.match(value)
+        plain &= value in good and not (form == "detached" and dashed)
         argv += [flag, value] if form == "detached" else [f"{flag}={value}"]
     return argv, plain
 

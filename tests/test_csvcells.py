@@ -311,6 +311,22 @@ def test_write_csv_matches_the_per_row_writer_across_block_edges(tmp_path, n_row
     assert (tmp_path / "got.csv").read_bytes() == want
 
 
+@pytest.mark.parametrize("n_rows", [3, csvcells._PER_ROW_MAX - 1, csvcells._PER_ROW_MAX + 1, BLOCK_ROWS + 1])
+def test_write_csv_writes_a_table_of_string_columns_alone(tmp_path, n_rows):
+    # As `prepare`'s table: whole rows of several fields as one column, here
+    # read in reverse, beside a column of one field; no float column.
+    rows = [f"r{i},{1 << i % 70},{'01'[i % 2] * 3}" for i in range(n_rows)]
+    columns = [(rows, np.arange(n_rows)[::-1]), (["0", "1"], np.arange(n_rows) % 2)]
+    write_csv(tmp_path / "got.csv", ["name", "index", "bits", "bit"], columns)
+    want = [(r, i % 2) for i, r in enumerate(reversed(rows))]
+    assert (tmp_path / "got.csv").read_bytes() == _per_row_csv(
+        tmp_path / "want.csv", ["name", "index", "bits", "bit"], "%s,%d\n", want
+    )
+    for header in (["name", "index", "bits"], ["name", "index", "bits", "bit", "extra"]):
+        with pytest.raises(ValueError, match=r"^header names %d fields, but a row holds 4$" % len(header)):
+            write_csv(tmp_path / "got.csv", header, columns)
+
+
 def test_write_csv_rejects_columns_of_different_lengths(tmp_path):
     with pytest.raises(ValueError, match=r"columns must have one length, got \[2, 3\]"):
         write_csv(tmp_path / "out.csv", ["a", "b"], [np.zeros(3), (["x"], np.zeros(2, dtype=int))])
@@ -503,7 +519,7 @@ _COMMANDS = {
     "fidelity-sweep 3000": ["fidelity-sweep", "--steps", "3000"],
     "cavity-sweep 61x61": ["cavity-sweep", "--detuning-steps", "61", "--g-steps", "61"],
 }
-_BLOCK_PATH = {"prepare n=6 full trace", "fidelity-sweep 3000", "cavity-sweep 61x61"}
+_BLOCK_PATH = {"fidelity-sweep 3000", "cavity-sweep 61x61"}
 
 
 def test_the_commands_written_over_old_files_take_both_writer_paths(tmp_path, capsys, monkeypatch):

@@ -364,9 +364,8 @@ def _parse_path(argv: list[str]) -> str:
     return "plain" if read == parsed else "misread"
 
 
-# Every argv of these is plain; the others' carry negative values, which
-# the reader leaves to argparse.
-_PLAIN_WORKLOADS = ("prepare-dense", "sweep-small")
+# Every argv of these is plain.
+_PLAIN_WORKLOADS = ("prepare-dense", "sweep-small", "cavity-grid")
 
 
 @pytest.mark.parametrize("name", sorted(_BENCHMARK.WORKLOADS))

@@ -572,6 +572,28 @@ def test_pair_doubling_rejects_a_stage_out_of_range():
             stage(k)
 
 
+@pytest.fixture
+def fresh_ideal_pair():
+    """The pair engine reads and checks the ideal map once per process: the
+    cache is emptied around a test that patches ``_expansion_map``, so that
+    the engine reads the patched map and no later test sees it."""
+    wcircuit._ideal_pair.cache_clear()
+    yield
+    wcircuit._ideal_pair.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_ideal_pair")
+def test_pair_doubling_reads_the_ideal_map_once(monkeypatch):
+    calls = []
+    real = wcircuit._expansion_map
+    monkeypatch.setattr(wcircuit, "_expansion_map", lambda noise: calls.append(noise) or real(noise))
+    for n, mode in [(1, "block"), (3, "sequential"), (8, "block")]:
+        stage, _ = double_w_pairs(n, mode)
+        assert not stage.values.flags.writeable
+    assert calls == [NoiseParams()]
+
+
+@pytest.mark.usefixtures("fresh_ideal_pair")
 @pytest.mark.parametrize("entry", [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1), (0, 0, 1)])
 def test_weight_one_doubling_rejects_a_map_that_changes_the_weight(entry, monkeypatch):
     v, w = (m.copy() for m in _expansion_map(NoiseParams()))
@@ -583,6 +605,7 @@ def test_weight_one_doubling_rejects_a_map_that_changes_the_weight(entry, monkey
             double_w_pairs(2, mode)
 
 
+@pytest.mark.usefixtures("fresh_ideal_pair")
 def test_weight_one_doubling_rejects_a_leaking_ancilla(monkeypatch):
     v, w = (m.copy() for m in _expansion_map(NoiseParams()))
     w[1, 0, 1] = 1e-300
@@ -591,6 +614,7 @@ def test_weight_one_doubling_rejects_a_leaking_ancilla(monkeypatch):
         double_w_pairs(2, "sequential")
 
 
+@pytest.mark.usefixtures("fresh_ideal_pair")
 def test_pair_doubling_rejects_a_phase_on_the_vacuum(monkeypatch):
     # Round k's unexpanded qubits would carry V[0,0,0]^k, and pair i
     # V[0,0,0]^(k-1-i): no longer one closed form per round.
@@ -602,6 +626,7 @@ def test_pair_doubling_rejects_a_phase_on_the_vacuum(monkeypatch):
             double_w_pairs(2, mode)
 
 
+@pytest.mark.usefixtures("fresh_ideal_pair")
 def test_pair_doubling_rejects_a_map_that_loses_the_excitation(monkeypatch):
     # c = V|1> = 0 passes the weight checks; it is rejected by name before
     # the output would divide 0 by 0 (pyproject turns numpy's warning into
